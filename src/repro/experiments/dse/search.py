@@ -6,12 +6,16 @@ compounding cost reducers:
 
 1. **Stage-prefix reuse.**  Synthesis and pseudo-place consume only
    ``(design, scale, seed, fast library, period, utilization)`` -- not
-   the slow library, tier cap, or FM tolerance.  Their checkpoints are
-   therefore stored once per *prefix key* (a content hash of exactly
-   those fields) in ``<cache>/dse_prefix/<key>/`` and re-slotted into
-   every later config's flow via
-   :func:`~repro.integrity.checkpoint.rebind_checkpoint_tier_library`
-   + ``from_stage`` resume.  Reuse is counted in
+   the slow library, tier cap, or FM tolerance.  Their state is
+   therefore computed once per *prefix key* (a content hash of exactly
+   those fields) and re-slotted into every later config's flow via
+   :func:`~repro.integrity.checkpoint.rebind_tier_library`.  Within one
+   process it lives in memory: :class:`_PrefixStore` keeps one pickled
+   payload of the deepest prefix stage per key, and each flow resumes
+   from the design rebuilt from it.  The first computation of a key
+   also writes both prefix stages as checkpoints under
+   ``<cache>/dse_prefix/<key>/``; only processes without that memory
+   read them (pool workers, later runs).  Reuse is counted in
    ``telemetry.prefix_stages_reused``; a fully warm sweep re-executes
    zero prefix stages.
 
@@ -28,13 +32,14 @@ compounding cost reducers:
 
    The same independence argument also runs *forward*: partitioning is
    the only stage the tier-cap and FM-tolerance axes feed, so each
-   evaluation first runs to the partitioning checkpoint only
-   (``until_stage``), fingerprints the partitioned state (parameter
-   echoes masked), and serves the entire post-partition tail from the
+   evaluation first runs through partitioning only (``until_stage``),
+   fingerprints the partitioned design in memory (parameter echoes
+   masked), and serves the entire post-partition tail from the
    ``dse_suffix`` cache when any earlier config produced the same
    partition -- distinct (cap, fm) settings collapse onto far fewer
-   distinct partitions.  Exact by construction; counted in
-   ``telemetry.suffix_flows_reused``.
+   distinct partitions.  On a miss the tail continues from the same
+   in-memory design; no per-flow checkpoint is written.  Exact by
+   construction; counted in ``telemetry.suffix_flows_reused``.
 
 3. **Dominance pruning.**  Before evaluating a config, its objective
    vector is lower-bounded from every evaluated lattice neighbor in
@@ -82,9 +87,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import tempfile
+import pickle
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +116,17 @@ from repro.experiments.resilience import (
     run_jobs_with_retry,
 )
 from repro.experiments.telemetry import get_telemetry, timed_stage
+from repro.flow.design import Design
+from repro.flow.hetero import FAST_TIER, SLOW_TIER, run_flow_hetero_3d
 from repro.flow.report import FlowResult
 from repro.integrity.contracts import CheckMode, current_mode
 from repro.integrity.checkpoint import (
     checkpoint_path,
-    rebind_checkpoint_tier_library,
+    design_from_dict,
+    design_to_dict,
+    read_checkpoint,
+    rebind_tier_library,
+    write_checkpoint,
 )
 from repro.log import get_logger
 from repro.obs import emit_metric, span
@@ -144,20 +155,17 @@ _FALSY = {"0", "off", "false", "no"}
 
 #: Stages whose output is independent of every per-config axis (slow
 #: library, tier cap, FM tolerance) -- the shareable flow prefix, in
-#: stage order.  ``rebind_checkpoint_tier_library`` enforces the
-#: independence claim at reuse time.
+#: stage order.  ``rebind_tier_library`` enforces the independence
+#: claim at reuse time.
 PREFIX_STAGES = ("synthesis", "pseudo_place")
-_STAGE_AFTER = {"synthesis": "pseudo_place", "pseudo_place": "partitioning"}
-_SLOW_TIER = 1
 
 #: Partitioning is the last stage that reads the tier cap / FM
 #: tolerance axes; everything after it is a pure function of the
 #: partitioned design state plus ``(period, utilization,
 #: opt_iterations, seed)``.  That makes the whole flow *tail* reusable
 #: across configs whose partitions collapse to the same state -- keyed
-#: by a fingerprint of the partitioning checkpoint.
+#: by a fingerprint of the partitioned design state.
 _PARTITION_STAGE = "partitioning"
-_PARTITION_INDEX = 2  # stage position in the voltage-compatible flow
 _SUFFIX_RESUME = "placement_3d"
 
 #: Parameter echoes partitioning writes into ``design.notes``.  They
@@ -422,16 +430,10 @@ def _prefix_root() -> Path:
     return cache.cache_dir() / "dse_prefix"
 
 
-def _partition_fingerprint(tmpdir: str) -> str | None:
-    """Content hash of the partitioning checkpoint's design payload,
-    with the parameter-echo notes (:data:`_PARTITION_ECHO_NOTES`)
-    masked out.  ``None`` when the checkpoint is unreadable -- the
-    caller then falls back to running the tail, never to guessing."""
-    path = checkpoint_path(tmpdir, _PARTITION_INDEX, _PARTITION_STAGE)
-    try:
-        payload = json.loads(path.read_text())["design"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+def _partition_fingerprint(payload: dict) -> str:
+    """Content hash of a partitioned design payload
+    (:func:`~repro.integrity.checkpoint.design_to_dict`), with the
+    parameter-echo notes (:data:`_PARTITION_ECHO_NOTES`) masked out."""
     notes = payload.get("notes")
     if isinstance(notes, dict):
         payload = dict(payload)
@@ -457,70 +459,107 @@ def _suffix_cache_key(
     )
 
 
-def _seed_prefix(tmpdir: str, prefix_key: str, slow_lib) -> tuple[int, str | None]:
-    """Copy the deepest stored prefix checkpoint into ``tmpdir``.
-
-    Returns ``(stages_reused, from_stage)``: the checkpoint is
-    re-slotted for this config's slow library and the flow resumes at
-    the stage after it.  Any unreadable/unshareable entry falls back to
-    the shallower stage, then to a cold start -- reuse can degrade,
-    never corrupt.
-    """
-    store = _prefix_root() / prefix_key
-    for idx in range(len(PREFIX_STAGES) - 1, -1, -1):
-        stage = PREFIX_STAGES[idx]
-        src = checkpoint_path(store, idx, stage)
-        if not src.exists():
+def _read_prefix(store: Path) -> tuple[int, bytes] | None:
+    """The deepest readable prefix checkpoint under ``store`` as an
+    in-memory entry ``(stage index, pickled payload)``; a corrupt file
+    falls back to the shallower stage."""
+    for index in range(len(PREFIX_STAGES) - 1, -1, -1):
+        path = checkpoint_path(store, index, PREFIX_STAGES[index])
+        if not path.exists():
             continue
         try:
-            envelope = json.loads(src.read_text())
-            rebound = rebind_checkpoint_tier_library(
-                envelope, _SLOW_TIER, slow_lib
-            )
-        except (OSError, ValueError, CheckpointError) as exc:
+            _stage, payload = read_checkpoint(path)
+        except CheckpointError as exc:
             _log.warning(
-                "dse prefix %s/%s unusable (%s); trying an earlier stage",
-                prefix_key[:12], stage, exc,
+                "dse prefix %s unusable (%s); trying an earlier stage",
+                path, exc,
             )
             continue
-        dst = checkpoint_path(tmpdir, idx, stage)
-        dst.write_text(json.dumps(rebound))
-        return idx + 1, _STAGE_AFTER[stage]
-    return 0, None
+        return index, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+    return None
 
 
-def _publish_prefix(tmpdir: str, prefix_key: str) -> None:
-    """Move this run's prefix checkpoints into the shared store.
+class _PrefixStore:
+    """Shared prefix states: in memory for this process, on disk for
+    the others.
 
-    Atomic per file (tmp + rename); concurrent publishers of the same
-    key write byte-identical content (the flow is deterministic), so
-    last-wins is safe.  Best-effort like every cache write.
+    Memory holds one pickled design payload per prefix key -- its
+    deepest prefix stage -- and seeds every flow of this process.  The
+    ``<cache>/dse_prefix/<key>/`` checkpoint files are written once per
+    key and stage, for the processes that cannot see this memory (pool
+    workers, later runs), and read only when memory has no entry.
+    Scoped like the cache it fronts: a different cache directory starts
+    it empty, and callers bypass it under ``REPRO_CACHE=0``.
     """
-    store = _prefix_root() / prefix_key
-    try:
-        store.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _log.warning("cannot create dse prefix store %s: %s", store, exc)
-        return
-    for idx, stage in enumerate(PREFIX_STAGES):
-        src = checkpoint_path(tmpdir, idx, stage)
-        dst = checkpoint_path(store, idx, stage)
-        if not src.exists() or dst.exists():
-            continue
+
+    def __init__(self) -> None:
+        self._root: Path | None = None
+        self._entries: dict[str, tuple[int, bytes]] = {}
+
+    def _scoped(self) -> tuple[Path, dict[str, tuple[int, bytes]]]:
+        root = _prefix_root()
+        if root != self._root:
+            self._root, self._entries = root, {}
+        return root, self._entries
+
+    def clear(self) -> None:
+        """Forget the in-memory entries (the disk store stays)."""
+        self._entries = {}
+
+    def seed(self, key: str, tier_libs: dict) -> tuple[int, Design | None]:
+        """``(stages_reused, design)``: the deepest stored prefix state
+        of ``key``, re-slotted for this config's slow library, or
+        ``(0, None)``.  An unusable entry degrades to a cold start,
+        never to a design bound to the wrong cells."""
+        root, entries = self._scoped()
+        entry = entries.get(key) or _read_prefix(root / key)
+        if entry is None:
+            return 0, None
+        index, blob = entry
         try:
-            tmp = dst.with_suffix(f".tmp.{os.getpid()}")
-            shutil.copyfile(src, tmp)
-            os.replace(tmp, dst)
-        except OSError as exc:
-            _log.warning("dse prefix publish failed for %s: %s", dst.name, exc)
+            payload = rebind_tier_library(
+                pickle.loads(blob), SLOW_TIER, tier_libs[SLOW_TIER]
+            )
+            design = design_from_dict(payload, tier_libs)
+        except CheckpointError as exc:
+            _log.warning(
+                "dse prefix %s/%s unusable (%s); running the prefix cold",
+                key[:12], PREFIX_STAGES[index], exc,
+            )
+            entries.pop(key, None)
+            return 0, None
+        entries[key] = entry
+        return index + 1, design
+
+    def publish(self, key: str, index: int, design: Design) -> None:
+        """Record the state after prefix stage ``index``.
+
+        The checkpoint file is written only when absent; concurrent
+        publishers of one key write byte-identical content (the flow is
+        deterministic) under per-process temp names, so last-wins is
+        safe.  Best-effort like every cache write.
+        """
+        root, entries = self._scoped()
+        stage = PREFIX_STAGES[index]
+        if not checkpoint_path(root / key, index, stage).exists():
+            try:
+                write_checkpoint(root / key, index, stage, design)
+            except OSError as exc:
+                _log.warning("dse prefix publish failed for %s: %s", key, exc)
+        if index == len(PREFIX_STAGES) - 1:
+            entries[key] = (
+                index,
+                pickle.dumps(design_to_dict(design), pickle.HIGHEST_PROTOCOL),
+            )
+
+
+_PREFIXES = _PrefixStore()
 
 
 def _flow_at_period(
     cfg: DseConfig, spec: ExploreSpec, period_ns: float
 ) -> FlowResult:
     """One (config, period) evaluation: cache, prefix-reuse, run, store."""
-    from repro.flow.hetero import run_flow_hetero_3d
-
     telemetry = get_telemetry()
     rkey = _result_cache_key(cfg, spec, period_ns)
     if cache.cache_enabled():
@@ -532,7 +571,8 @@ def _flow_at_period(
 
     fast_lib = spec.lattice.fast_library()
     slow_lib = build_library(cfg.slow_tracks, cfg.slow_vdd)
-    kwargs = dict(
+    flow = partial(
+        run_flow_hetero_3d, spec.design, fast_lib, slow_lib,
         period_ns=period_ns,
         scale=spec.scale,
         seed=spec.seed,
@@ -541,70 +581,73 @@ def _flow_at_period(
         pinning_area_cap=cfg.tier_cap,
         fm_tolerance=cfg.fm_tolerance,
     )
-    use_prefix = bool(spec.reuse_prefix) and cache.cache_enabled()
+    meta = {"design": spec.design, "dse": cfg.label, "period_ns": period_ns}
     with timed_stage(
         "dse_flow", design=spec.design, config=cfg.label, period_ns=period_ns
     ), inject("cell", design=spec.design, config=cfg.label):
-        if not use_prefix:
-            _design, result = run_flow_hetero_3d(
-                spec.design, fast_lib, slow_lib, **kwargs
+        if spec.reuse_prefix and cache.cache_enabled():
+            result = _flow_reusing(
+                flow, spec, period_ns,
+                {FAST_TIER: fast_lib, SLOW_TIER: slow_lib}, meta,
             )
-            telemetry.flows_run += 1
         else:
-            pkey = _prefix_cache_key(spec, period_ns)
-            # Suffix reuse is sound only while the stage-boundary
-            # checks are off: they are the one consumer of the notes
-            # the fingerprint masks (see _PARTITION_ECHO_NOTES).
-            use_suffix = (
-                _env_flag(ENV_SUFFIX, True)
-                and current_mode(None) is CheckMode.OFF
-            )
-            with tempfile.TemporaryDirectory(prefix="repro-dse-") as tmpdir:
-                seeded, from_stage = _seed_prefix(tmpdir, pkey, slow_lib)
-                result = None
-                skey = None
-                if use_suffix:
-                    # Stop after partitioning (the only stage the
-                    # cap/fm axes feed), fingerprint its checkpoint,
-                    # and serve the whole tail from cache when another
-                    # config already produced this exact state.
-                    run_flow_hetero_3d(
-                        spec.design, fast_lib, slow_lib,
-                        checkpoint_dir=tmpdir, from_stage=from_stage,
-                        until_stage=_PARTITION_STAGE, **kwargs,
-                    )
-                    fingerprint = _partition_fingerprint(tmpdir)
-                    if fingerprint is not None:
-                        skey = _suffix_cache_key(spec, period_ns, fingerprint)
-                        result = cache.load_result(skey)
-                    from_stage = _SUFFIX_RESUME
-                if result is not None:
-                    telemetry.suffix_flows_reused += 1
-                    emit_metric("suffix_flows_reused", 1)
-                else:
-                    _design, result = run_flow_hetero_3d(
-                        spec.design, fast_lib, slow_lib,
-                        checkpoint_dir=tmpdir, from_stage=from_stage,
-                        **kwargs,
-                    )
-                    if skey is not None:
-                        cache.store_result(
-                            skey, result,
-                            meta={"design": spec.design, "dse": cfg.label,
-                                  "period_ns": period_ns},
-                        )
-                telemetry.flows_run += 1
-                if seeded:
-                    telemetry.prefix_stages_reused += seeded
-                    emit_metric("prefix_stages_reused", seeded)
-                if seeded < len(PREFIX_STAGES):
-                    _publish_prefix(tmpdir, pkey)
+            _design, result = flow()
+        telemetry.flows_run += 1
     if cache.cache_enabled():
-        cache.store_result(
-            rkey, result,
-            meta={"design": spec.design, "dse": cfg.label,
-                  "period_ns": period_ns},
+        cache.store_result(rkey, result, meta=meta)
+    return result
+
+
+def _flow_reusing(
+    flow, spec: ExploreSpec, period_ns: float, tier_libs: dict, meta: dict
+) -> FlowResult:
+    """Run one flow through the prefix store and the suffix cache.
+
+    The design stays in memory from stage to stage: the flow stops
+    after each prefix stage it has to compute (to publish it) and after
+    partitioning (to fingerprint it), then continues from the same
+    object.
+    """
+    telemetry = get_telemetry()
+    pkey = _prefix_cache_key(spec, period_ns)
+    with span("dse_prefix_seed"):
+        seeded, design = _PREFIXES.seed(pkey, tier_libs)
+    for index in range(seeded, len(PREFIX_STAGES)):
+        stage = PREFIX_STAGES[index]
+        design, _ = flow(design=design, from_stage=stage, until_stage=stage)
+        with span("dse_prefix_publish", stage=stage):
+            _PREFIXES.publish(pkey, index, design)
+
+    # Suffix reuse is sound only while the stage-boundary checks are
+    # off: they are the one consumer of the notes the fingerprint masks
+    # (see _PARTITION_ECHO_NOTES).
+    use_suffix = (
+        _env_flag(ENV_SUFFIX, True) and current_mode(None) is CheckMode.OFF
+    )
+    resume = _PARTITION_STAGE
+    result = skey = None
+    if use_suffix:
+        # Stop after partitioning (the only stage the cap/fm axes
+        # feed), fingerprint the partitioned state, and serve the whole
+        # tail from cache when another config already produced it.
+        design, _ = flow(
+            design=design, from_stage=resume, until_stage=_PARTITION_STAGE
         )
+        with span("dse_fingerprint"):
+            fingerprint = _partition_fingerprint(design_to_dict(design))
+        skey = _suffix_cache_key(spec, period_ns, fingerprint)
+        result = cache.load_result(skey)
+        resume = _SUFFIX_RESUME
+    if result is not None:
+        telemetry.suffix_flows_reused += 1
+        emit_metric("suffix_flows_reused", 1)
+    else:
+        _design, result = flow(design=design, from_stage=resume)
+        if skey is not None:
+            cache.store_result(skey, result, meta=meta)
+    if seeded:
+        telemetry.prefix_stages_reused += seeded
+        emit_metric("prefix_stages_reused", seeded)
     return result
 
 

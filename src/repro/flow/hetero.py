@@ -170,6 +170,7 @@ def run_flow_hetero_3d(
     checkpoint_dir: str | None = None,
     from_stage: str | None = None,
     until_stage: str | None = None,
+    design: Design | None = None,
 ) -> tuple[Design, FlowResult]:
     """Implement one netlist as a 9+12-track heterogeneous M3D design.
 
@@ -191,7 +192,8 @@ def run_flow_hetero_3d(
 
     ``until_stage`` stops after the named stage (checkpoint written,
     no signoff report) -- the returned result is ``None`` and the flow
-    can be resumed later with ``from_stage``.
+    can be resumed later with ``from_stage``, from a checkpoint or from
+    the returned design passed back as ``design``.
     """
     voltage_ok = fast_lib.voltage_compatible_with(slow_lib)
     if not voltage_ok and not allow_level_shifters:
@@ -462,5 +464,6 @@ def run_flow_hetero_3d(
         from_stage=from_stage,
         until_stage=until_stage,
         tier_libs={FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
+        design=design,
     )
     return ctx.design, ctx.result

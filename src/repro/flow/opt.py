@@ -282,7 +282,7 @@ def _optimize(
     target = target_wns_fraction * period
     budget = AreaBudget(design, max_fill)
 
-    session = TimingSession(design.netlist, calc, latencies)
+    session = TimingSession.shared(design.netlist, calc, latencies)
     report = session.report(period, with_cell_slacks=True)
     stats.wns_before_ns = report.wns_ns
     stats.wns_after_ns = report.wns_ns
@@ -369,7 +369,7 @@ def _recover(design: Design, calc: DelayCalculator, max_cells: int) -> int:
     margin = RECOVERY_MARGIN * period
     libs = design.libraries_by_name()
     downsized = 0
-    session = TimingSession(design.netlist, calc, latencies)
+    session = TimingSession.shared(design.netlist, calc, latencies)
     for _pass in range(2):
         report = session.report(period, with_cell_slacks=True)
         candidates = sorted(

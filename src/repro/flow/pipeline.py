@@ -19,7 +19,9 @@ it to :func:`execute_flow`, which runs, per stage:
 the stages already covered.  Stage boundaries are aligned with the
 points where the monolithic flows fully invalidated their delay
 calculator, so a resumed flow is byte-identical to an uninterrupted
-one.
+one.  A caller still holding the design a run stopped with
+(``until_stage``) can instead pass it back as ``design`` and continue
+in memory, without any checkpoint file.
 """
 
 from __future__ import annotations
@@ -73,17 +75,20 @@ def execute_flow(
     from_stage: str | None = None,
     until_stage: str | None = None,
     tier_libs: dict | None = None,
+    design: Design | None = None,
 ) -> FlowContext:
     """Run a staged flow under the integrity contract policy.
 
     ``check`` overrides ``$REPRO_CHECK`` for this run; ``from_stage``
-    requires ``checkpoint_dir`` and resumes from the newest valid
-    checkpoint before that stage (cold-starting when none is usable).
-    ``until_stage`` stops the flow after the named stage completes (its
-    contract checks and checkpoint included), leaving the context ready
-    for a later ``from_stage`` resume.  ``tier_libs`` supplies the
-    flow's live library objects so a resumed design binds the exact
-    cells a cold run would.
+    resumes at that stage, either from ``design`` -- the state a run
+    stopped with, passed in memory -- or, without one, from the newest
+    valid checkpoint in ``checkpoint_dir`` before that stage
+    (cold-starting when none is usable).  ``until_stage`` stops the
+    flow after the named stage completes (its contract checks and
+    checkpoint included), leaving the context ready for a later
+    ``from_stage`` resume.  ``tier_libs`` supplies the flow's live
+    library objects so a design resumed from disk binds the exact cells
+    a cold run would.
     """
     ctx = ctx or FlowContext()
     names = [s.name for s in stages]
@@ -94,6 +99,8 @@ def execute_flow(
             f"unknown stage {until_stage!r} for this flow "
             f"(stages: {', '.join(names)})"
         )
+    if design is not None and from_stage is None:
+        raise FlowError("an in-memory design needs from_stage to resume at")
     mode = current_mode(check)
 
     start = 0
@@ -104,7 +111,9 @@ def execute_flow(
                 f"(stages: {', '.join(names)})"
             )
         target = names.index(from_stage)
-        if target > 0:
+        if design is not None:
+            start, ctx.design = target, design
+        elif target > 0:
             if checkpoint_dir is None:
                 raise FlowError(
                     "--from-stage requires --checkpoint-dir to load state from"

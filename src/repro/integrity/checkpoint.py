@@ -40,7 +40,9 @@ __all__ = [
     "latest_valid_checkpoint",
     "library_from_spec",
     "load_checkpoint",
+    "read_checkpoint",
     "rebind_checkpoint_tier_library",
+    "rebind_tier_library",
     "write_checkpoint",
 ]
 
@@ -293,30 +295,25 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def rebind_checkpoint_tier_library(
-    envelope: dict, tier: int, lib: StdCellLibrary
-) -> dict:
-    """Copy of a checkpoint envelope with one tier's library spec
-    replaced and the payload checksum recomputed.
+def rebind_tier_library(payload: dict, tier: int, lib: StdCellLibrary) -> dict:
+    """Copy of a design payload with one tier's library spec replaced.
 
-    The design-space explorer's prefix store shares synthesis and
-    pseudo-place checkpoints across configs that differ only in the
-    *slow*-tier library: those stages never consume it, but the
-    envelope embeds its spec (and the checksum covers the spec), so a
-    borrowing config must re-slot its own library before resuming.
+    The design-space explorer shares synthesis and pseudo-place states
+    across configs that differ only in the *slow*-tier library: those
+    stages never consume it, but the payload embeds its spec (and
+    :func:`design_from_dict` checks that spec against the caller's
+    library), so a borrowing config must re-slot its own library before
+    resuming.
 
     Raises :class:`CheckpointError` when any netlist instance actually
     references the library being swapped out -- the guard that keeps
     "this stage does not consume tier N's library" honest: if it ever
     stops being true, reuse fails loudly instead of resuming a design
     bound to the wrong cells.
-    """
-    import copy
 
-    if not isinstance(envelope, dict) or "design" not in envelope:
-        raise CheckpointError("envelope has no design payload")
-    envelope = copy.deepcopy(envelope)
-    payload = envelope["design"]
+    Only the ``tier_libs`` mapping is copied; everything else is shared
+    with ``payload``, so neither may be mutated afterwards.
+    """
     try:
         old_spec = payload["tier_libs"][str(tier)]
         instances = payload["netlist"]["instances"]
@@ -333,9 +330,21 @@ def rebind_checkpoint_tier_library(
                 f" {lib.name!r}: instances are bound to it (the stage"
                 f" consumed the library; this checkpoint is not shareable)"
             )
-    payload["tier_libs"][str(tier)] = _library_spec(lib)
-    envelope["checksum"] = _checksum(payload)
-    return envelope
+    tier_libs = dict(payload["tier_libs"])
+    tier_libs[str(tier)] = _library_spec(lib)
+    return {**payload, "tier_libs": tier_libs}
+
+
+def rebind_checkpoint_tier_library(
+    envelope: dict, tier: int, lib: StdCellLibrary
+) -> dict:
+    """Envelope form of :func:`rebind_tier_library`: the copy carries
+    the recomputed payload checksum (and shares unchanged parts with
+    ``envelope``)."""
+    if not isinstance(envelope, dict) or "design" not in envelope:
+        raise CheckpointError("envelope has no design payload")
+    payload = rebind_tier_library(envelope["design"], tier, lib)
+    return {**envelope, "design": payload, "checksum": _checksum(payload)}
 
 
 def checkpoint_path(directory: str | Path, index: int, stage: str) -> Path:
@@ -358,20 +367,19 @@ def write_checkpoint(
         "design": payload,
     }
     path = checkpoint_path(directory, index, stage)
-    tmp = path.with_suffix(".tmp")
+    # Per-process temp name: pool workers may publish the same file.
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
     tmp.write_text(json.dumps(envelope))
     os.replace(tmp, path)
     return path
 
 
-def load_checkpoint(
-    path: str | Path, tier_libs: dict[int, StdCellLibrary] | None = None
-) -> tuple[str, Design]:
-    """Load and verify one checkpoint; returns ``(stage, design)``.
+def read_checkpoint(path: str | Path) -> tuple[str, dict]:
+    """Read and verify one checkpoint; returns ``(stage, payload)``.
 
     Raises :class:`CheckpointError` on a missing file, unparseable JSON,
-    unknown format, checksum mismatch, or a payload that fails netlist
-    validation.
+    unknown format or checksum mismatch.  The payload is not yet bound
+    to libraries -- :func:`design_from_dict` does that.
     """
     path = Path(path)
     try:
@@ -394,7 +402,20 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} failed its checksum (corrupt or tampered)"
         )
-    return str(envelope.get("stage", "")), design_from_dict(payload, tier_libs)
+    return str(envelope.get("stage", "")), payload
+
+
+def load_checkpoint(
+    path: str | Path, tier_libs: dict[int, StdCellLibrary] | None = None
+) -> tuple[str, Design]:
+    """Load and verify one checkpoint; returns ``(stage, design)``.
+
+    Raises :class:`CheckpointError` on a missing file, unparseable JSON,
+    unknown format, checksum mismatch, or a payload that fails netlist
+    validation.
+    """
+    stage, payload = read_checkpoint(path)
+    return stage, design_from_dict(payload, tier_libs)
 
 
 def latest_valid_checkpoint(

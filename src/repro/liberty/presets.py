@@ -27,6 +27,7 @@ option" for heterogeneous M3D per Section IV-D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.liberty.cells import (
     CellFunction,
@@ -299,8 +300,13 @@ def make_nine_track_library() -> StdCellLibrary:
     return _build_library(NINE_TRACK_CORNER)
 
 
+@lru_cache(maxsize=None)
 def make_library_pair() -> tuple[StdCellLibrary, StdCellLibrary]:
-    """Return (12-track, 9-track) — the heterogeneous pair of the paper."""
+    """Return (12-track, 9-track) — the heterogeneous pair of the paper.
+
+    Memoized: nothing mutates a preset after construction, so every
+    caller shares one pair instead of re-synthesizing both libraries.
+    """
     return make_twelve_track_library(), make_nine_track_library()
 
 

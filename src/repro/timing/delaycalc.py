@@ -228,6 +228,9 @@ class DelayCalculator:
         # exact keys: quantizing perturbs the lookup input and would break
         # bit-identity with the unmemoized engine.
         self._slew_quantum = float(os.environ.get("REPRO_STA_SLEW_Q", "0") or 0.0)
+        # The TimingSession successive passes over this calculator share
+        # (see TimingSession.shared).
+        self.session = None
 
     def add_invalidation_listener(
         self, listener: Callable[[str | None], None]

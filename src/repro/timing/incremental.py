@@ -159,6 +159,32 @@ class TimingSession:
 
         calc.add_invalidation_listener(self._on_invalidate)
 
+    @classmethod
+    def shared(
+        cls,
+        netlist: Netlist,
+        calc: DelayCalculator,
+        clock_latencies: dict[str, float] | None = None,
+    ) -> "TimingSession":
+        """The session bound to ``calc``, created on first use.
+
+        Passes that analyse one calculator in turn -- the optimizer,
+        then area recovery -- continue from its arrivals instead of
+        each rebuilding from scratch, and the calculator carries one
+        invalidation listener instead of one per pass.  A different
+        latency map (CTS ran in between) forces a rebuild.
+        """
+        session = calc.session
+        if session is None or session.netlist is not netlist:
+            session = cls(netlist, calc, clock_latencies)
+            calc.session = session
+            return session
+        latencies = clock_latencies or {}
+        old = session.latencies
+        if latencies is not old and (latencies or old):
+            session.set_clock_latencies(clock_latencies)
+        return session
+
     # ------------------------------------------------------------------
     # dirty tracking
     # ------------------------------------------------------------------

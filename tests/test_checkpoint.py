@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import CheckpointError, FlowError
-from repro.flow import run_flow_2d
+from repro.flow import run_flow_2d, run_flow_hetero_3d
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.integrity import (
     design_from_dict,
@@ -15,7 +15,7 @@ from repro.integrity import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.liberty.presets import make_twelve_track_library
+from repro.liberty.presets import make_library_pair, make_twelve_track_library
 
 SCALE = 0.12
 
@@ -127,6 +127,43 @@ class TestResume:
         _, resumed = run_flow_2d("aes", lib, **kw, from_stage="cts")
         assert (json.dumps(full.to_dict(), sort_keys=True)
                 == json.dumps(resumed.to_dict(), sort_keys=True))
+
+    def test_in_memory_continuation_at_every_boundary(self, tmp_path):
+        """Stopping a hetero flow after any stage and continuing from
+        the design it returned gives the cold run's result -- and so
+        does resuming the next stage from the checkpoint files."""
+        lib12, lib9 = make_library_pair()
+        kw = dict(period_ns=1.0, scale=0.08, seed=1, opt_iterations=2)
+        _, cold = run_flow_hetero_3d(
+            "aes", lib12, lib9, checkpoint_dir=str(tmp_path), **kw
+        )
+        expected = json.dumps(cold.to_dict(), sort_keys=True)
+        names = [p.stem[3:] for p in sorted(tmp_path.glob("*.json"))]
+        assert names[-1] == "signoff" and len(names) > 5
+        for stop, resume in zip(names, names[1:]):
+            design, partial = run_flow_hetero_3d(
+                "aes", lib12, lib9, until_stage=stop, **kw
+            )
+            assert partial is None
+            _, memory = run_flow_hetero_3d(
+                "aes", lib12, lib9, design=design, from_stage=resume, **kw
+            )
+            _, disk = run_flow_hetero_3d(
+                "aes", lib12, lib9, checkpoint_dir=str(tmp_path),
+                from_stage=resume, **kw
+            )
+            for result in (memory, disk):
+                assert (json.dumps(result.to_dict(), sort_keys=True)
+                        == expected), stop
+
+    def test_in_memory_design_needs_from_stage(self):
+        lib12, lib9 = make_library_pair()
+        kw = dict(period_ns=1.0, scale=0.08, seed=1, opt_iterations=2)
+        design, _ = run_flow_hetero_3d(
+            "aes", lib12, lib9, until_stage="synthesis", **kw
+        )
+        with pytest.raises(FlowError, match="from_stage"):
+            run_flow_hetero_3d("aes", lib12, lib9, design=design, **kw)
 
     def test_from_stage_requires_checkpoint_dir(self):
         lib = make_twelve_track_library()

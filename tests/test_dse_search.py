@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,10 @@ from repro.experiments.dse.search import (
 )
 from repro.experiments.dse.space import build_library
 from repro.experiments.telemetry import get_telemetry, reset_telemetry
-from repro.integrity.checkpoint import rebind_checkpoint_tier_library
+from repro.integrity.checkpoint import (
+    rebind_checkpoint_tier_library,
+    rebind_tier_library,
+)
 
 TINY = dict(
     design="aes", scale=0.08, opt_iterations=2, period_steps=5,
@@ -150,9 +154,10 @@ def test_incompatible_configs_reported_never_run(fresh_cache):
 
 def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
     """The independence claim behind prefix reuse is *enforced*: a
-    pre-partition checkpoint rebinding to a different slow library
-    succeeds, while a post-partition checkpoint (instances already on
-    the slow die) refuses loudly instead of silently mixing corners."""
+    pre-partition state rebinding to a different slow library succeeds,
+    while a post-partition state (instances already on the slow die)
+    refuses loudly instead of silently mixing corners -- in the payload
+    form the in-memory store uses and in the checkpoint-envelope form."""
     from repro.flow.hetero import run_flow_hetero_3d
 
     ckpt = tmp_path / "ckpts"
@@ -170,13 +175,18 @@ def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
         f"{i:02d}_{stage}.json" for i, stage in enumerate(PREFIX_STAGES)
     ]
     for name in prefix_names:
-        rebound = rebind_checkpoint_tier_library(envelopes[name], 1, slow_b)
-        spec_entry = rebound["design"]["tier_libs"]["1"]
-        assert spec_entry["name"] == slow_b.name
-        assert rebound["checksum"] != envelopes[name]["checksum"]
+        payload = envelopes[name]["design"]
+        rebound = rebind_tier_library(payload, 1, slow_b)
+        assert rebound["tier_libs"]["1"]["name"] == slow_b.name
+        assert payload["tier_libs"]["1"]["name"] == slow_a.name
+        envelope = rebind_checkpoint_tier_library(envelopes[name], 1, slow_b)
+        assert envelope["design"] == rebound
+        assert envelope["checksum"] != envelopes[name]["checksum"]
 
     late = [n for n in sorted(envelopes) if n not in prefix_names]
     assert late, "flow produced no post-prefix checkpoints"
+    with pytest.raises(CheckpointError, match="bound to"):
+        rebind_tier_library(envelopes[late[-1]]["design"], 1, slow_b)
     with pytest.raises(CheckpointError, match="bound to"):
         rebind_checkpoint_tier_library(envelopes[late[-1]], 1, slow_b)
 
@@ -215,36 +225,191 @@ def test_suffix_reuse_serves_cached_flow_tail(fresh_cache, monkeypatch):
 
 
 def test_partition_fingerprint_masks_parameter_echoes(tmp_path):
-    """Two partition checkpoints differing only in the cap/fm parameter
-    echoes fingerprint identically; any real state difference -- or a
-    missing checkpoint -- does not."""
+    """Two partitioned states differing only in the cap/fm parameter
+    echoes fingerprint identically; any real state difference does not.
+    Hashing the live design equals hashing its checkpoint file, so the
+    in-memory fingerprint keys the same suffix entries as a reread one."""
     from repro.experiments.dse.search import (
-        _PARTITION_INDEX,
         _PARTITION_STAGE,
         _partition_fingerprint,
     )
-    from repro.integrity.checkpoint import checkpoint_path
+    from repro.flow.hetero import run_flow_hetero_3d
+    from repro.integrity.checkpoint import (
+        design_to_dict,
+        read_checkpoint,
+    )
 
-    def fingerprint(name: str, notes: dict, tiers: list) -> str | None:
-        d = tmp_path / name
-        d.mkdir()
-        payload = {"design": {"tiers": tiers, "notes": notes}}
-        checkpoint_path(d, _PARTITION_INDEX, _PARTITION_STAGE).write_text(
-            json.dumps(payload)
-        )
-        return _partition_fingerprint(str(d))
+    def fingerprint(notes: dict, tiers: list) -> str:
+        return _partition_fingerprint({"tiers": tiers, "notes": notes})
 
     base = {"pinned_area_cap": 0.25, "fm_balance_tolerance": 0.10,
             "utilization_used": 0.82}
-    a = fingerprint("a", base, [0, 1])
-    b = fingerprint("b", {**base, "pinned_area_cap": 0.30,
-                          "pinned_cells": 5.0}, [0, 1])
-    c = fingerprint("c", base, [1, 0])
-    d = fingerprint("d", {**base, "utilization_used": 0.70}, [0, 1])
-    assert a is not None
+    a = fingerprint(base, [0, 1])
+    b = fingerprint({**base, "pinned_area_cap": 0.30,
+                     "pinned_cells": 5.0}, [0, 1])
+    c = fingerprint(base, [1, 0])
+    d = fingerprint({**base, "utilization_used": 0.70}, [0, 1])
     assert a == b, "parameter echoes leaked into the fingerprint"
     assert a != c and a != d
-    assert _partition_fingerprint(str(tmp_path / "missing")) is None
+
+    design, _ = run_flow_hetero_3d(
+        "aes", build_library(12, None), build_library(8, 0.70),
+        period_ns=1.2, scale=0.08, opt_iterations=2,
+        checkpoint_dir=tmp_path, until_stage=_PARTITION_STAGE,
+    )
+    (path,) = tmp_path.glob(f"*_{_PARTITION_STAGE}.json")
+    _stage, payload = read_checkpoint(path)
+    assert (_partition_fingerprint(design_to_dict(design))
+            == _partition_fingerprint(payload))
+
+
+def _checkpoint_writes(monkeypatch) -> list:
+    """Destinations of every atomic checkpoint-file write from now on
+    (cache entries are content hashes, not ``NN_stage.json``)."""
+    import os
+    import re
+
+    written = []
+    real = os.replace
+
+    def spy(src, dst, *args, **kwargs):
+        if re.fullmatch(r"\d\d_\w+\.json", os.path.basename(str(dst))):
+            written.append(str(dst))
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", spy)
+    return written
+
+
+def test_cold_explore_writes_only_shared_prefix_checkpoints(
+    fresh_cache, monkeypatch
+):
+    """Checkpoint files exist only for other processes: a cold sweep
+    keeps every flow's state in memory, writes each prefix stage once
+    per prefix key under ``<cache>/dse_prefix/``, reads none back and
+    creates no per-flow temp directory."""
+    import tempfile
+
+    from repro.experiments import cache
+    from repro.experiments.dse import search
+
+    temp_dirs = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def mkdtemp(*args, **kwargs):
+        temp_dirs.append((args, kwargs))
+        return real_mkdtemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    reads = []
+    real_read = search.read_checkpoint
+    monkeypatch.setattr(
+        search, "read_checkpoint",
+        lambda path: reads.append(path) or real_read(path),
+    )
+    written = _checkpoint_writes(monkeypatch)
+
+    report = explore(tiny_spec())
+    assert report.ok and get_telemetry().prefix_stages_reused > 0
+    root = cache.cache_dir() / "dse_prefix"
+    keys = [p for p in root.iterdir() if p.is_dir()]
+    assert keys
+    assert all(Path(w).parent.parent == root for w in written)
+    assert sorted(written) == sorted(
+        str(k / f"{i:02d}_{stage}.json")
+        for k in keys for i, stage in enumerate(PREFIX_STAGES)
+    )
+    assert reads == []
+    assert temp_dirs == []
+
+
+def test_rows_identical_whichever_layer_seeds_the_prefix(
+    fresh_cache, monkeypatch
+):
+    """Every row is byte-identical whether flows seed from the
+    in-process store, from the disk store (the in-process one emptied
+    after every config), or not at all (``REPRO_DSE_PREFIX=0``)."""
+    from repro.experiments.dse import search
+
+    spec = tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8,), slow_vdd=(0.70, 0.81, 0.90),
+        tier_caps=(0.25,), fm_tolerances=(0.10,),
+    ))
+
+    def rows(tag: str, **kwargs) -> tuple[str, dict]:
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / tag))
+        reset_telemetry()
+        report = explore(spec, **kwargs)
+        assert report.ok
+        return json.dumps(report.rows, sort_keys=True), get_telemetry()
+
+    memory, memory_tel = rows("memory")
+
+    reads = []
+    real_read = search.read_checkpoint
+    monkeypatch.setattr(
+        search, "read_checkpoint",
+        lambda path: reads.append(path) or real_read(path),
+    )
+    disk, disk_tel = rows(
+        "disk", progress=lambda _line: search._PREFIXES.clear()
+    )
+    assert reads, "no flow seeded from the disk store"
+    assert disk_tel.prefix_stages_reused == memory_tel.prefix_stages_reused
+
+    monkeypatch.setenv("REPRO_DSE_PREFIX", "0")
+    cold, cold_tel = rows("cold")
+    assert cold_tel.prefix_stages_reused == 0
+    assert memory == disk == cold
+
+
+def test_parallel_sweep_matches_serial_front(fresh_cache, monkeypatch):
+    """Pool workers cannot see each other's memory: they share prefix
+    states through the disk store, and the front is the serial one."""
+    spec = tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
+        tier_caps=(0.25,), fm_tolerances=(0.10,),
+    ))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / "serial"))
+    serial = explore(spec)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / "parallel"))
+    reset_telemetry()
+    parallel = explore(spec, jobs=2)
+    assert parallel.ok and len(parallel.rows) == 4
+    assert get_telemetry().prefix_stages_reused > 0
+    assert parallel.front_json() == serial.front_json()
+
+
+def test_traced_explore_names_its_bookkeeping(fresh_cache, monkeypatch):
+    """Prefix seeding, publishing and the partition fingerprint run
+    inside spans of their own, so ``repro profile`` attributes them
+    instead of leaving them in ``dse_flow`` self time."""
+    from repro.experiments import cache
+    from repro.obs import (
+        disable_tracing,
+        enable_tracing,
+        find_spans,
+        reset_trace,
+        trace_roots,
+    )
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    reset_trace()
+    enable_tracing()
+    try:
+        explore(tiny_spec())
+    finally:
+        disable_tracing()
+    roots = trace_roots()
+    reset_trace()
+    flows = find_spans("dse_flow", roots)
+    assert flows and len(flows) == get_telemetry().flows_run
+    for flow in flows:
+        assert len(find_spans("dse_prefix_seed", [flow])) == 1
+        assert len(find_spans("dse_fingerprint", [flow])) == 1
+    keys = list((cache.cache_dir() / "dse_prefix").iterdir())
+    publishes = find_spans("dse_prefix_publish", roots)
+    assert len(publishes) == len(keys) * len(PREFIX_STAGES)
 
 
 def test_pruning_skips_are_certified_and_counted(fresh_cache):

@@ -315,6 +315,25 @@ class TestSessionBehaviour:
         assert session.stats.full_runs == 2
         assert_reports_equal(inc, run_sta(nl, calc, 1.0, latencies))
 
+    def test_shared_session_is_one_per_calculator(self):
+        """Successive passes over one calculator (optimizer, then area
+        recovery) share a session: the second pass reuses arrivals, the
+        calculator keeps one listener, and new latencies rebuild."""
+        nl = pipeline(6)
+        calc = make_calc(nl)
+        session = TimingSession.shared(nl, calc)
+        session.report(1.0)
+        assert TimingSession.shared(nl, calc) is session
+        session.report(1.0)
+        assert session.stats.full_runs == 1
+        assert len(calc._listeners) == 1
+        latencies = {"ff_a": 0.05, "ff_b": 0.02}
+        assert TimingSession.shared(nl, calc, latencies) is session
+        inc = session.report(1.0)
+        assert session.stats.full_runs == 2
+        assert_reports_equal(inc, run_sta(nl, calc, 1.0, latencies))
+        assert TimingSession.shared(nl, make_calc(nl)) is not session
+
     def test_period_must_be_positive(self):
         from repro.errors import TimingError
 

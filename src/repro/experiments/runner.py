@@ -54,6 +54,7 @@ from repro.experiments.resilience import (
 from repro.experiments.telemetry import get_telemetry, timed_stage
 from repro.flow.design import Design
 from repro.flow.report import FlowResult
+from repro.flow.synthesis import synthesis_store
 from repro.log import get_logger
 from repro.netlist.generators import DESIGN_NAMES
 from repro.obs import add_span_event, emit_metric, span
@@ -514,9 +515,13 @@ def run_matrix(
                 ):
                     pass
                 else:
-                    _run_matrix_serial(
-                        matrix, designs, config_names, policy, manifest_key
-                    )
+                    # Pool workers fork from this process, so only the
+                    # serial loop holds a synthesis store.
+                    with synthesis_store():
+                        _run_matrix_serial(
+                            matrix, designs, config_names, policy,
+                            manifest_key,
+                        )
         finally:
             _store_run_manifest(
                 manifest_key, matrix, designs, config_names,

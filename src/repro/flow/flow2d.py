@@ -24,10 +24,8 @@ from repro.flow.opt import optimize_timing, recover_area
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.flow.report import FlowResult, finalize_design
 from repro.flow.stages import legalize_all_tiers, place_with_congestion_control
-from repro.flow.synthesis import initial_sizing
+from repro.flow.synthesis import synthesize
 from repro.liberty.library import StdCellLibrary
-from repro.netlist.generators import generate_netlist
-from repro.obs import emit_metric, span
 
 __all__ = ["run_flow_2d"]
 
@@ -50,20 +48,11 @@ def run_flow_2d(
     """Implement one netlist in 2-D with one library at one frequency."""
 
     def synthesis(ctx: FlowContext) -> None:
-        with span("synthesis", design=design_name, library=lib.name):
-            netlist = generate_netlist(design_name, lib, scale=scale,
-                                       seed=seed)
-            ctx.design = Design(
-                name=design_name,
-                config=f"2D_{lib.tracks}T",
-                netlist=netlist,
-                tier_libs={0: lib},
-                target_period_ns=period_ns,
-                utilization_target=utilization,
-            )
-            initial_sizing(ctx.design)
-            emit_metric("cells", len(netlist.instances))
-            emit_metric("cell_area_um2", netlist.cell_area_um2())
+        ctx.design = synthesize(
+            design_name, f"2D_{lib.tracks}T", {0: lib},
+            period_ns=period_ns, scale=scale, seed=seed,
+            utilization=utilization,
+        )
 
     def placement(ctx: FlowContext) -> None:
         place_with_congestion_control(ctx.design)

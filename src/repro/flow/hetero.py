@@ -40,9 +40,8 @@ from repro.flow.pin3d import FM_BALANCE_TOLERANCE, apply_partition
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.flow.report import FlowResult, finalize_design
 from repro.flow.stages import legalize_all_tiers, place_with_congestion_control
-from repro.flow.synthesis import initial_sizing
+from repro.flow.synthesis import synthesize
 from repro.liberty.library import StdCellLibrary
-from repro.netlist.generators import generate_netlist
 from repro.obs import emit_metric, span
 from repro.partition.bins import bin_fm_partition
 from repro.partition.repartition import (
@@ -217,28 +216,17 @@ def run_flow_hetero_3d(
     )
 
     def synthesis(ctx: FlowContext) -> None:
-        with span("synthesis", design=design_name, library=fast_lib.name):
-            netlist = generate_netlist(
-                design_name, fast_lib, scale=scale, seed=seed
-            )
-            ctx.design = Design(
-                name=design_name,
-                config="3D_HET",
-                netlist=netlist,
-                tier_libs={FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
-                target_period_ns=period_ns,
-                utilization_target=utilization,
-            )
-            initial_sizing(ctx.design)
-            emit_metric("cells", len(netlist.instances))
-            emit_metric("cell_area_um2", netlist.cell_area_um2())
-
+        ctx.design = synthesize(
+            design_name, "3D_HET", {FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
+            period_ns=period_ns, scale=scale, seed=seed,
+            utilization=utilization,
+        )
         # Memory macros are corner-independent ("the same size in both
         # technology variants"), so their tier is a free choice;
         # alternating them over the two dies keeps the per-tier blockage
         # balanced and leaves the fast die room for the critical logic
         # that timing-based partitioning pins there.
-        for i, macro in enumerate(sorted(netlist.memory_macros(),
+        for i, macro in enumerate(sorted(ctx.design.netlist.memory_macros(),
                                          key=lambda m: m.name)):
             macro.tier = (i + SLOW_TIER) % 2
 

@@ -29,9 +29,8 @@ from repro.flow.opt import optimize_timing, recover_area
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.flow.report import FlowResult, finalize_design
 from repro.flow.stages import legalize_all_tiers, place_with_congestion_control
-from repro.flow.synthesis import initial_sizing
+from repro.flow.synthesis import synthesize
 from repro.liberty.library import StdCellLibrary
-from repro.netlist.generators import generate_netlist
 from repro.obs import emit_metric, span
 from repro.partition.bins import bin_fm_partition
 from repro.place.floorplan import build_floorplan
@@ -69,24 +68,14 @@ def run_flow_pin3d(
     """Implement one netlist as a homogeneous two-tier M3D design."""
 
     def synthesis(ctx: FlowContext) -> None:
-        with span("synthesis", design=design_name, library=lib.name):
-            netlist = generate_netlist(design_name, lib, scale=scale,
-                                       seed=seed)
-            ctx.design = Design(
-                name=design_name,
-                config=f"3D_{lib.tracks}T",
-                netlist=netlist,
-                tier_libs={0: lib, 1: lib},
-                target_period_ns=period_ns,
-                utilization_target=utilization,
-            )
-            initial_sizing(ctx.design)
-            emit_metric("cells", len(netlist.instances))
-            emit_metric("cell_area_um2", netlist.cell_area_um2())
-
+        ctx.design = synthesize(
+            design_name, f"3D_{lib.tracks}T", {0: lib, 1: lib},
+            period_ns=period_ns, scale=scale, seed=seed,
+            utilization=utilization,
+        )
         # Memory macros alternate over the tiers so blockage stays
         # balanced (memory-over-logic stacking).
-        for i, macro in enumerate(sorted(netlist.memory_macros(),
+        for i, macro in enumerate(sorted(ctx.design.netlist.memory_macros(),
                                          key=lambda m: m.name)):
             macro.tier = i % 2
 

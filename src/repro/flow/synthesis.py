@@ -10,20 +10,39 @@ so this module covers the rest of what synthesis does:
 - **max-frequency search**: the binary sweep the paper applies to the
   12-track 2-D implementation, accepting a period when WNS lands in the
   "slightly negative" band (|WNS| <= ~5-7% of the period).
+
+:func:`synthesize` is the synthesis stage every flow runs.  Inside a
+:func:`synthesis_store` block (the serial loop of one
+:func:`~repro.experiments.runner.run_matrix` call) it serves sized
+netlists from a :class:`SynthesisStore` instead of regenerating them;
+outside one it always runs cold.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import pickle
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator
 
 from repro.flow.design import Design
 from repro.flow.opt import optimize_timing
+from repro.integrity.checkpoint import design_from_dict, design_to_dict
 from repro.liberty.library import StdCellLibrary
 from repro.netlist.core import Netlist
+from repro.netlist.generators import generate_netlist
+from repro.obs import emit_metric, span
 from repro.timing.delaycalc import DelayCalculator, FanoutWireModel
 from repro.timing.incremental import TimingSession
 
-__all__ = ["initial_sizing", "fix_drv_violations", "find_max_frequency"]
+__all__ = [
+    "SynthesisStore",
+    "fix_drv_violations",
+    "find_max_frequency",
+    "initial_sizing",
+    "synthesis_store",
+    "synthesize",
+]
 
 #: Load budget per unit drive (fF): a x1 gate should not see more.
 LOAD_BUDGET_PER_DRIVE_FF = 6.0
@@ -111,19 +130,27 @@ def initial_sizing(design: Design, *, timing_rounds: int = 6) -> int:
     Three synthesis-style passes: a load-driven sizing pass (every driver
     gets the smallest drive whose budget covers its load), a
     design-rule-violation buffering pass, then a few rounds of the shared
-    timing optimizer running on fanout-model parasitics.
+    timing optimizer running on fanout-model parasitics.  Only the last
+    pass reads the target period.
     """
+    resized = _load_sizing(design)
+    _timing_rounds(design, timing_rounds)
+    return resized
+
+
+def _load_sizing(design: Design) -> int:
+    """The period-independent passes of :func:`initial_sizing`."""
     netlist = design.netlist
-    lib = design.reference_library()
+    libs = design.libraries_by_name()
     calc = DelayCalculator(
-        netlist, FanoutWireModel(lib), design.libraries_by_name()
+        netlist, FanoutWireModel(design.reference_library()), libs
     )
     resized = 0
     for inst in list(netlist.instances.values()):
         if inst.cell.is_macro or inst.fixed:
             continue
         load = calc.output_load_ff(inst, inst.cell.output_pin)
-        inst_lib = design.libraries_by_name()[inst.cell.library_name]
+        inst_lib = libs[inst.cell.library_name]
         drives = inst_lib.drives_for(inst.cell.function)
         want = next(
             (d for d in drives if d * LOAD_BUDGET_PER_DRIVE_FF >= load),
@@ -133,9 +160,151 @@ def initial_sizing(design: Design, *, timing_rounds: int = 6) -> int:
             netlist.rebind(inst.name, inst_lib.get(inst.cell.function, want))
             resized += 1
     fix_drv_violations(design)
-    calc.invalidate()
-    optimize_timing(design, calc, max_iterations=timing_rounds)
     return resized
+
+
+def _timing_rounds(design: Design, rounds: int = 6) -> None:
+    """The period-dependent pass of :func:`initial_sizing`."""
+    calc = DelayCalculator(
+        design.netlist,
+        FanoutWireModel(design.reference_library()),
+        design.libraries_by_name(),
+    )
+    optimize_timing(design, calc, max_iterations=rounds)
+
+
+class SynthesisStore:
+    """Sized netlists keyed by exactly what synthesis reads.
+
+    Synthesis reads the design name, the tier-0 library, the scale and
+    seed, and -- in its timing rounds only -- the period.  An entry per
+    ``(design, library, scale, seed)`` holds the netlist after
+    generation, load sizing and DRV buffering; an entry per full key
+    holds the finished netlist.  Entries are pickled
+    :func:`~repro.integrity.checkpoint.design_to_dict` payloads, whose
+    round trip is byte-exact, and every hit builds a fresh netlist.
+
+    Entries of one design only: the matrix runs each design's period
+    search and cells back to back, so the first key of another design
+    drops the previous design's entries.
+    """
+
+    def __init__(self) -> None:
+        self._design: str | None = None
+        # key -> (pinned library, pickled payload); keys carry id(lib).
+        self._entries: dict[tuple, tuple[StdCellLibrary, bytes]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._design = None
+        self._entries.clear()
+
+    def get(self, key: tuple) -> Netlist | None:
+        """A fresh copy of the netlist stored under ``key``, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        lib, blob = entry
+        return design_from_dict(pickle.loads(blob), {0: lib}).netlist
+
+    def put(self, key: tuple, design: Design) -> None:
+        """Snapshot ``design``'s netlist under ``key``."""
+        if key[0] != self._design:
+            self.clear()
+            self._design = key[0]
+        lib = design.reference_library()
+        view = Design(
+            name=design.name,
+            config=design.config,
+            netlist=design.netlist,
+            tier_libs={0: lib},
+        )
+        self._entries[key] = (
+            lib,
+            pickle.dumps(design_to_dict(view), protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+
+#: The store :func:`synthesize` serves from; set only inside
+#: :func:`synthesis_store`, so code outside such a block runs cold.
+_STORE: ContextVar[SynthesisStore | None] = ContextVar(
+    "synthesis_store", default=None
+)
+
+
+@contextmanager
+def synthesis_store() -> Iterator[SynthesisStore]:
+    """Serve :func:`synthesize` from a fresh store for the block's duration.
+
+    The store is emptied when the block exits.
+    """
+    store = SynthesisStore()
+    token = _STORE.set(store)
+    try:
+        yield store
+    finally:
+        _STORE.reset(token)
+        store.clear()
+
+
+def synthesize(
+    design_name: str,
+    config: str,
+    tier_libs: dict[int, StdCellLibrary],
+    *,
+    period_ns: float,
+    scale: float,
+    seed: int,
+    utilization: float,
+) -> Design:
+    """The synthesis stage: a sized netlist in a fresh :class:`Design`.
+
+    The netlist is generated in, and sized against, the tier-0 library
+    with every cell on tier 0.  Nothing else of ``tier_libs`` is read:
+    a single-library netlist triggers no input-boundary derate, so a
+    hetero design synthesizes exactly like the 12-track 2-D one.  That
+    is what makes the store's key (which has no config in it) exact.
+    """
+    lib = tier_libs[0]
+
+    def fresh(netlist: Netlist) -> Design:
+        return Design(
+            name=design_name,
+            config=config,
+            netlist=netlist,
+            tier_libs=tier_libs,
+            target_period_ns=period_ns,
+            utilization_target=utilization,
+        )
+
+    with span("synthesis", design=design_name, library=lib.name):
+        store = _STORE.get()
+        if store is None:
+            design = fresh(generate_netlist(design_name, lib, scale=scale,
+                                            seed=seed))
+            initial_sizing(design)
+        else:
+            base_key = (design_name, id(lib), scale, seed)
+            key = base_key + (period_ns,)
+            netlist = store.get(key)
+            if netlist is not None:
+                design = fresh(netlist)
+            else:
+                netlist = store.get(base_key)
+                if netlist is not None:
+                    design = fresh(netlist)
+                else:
+                    design = fresh(generate_netlist(design_name, lib,
+                                                    scale=scale, seed=seed))
+                    _load_sizing(design)
+                    store.put(base_key, design)
+                _timing_rounds(design)
+                store.put(key, design)
+        emit_metric("cells", len(design.netlist.instances))
+        emit_metric("cell_area_um2", design.netlist.cell_area_um2())
+    return design
 
 
 def find_max_frequency(

@@ -146,6 +146,9 @@ class TimingArc:
     ``from_pin`` -> ``to_pin`` with NLDM delay and output-slew tables.
     Sequential cells additionally carry setup/clk-to-q constants through
     dedicated arcs (``kind`` is ``"setup"`` or ``"clk_to_q"``).
+
+    Both tables share their axes, so one interpolation position serves
+    both lookups (:meth:`~repro.liberty.timing_model.TimingTable.lookup_pair`).
     """
 
     from_pin: str
@@ -157,6 +160,14 @@ class TimingArc:
     def __post_init__(self) -> None:
         if self.kind not in ("combinational", "setup", "clk_to_q"):
             raise LibraryError(f"bad arc kind {self.kind!r}")
+        if (
+            self.delay.slew_axis != self.output_slew.slew_axis
+            or self.delay.load_axis != self.output_slew.load_axis
+        ):
+            raise LibraryError(
+                f"arc {self.from_pin}->{self.to_pin}: delay and output-slew "
+                "tables must share their axes"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,6 +198,10 @@ class CellType:
         Sequential constants (zero for combinational cells).
     vdd_v:
         Supply of the owning library, duplicated here for convenience.
+
+    The pin metadata below (``is_sequential`` .. ``launch_arc``) is
+    derived from ``function``, ``pins`` and ``arcs`` once, at
+    construction: the timing engine reads it on every arc evaluation.
     """
 
     name: str
@@ -204,6 +219,27 @@ class CellType:
     clk_to_q_ns: float = 0.0
     vdd_v: float = 0.9
 
+    #: True for flip-flops and memory macros.
+    is_sequential: bool = field(init=False, repr=False, compare=False)
+    #: True for memory macros.
+    is_macro: bool = field(init=False, repr=False, compare=False)
+    #: Names of data input pins, in canonical order.
+    input_pins: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Name of the (first) output pin.
+    output_pin: str = field(init=False, repr=False, compare=False)
+    #: Name of the clock pin, or None for combinational cells.
+    clock_pin: str | None = field(init=False, repr=False, compare=False)
+    #: ``(input pin, arc to the output)`` for every data input that has a
+    #: combinational arc, in ``input_pins`` order: what STA walks.
+    input_arcs: tuple[tuple[str, TimingArc], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: The clock-to-output arc sequential cells launch through, or None.
+    launch_arc: TimingArc | None = field(init=False, repr=False, compare=False)
+    _arc_map: dict[tuple[str, str], TimingArc] = field(
+        init=False, repr=False, compare=False
+    )
+
     def __post_init__(self) -> None:
         if self.drive < 1:
             raise LibraryError(f"drive must be >= 1, got {self.drive}")
@@ -215,39 +251,39 @@ class CellType:
                     f"{self.name}: arc {arc.from_pin}->{arc.to_pin} references "
                     "unknown pins"
                 )
-
-    @property
-    def is_sequential(self) -> bool:
-        """True for flip-flops and memory macros."""
-        return self.function.is_sequential
-
-    @property
-    def is_macro(self) -> bool:
-        """True for memory macros."""
-        return self.function.is_macro
-
-    @property
-    def input_pins(self) -> tuple[str, ...]:
-        """Names of data input pins, in canonical order."""
-        return tuple(
-            name for name, pin in self.pins.items() if pin.direction == "input"
-        )
-
-    @property
-    def output_pin(self) -> str:
-        """Name of the (single) output pin."""
+        by_direction: dict[str, list[str]] = {
+            "input": [], "output": [], "clock": []
+        }
         for name, pin in self.pins.items():
-            if pin.direction == "output":
-                return name
-        raise LibraryError(f"{self.name} has no output pin")
-
-    @property
-    def clock_pin(self) -> str | None:
-        """Name of the clock pin, or None for combinational cells."""
-        for name, pin in self.pins.items():
-            if pin.direction == "clock":
-                return name
-        return None
+            by_direction[pin.direction].append(name)
+        if not by_direction["output"]:
+            raise LibraryError(f"{self.name} has no output pin")
+        output_pin = by_direction["output"][0]
+        clock_pin = by_direction["clock"][0] if by_direction["clock"] else None
+        # The first combinational or clock-to-q arc per pin pair wins.
+        arc_map: dict[tuple[str, str], TimingArc] = {}
+        for arc in self.arcs:
+            if arc.kind in ("combinational", "clk_to_q"):
+                arc_map.setdefault((arc.to_pin, arc.from_pin), arc)
+        input_pins = tuple(by_direction["input"])
+        derived = {
+            "is_sequential": self.function.is_sequential,
+            "is_macro": self.function.is_macro,
+            "input_pins": input_pins,
+            "output_pin": output_pin,
+            "clock_pin": clock_pin,
+            "input_arcs": tuple(
+                (pin, arc_map[(output_pin, pin)])
+                for pin in input_pins
+                if (output_pin, pin) in arc_map
+            ),
+            "launch_arc": (
+                arc_map.get((output_pin, clock_pin)) if clock_pin else None
+            ),
+            "_arc_map": arc_map,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def input_capacitance_ff(self, pin_name: str) -> float:
         """Capacitance of one input pin in fF."""
@@ -258,11 +294,7 @@ class CellType:
 
     def arc_to(self, to_pin: str, from_pin: str) -> TimingArc | None:
         """Find the combinational/clk-to-q arc from ``from_pin`` to ``to_pin``."""
-        for arc in self.arcs:
-            if arc.from_pin == from_pin and arc.to_pin == to_pin:
-                if arc.kind in ("combinational", "clk_to_q"):
-                    return arc
-        return None
+        return self._arc_map.get((to_pin, from_pin))
 
     def worst_arc_to_output(self) -> TimingArc:
         """The arc with the largest mid-table delay, used for quick estimates."""

@@ -78,20 +78,8 @@ class TimingTable:
         low, high = self.slew_range
         return low <= slew_ns <= high
 
-    def lookup(self, slew_ns: float, load_ff: float) -> float:
-        """Bilinearly interpolate the table at (slew, load).
-
-        Queries outside the characterized window are extrapolated from the
-        nearest edge segment, which matches signoff-tool behaviour for
-        mildly out-of-range slews.
-
-        The interpolation runs on the stored tuples with :mod:`bisect`
-        rather than numpy: the tables are tiny (a few breakpoints per
-        axis) and this is the hottest leaf of the STA engine, where the
-        per-call ``np.asarray`` conversions dominated.  The arithmetic is
-        the same IEEE-double sequence as the numpy formulation, so results
-        are bit-identical.
-        """
+    def _locate(self, slew_ns: float, load_ff: float) -> tuple[int, int, float, float]:
+        """Segment indices and fractions of (slew, load) on the axes."""
         slews = self.slew_axis
         loads = self.load_axis
 
@@ -108,9 +96,9 @@ class TimingTable:
 
         s0, s1 = slews[i], slews[i + 1]
         l0, l1 = loads[j], loads[j + 1]
-        ts = (slew_ns - s0) / (s1 - s0)
-        tl = (load_ff - l0) / (l1 - l0)
+        return i, j, (slew_ns - s0) / (s1 - s0), (load_ff - l0) / (l1 - l0)
 
+    def _interpolate(self, i: int, j: int, ts: float, tl: float) -> float:
         row0 = self.values[i]
         row1 = self.values[i + 1]
         v00, v01 = row0[j], row0[j + 1]
@@ -121,6 +109,34 @@ class TimingTable:
             + v10 * ts * (1 - tl)
             + v11 * ts * tl
         )
+
+    def lookup(self, slew_ns: float, load_ff: float) -> float:
+        """Bilinearly interpolate the table at (slew, load).
+
+        Queries outside the characterized window are extrapolated from the
+        nearest edge segment, which matches signoff-tool behaviour for
+        mildly out-of-range slews.
+
+        The interpolation runs on the stored tuples with :mod:`bisect`
+        rather than numpy: the tables are tiny (a few breakpoints per
+        axis) and this is the hottest leaf of the STA engine, where the
+        per-call ``np.asarray`` conversions dominated.  The arithmetic is
+        the same IEEE-double sequence as the numpy formulation, so results
+        are bit-identical.
+        """
+        return self._interpolate(*self._locate(slew_ns, load_ff))
+
+    def lookup_pair(
+        self, other: "TimingTable", slew_ns: float, load_ff: float
+    ) -> tuple[float, float]:
+        """``(self.lookup(s, l), other.lookup(s, l))`` with one bisect.
+
+        ``other`` must share both axes with this table (an arc's delay
+        and output-slew tables always do); each value is then the same
+        IEEE operations as its own :meth:`lookup`.
+        """
+        position = self._locate(slew_ns, load_ff)
+        return self._interpolate(*position), other._interpolate(*position)
 
 
 def linear_delay_table(

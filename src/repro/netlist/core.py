@@ -135,14 +135,18 @@ class Netlist:
         self._topology_version = 0
         self._topo_cache: list[Instance] | None = None
         self._topo_cache_version = -1
+        self._seq_cache: list[Instance] = []
+        self._seq_cache_version = -1
 
     @property
     def topology_version(self) -> int:
         """Monotonic counter bumped by every structural edit.
 
         Rebinding a cell (resize/remap) does not change connectivity and
-        does not bump the version; connect/disconnect and adding/removing
-        instances, nets, or ports do.  Consumers (the cached
+        does not bump the version (unless it swaps a sequential cell for
+        a combinational one or back, which reshapes the timing graph);
+        connect/disconnect and adding/removing instances, nets, or ports
+        do.  Consumers (the cached
         :meth:`topological_order`, the incremental timing session) compare
         versions instead of re-walking the graph.
         """
@@ -262,7 +266,10 @@ class Netlist:
                 raise NetlistError(
                     f"cannot rebind {inst_name}: {new_cell.name} lacks pin {pin!r}"
                 )
+        reshapes = new_cell.is_sequential != inst.cell.is_sequential
         inst.cell = new_cell
+        if reshapes:
+            self._bump_topology()
 
     # ------------------------------------------------------------------
     # lookups and traversal
@@ -305,8 +312,18 @@ class Netlist:
                 yield driver
 
     def sequential_instances(self) -> list[Instance]:
-        """All flip-flops and memory macros."""
-        return [i for i in self.instances.values() if i.cell.is_sequential]
+        """All flip-flops and memory macros.
+
+        Cached against :attr:`topology_version` like
+        :meth:`topological_order`; callers must treat the returned list
+        as read-only.
+        """
+        if self._seq_cache_version != self._topology_version:
+            self._seq_cache = [
+                i for i in self.instances.values() if i.cell.is_sequential
+            ]
+            self._seq_cache_version = self._topology_version
+        return self._seq_cache
 
     def combinational_instances(self) -> list[Instance]:
         """All non-sequential instances."""

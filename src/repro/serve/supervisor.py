@@ -88,7 +88,13 @@ def _heartbeat_loop(name, heartbeat, parent_pid, interval_s, stop):
 
 
 def _execute_job(kind: str, spec: dict, attempt: int) -> dict:
-    """Run one job body; returns its JSON-safe result payload."""
+    """Run one job body; returns its JSON-safe result payload.
+
+    Flow, sweep and matrix jobs release the runner's in-process caches
+    when they end.  The daemon deduplicates resubmits by job key, so the
+    worker never reads those entries back; kept, they would pin every
+    finished job's placed design for the worker's whole life.
+    """
     if kind == "probe":
         from repro.experiments.faults import FaultInjected
 
@@ -100,6 +106,15 @@ def _execute_job(kind: str, spec: dict, attempt: int) -> dict:
         if fail == "transient":
             raise OSError("probe requested a transient failure")
         return {"echo": spec.get("payload"), "attempt": attempt}
+    from repro.experiments.runner import clear_memory_caches
+
+    try:
+        return _execute_flow_job(kind, spec, attempt)
+    finally:
+        clear_memory_caches()
+
+
+def _execute_flow_job(kind: str, spec: dict, attempt: int) -> dict:
     if kind == "sweep":
         from repro.experiments.runner import find_target_period
 

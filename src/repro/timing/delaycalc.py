@@ -21,12 +21,11 @@ sink pin capacitances.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from repro.liberty.cells import CellType, TimingArc
+from repro.liberty.cells import CellFunction, CellType, TimingArc
 from repro.liberty.library import StdCellLibrary
 from repro.liberty.spice import (
     input_voltage_delay_factor,
@@ -112,52 +111,62 @@ class PlacementWireModel:
         self._lib = lib
 
     def extract(self, netlist: Netlist, net: Net) -> NetParasitics:
-        """Extract from actual placement; all pins must be placed."""
-        points: list[tuple[float, float, int]] = []
-        driver_point: tuple[float, float, int] | None = None
+        """Extract from actual placement; all pins must be placed.
+
+        One pass over the pins collects each pin's center, tier and (for
+        sinks) pin capacitance; length, capacitance and per-sink delays
+        are computed from those lists.
+        """
+        instances = netlist.instances
+        xs: list[float] = []
+        ys: list[float] = []
+        driver_tier: int | None = None
         if net.driver is not None:
-            inst = netlist.instances[net.driver[0]]
+            inst = instances[net.driver[0]]
             x, y = inst.center()
-            driver_point = (x, y, inst.tier)
-            points.append(driver_point)
-        for sink_name, _pin in net.sinks:
-            inst = netlist.instances[sink_name]
+            xs.append(x)
+            ys.append(y)
+            driver_tier = inst.tier
+        sink_tiers: list[int] = []
+        sink_caps: list[float] = []
+        for sink_name, pin in net.sinks:
+            inst = instances[sink_name]
             x, y = inst.center()
-            points.append((x, y, inst.tier))
-        if not points:
+            xs.append(x)
+            ys.append(y)
+            sink_tiers.append(inst.tier)
+            sink_caps.append(inst.cell.input_capacitance_ff(pin))
+        if not xs:
             return NetParasitics(0.0, 0.0, {})
 
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+        lib = self._lib
         hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
         length = hpwl * steiner_correction(len(net.sinks))
-        tiers = {p[2] for p in points}
-        miv_count = self._count_mivs(driver_point, points) if len(tiers) > 1 else 0
+        ref_tier = sink_tiers[0] if driver_tier is None else driver_tier
+        crossing = any(t != ref_tier for t in sink_tiers)
+        miv_count = self._count_mivs(ref_tier, sink_tiers) if crossing else 0
 
-        wire_cap = length * self._lib.wire_c_ff_per_um
-        pin_cap = sum(
-            netlist.instances[i].cell.input_capacitance_ff(p)
-            for i, p in net.sinks
-        )
-        total_cap = wire_cap + pin_cap + miv_count * self._lib.miv_c_ff
+        wire_cap = length * lib.wire_c_ff_per_um
+        pin_cap = sum(sink_caps)
+        total_cap = wire_cap + pin_cap + miv_count * lib.miv_c_ff
 
         sink_delay: dict[tuple[str, str], float] = {}
-        for sink_name, pin in net.sinks:
-            sink_inst = netlist.instances[sink_name]
-            if driver_point is None:
-                sink_delay[(sink_name, pin)] = 0.0
-                continue
-            sx, sy = sink_inst.center()
-            dist = abs(sx - driver_point[0]) + abs(sy - driver_point[1])
-            seg_r = dist * self._lib.wire_r_kohm_per_um
-            seg_c = dist * self._lib.wire_c_ff_per_um
-            sink_cap = sink_inst.cell.input_capacitance_ff(pin)
-            delay = seg_r * (seg_c / 2.0 + sink_cap) * RC_TO_NS
-            if sink_inst.tier != driver_point[2]:
-                delay += self._lib.miv_r_kohm * (
-                    self._lib.miv_c_ff / 2.0 + sink_cap
-                ) * RC_TO_NS
-            sink_delay[(sink_name, pin)] = delay
+        if driver_tier is None:
+            for sink in net.sinks:
+                sink_delay[sink] = 0.0
+        else:
+            dx, dy = xs[0], ys[0]
+            for k, sink in enumerate(net.sinks, start=1):
+                dist = abs(xs[k] - dx) + abs(ys[k] - dy)
+                seg_r = dist * lib.wire_r_kohm_per_um
+                seg_c = dist * lib.wire_c_ff_per_um
+                sink_cap = sink_caps[k - 1]
+                delay = seg_r * (seg_c / 2.0 + sink_cap) * RC_TO_NS
+                if sink_tiers[k - 1] != driver_tier:
+                    delay += lib.miv_r_kohm * (
+                        lib.miv_c_ff / 2.0 + sink_cap
+                    ) * RC_TO_NS
+                sink_delay[sink] = delay
         return NetParasitics(
             length_um=length,
             total_cap_ff=total_cap,
@@ -166,22 +175,15 @@ class PlacementWireModel:
         )
 
     @staticmethod
-    def _count_mivs(
-        driver_point: tuple[float, float, int] | None,
-        points: list[tuple[float, float, int]],
-    ) -> int:
+    def _count_mivs(ref_tier: int, sink_tiers: list[int]) -> int:
         """One MIV per foreign-tier sink cluster, minimum one per net.
 
         A production router would share MIVs between nearby sinks; we use
-        the number of sinks on tiers other than the driver's, compressed
-        by a sharing factor of 2, which matches the paper's reported
-        MIV-per-cut-net densities.
+        the number of sinks on tiers other than the driver's (the first
+        sink's on an undriven net), compressed by a sharing factor of 2,
+        which matches the paper's reported MIV-per-cut-net densities.
         """
-        if driver_point is None:
-            driver_tier = points[0][2]
-        else:
-            driver_tier = driver_point[2]
-        foreign = sum(1 for p in points[1:] if p[2] != driver_tier)
+        foreign = sum(1 for t in sink_tiers if t != ref_tier)
         return max(1, (foreign + 1) // 2)
 
 
@@ -197,6 +199,9 @@ def _voltage_factors(vdd_v: float, vth_v: float, vg_v: float) -> tuple[float, fl
         input_voltage_slew_factor(vdd_v, vth_v, vg_v),
     )
 
+
+#: The derate pair of a homogeneous input boundary.
+_NO_DERATE = (1.0, 1.0)
 
 #: Cap on the arc-delay memo; cleared wholesale on overflow.  Entries are
 #: pure function results, so dropping them only costs recomputation.
@@ -224,10 +229,6 @@ class DelayCalculator:
         # id can never be recycled while its memo entries live.
         self._arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}
         self._arc_refs: dict[int, TimingArc] = {}
-        # Optional slew quantization for the memo key (ns).  Defaults to
-        # exact keys: quantizing perturbs the lookup input and would break
-        # bit-identity with the unmemoized engine.
-        self._slew_quantum = float(os.environ.get("REPRO_STA_SLEW_Q", "0") or 0.0)
         # The TimingSession successive passes over this calculator share
         # (see TimingSession.shared).
         self.session = None
@@ -267,28 +268,27 @@ class DelayCalculator:
             return 0.0
         return self.net_parasitics(self._netlist.nets[net_name]).total_cap_ff
 
-    def input_derates(self, inst: Instance, in_pin: str) -> tuple[float, float]:
+    def input_derates(
+        self, inst: Instance, in_net: Net | None
+    ) -> tuple[float, float]:
         """(delay, slew) multipliers from input-boundary heterogeneity.
 
-        Returns (1.0, 1.0) unless the net driving ``in_pin`` comes from an
-        instance bound to a library with a different supply voltage.
+        Returns (1.0, 1.0) unless ``in_net`` -- the net on one of
+        ``inst``'s inputs, None when that input is unconnected -- comes
+        from an instance bound to a library with a different supply
+        voltage.  Callers pass the net because they have just looked it
+        up.
         """
-        net_name = inst.net_of(in_pin)
-        if net_name is None:
-            return 1.0, 1.0
-        net = self._netlist.nets[net_name]
-        driver = self._netlist.driver_instance(net)
-        if driver is None:
-            return 1.0, 1.0
-        vg = driver.cell.vdd_v
-        if abs(vg - inst.cell.vdd_v) < 1e-9:
-            return 1.0, 1.0
-        from repro.liberty.cells import CellFunction
-
-        if inst.cell.function is CellFunction.LEVEL_SHIFTER:
+        if in_net is None or in_net.driver is None:
+            return _NO_DERATE
+        vg = self._netlist.instances[in_net.driver[0]].cell.vdd_v
+        cell = inst.cell
+        if abs(vg - cell.vdd_v) < 1e-9:
+            return _NO_DERATE
+        if cell.function is CellFunction.LEVEL_SHIFTER:
             # shifters are characterized for foreign-rail inputs
-            return 1.0, 1.0
-        lib = self._libraries[inst.cell.library_name]
+            return _NO_DERATE
+        lib = self._libraries[cell.library_name]
         return _voltage_factors(lib.vdd_v, lib.vth_v, vg)
 
     def arc_delay_slew(
@@ -297,30 +297,28 @@ class DelayCalculator:
         arc: TimingArc,
         input_slew_ns: float,
         load_ff: float,
+        in_net: Net | None,
     ) -> tuple[float, float]:
         """Arc delay and output slew with the input-boundary derate applied.
 
-        The raw (pre-derate) table lookups are memoized per arc; the
-        derate depends on the driving instance's rail and is applied per
-        call.  Memo hits are exact-key by default, so the result is
-        bit-identical to the unmemoized computation regardless of call
-        order.
+        ``in_net`` is the net on ``arc.from_pin`` (None when unconnected).
+        The raw (pre-derate) table lookups are memoized per arc -- one
+        bisect serves both tables, which share their axes -- and the
+        derate, which depends on the driving instance's rail, is applied
+        per call.
+        Memo hits are exact-key, so the result is bit-identical to the
+        unmemoized computation regardless of call order.
         """
-        if self._slew_quantum > 0.0:
-            input_slew_ns = round(input_slew_ns / self._slew_quantum) * self._slew_quantum
         key = (id(arc), input_slew_ns, load_ff)
         hit = self._arc_memo.get(key)
         if hit is None:
             if len(self._arc_memo) >= _ARC_MEMO_MAX:
                 self._arc_memo.clear()
                 self._arc_refs.clear()
-            hit = (
-                arc.delay.lookup(input_slew_ns, load_ff),
-                arc.output_slew.lookup(input_slew_ns, load_ff),
-            )
+            hit = arc.delay.lookup_pair(arc.output_slew, input_slew_ns, load_ff)
             self._arc_memo[key] = hit
             self._arc_refs.setdefault(key[0], arc)
-        derate_d, derate_s = self.input_derates(inst, arc.from_pin)
+        derate_d, derate_s = self.input_derates(inst, in_net)
         return hit[0] * derate_d, hit[1] * derate_s
 
     def setup_time(self, cell: CellType, data_slew_ns: float) -> float:

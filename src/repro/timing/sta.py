@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import TimingError
-from repro.netlist.core import Instance, Netlist
+from repro.liberty.cells import TimingArc
+from repro.netlist.core import Instance, Net, Netlist
 from repro.obs import emit_metric, span
 from repro.timing.delaycalc import DelayCalculator
 
@@ -185,36 +186,49 @@ class StaEngine:
             self._launch_sequential(inst)
 
     def _launch_sequential(self, inst: Instance) -> None:
-        out_pin = inst.cell.output_pin
-        net_name = inst.net_of(out_pin)
+        cell = inst.cell
+        net_name = inst.net_of(cell.output_pin)
         if net_name is None:
             return
-        clock_pin = inst.cell.clock_pin
-        arc = inst.cell.arc_to(out_pin, clock_pin) if clock_pin else None
+        arc = cell.launch_arc
         latency = self.latencies.get(inst.name, 0.0)
-        load = self.calc.output_load_ff(inst, out_pin)
+        load = self.calc.output_load_ff(inst, cell.output_pin)
         if arc is None:
             self.arrival[net_name] = latency
             self.slew[net_name] = DEFAULT_INPUT_SLEW_NS
             return
         delay, out_slew = self.calc.arc_delay_slew(
-            inst, arc, DEFAULT_INPUT_SLEW_NS, load
+            inst, arc, DEFAULT_INPUT_SLEW_NS, load,
+            self._net_on(inst, cell.clock_pin),
         )
         self.arrival[net_name] = latency + delay
         self.slew[net_name] = out_slew
 
-    def input_arrival_slew(self, inst: Instance, pin: str) -> tuple[float, float]:
-        """Arrival and slew at one instance input pin."""
+    def _net_on(self, inst: Instance, pin: str) -> Net | None:
         net_name = inst.net_of(pin)
-        if net_name is None:
+        return None if net_name is None else self.netlist.nets[net_name]
+
+    def input_arrival_slew(
+        self, inst: Instance, pin: str, net: Net | None
+    ) -> tuple[float, float]:
+        """Arrival and slew at one instance input pin.
+
+        ``net`` is the net on ``pin`` (None when unconnected); callers
+        pass it because they have just looked it up.  An unconnected or
+        unreached net is a constant: arrival 0 at the default slew.  The
+        parasitics of ``net`` are read only when it carries an arrival:
+        which nets a pass extracts must not change, because a cached net
+        can be stale (see the invalidation contract in
+        :mod:`repro.timing.incremental`).
+        """
+        if net is None:
             return 0.0, DEFAULT_INPUT_SLEW_NS
-        net = self.netlist.nets[net_name]
-        base = self.arrival.get(net_name)
+        base = self.arrival.get(net.name)
         if base is None:
             # Undriven/unreached net: treat as constant (never toggles).
             return 0.0, DEFAULT_INPUT_SLEW_NS
         wire = self.calc.net_parasitics(net).sink_delay_ns.get((inst.name, pin), 0.0)
-        return base + wire, self.slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
+        return base + wire, self.slew.get(net.name, DEFAULT_INPUT_SLEW_NS)
 
     def eval_instance(self, inst: Instance) -> None:
         """(Re)compute one combinational instance's output arrival/slew.
@@ -223,31 +237,36 @@ class StaEngine:
         update; on an unreached output any stale entries are deleted so a
         re-evaluation converges to exactly the state a fresh propagation
         would produce.
+
+        Each input net is looked up once per arc and feeds the arrival,
+        the wire delay and the derate.
         """
-        out_pin = inst.cell.output_pin
-        out_net = inst.net_of(out_pin)
+        cell = inst.cell
+        out_net = inst.net_of(cell.output_pin)
         if out_net is None:
             return
-        load = self.calc.output_load_ff(inst, out_pin)
+        calc = self.calc
+        nets = self.netlist.nets
+        arrival = self.arrival
+        load = calc.output_load_ff(inst, cell.output_pin)
         best_arr = -_INF
         best_slew = DEFAULT_INPUT_SLEW_NS
         best_pin = ""
-        for pin in inst.cell.input_pins:
-            arc = inst.cell.arc_to(out_pin, pin)
-            if arc is None:
-                continue
-            arr_in, slew_in = self.input_arrival_slew(inst, pin)
-            delay, out_slew = self.calc.arc_delay_slew(inst, arc, slew_in, load)
+        for pin, arc in cell.input_arcs:
+            net_name = inst.net_of(pin)
+            net = None if net_name is None else nets[net_name]
+            arr_in, slew_in = self.input_arrival_slew(inst, pin, net)
+            delay, out_slew = calc.arc_delay_slew(inst, arc, slew_in, load, net)
             if arr_in + delay > best_arr:
                 best_arr = arr_in + delay
                 best_slew = out_slew
                 best_pin = pin
         if best_arr == -_INF:
-            self.arrival.pop(out_net, None)
+            arrival.pop(out_net, None)
             self.slew.pop(out_net, None)
             self.worst_input.pop(inst.name, None)
             return
-        self.arrival[out_net] = best_arr
+        arrival[out_net] = best_arr
         self.slew[out_net] = best_slew
         self.worst_input[inst.name] = best_pin
 
@@ -268,10 +287,10 @@ class StaEngine:
         for inst in self.netlist.sequential_instances():
             latency = self.latencies.get(inst.name, 0.0)
             for pin in inst.cell.input_pins:
-                arr, slew_in = self.input_arrival_slew(inst, pin)
-                net_name = inst.net_of(pin)
-                if net_name is None or self.arrival.get(net_name) is None:
+                net = self._net_on(inst, pin)
+                if net is None or net.name not in self.arrival:
                     continue
+                arr, slew_in = self.input_arrival_slew(inst, pin, net)
                 setup = self.calc.setup_time(inst.cell, slew_in)
                 base.append(((inst.name, pin), arr, setup, latency))
         return base
@@ -299,62 +318,69 @@ class StaEngine:
         seeds: dict[str, float] = {}
         for (inst_name, pin), slack in endpoints.items():
             inst = self.netlist.instances[inst_name]
-            net_name = inst.net_of(pin)
-            if net_name is None:
+            net = self._net_on(inst, pin)
+            if net is None:
                 continue
-            net = self.netlist.nets[net_name]
             wire = self.calc.net_parasitics(net).sink_delay_ns.get(
                 (inst_name, pin), 0.0
             )
-            arr, _ = self.input_arrival_slew(inst, pin)
+            arr, _ = self.input_arrival_slew(inst, pin, net)
             req_at_pin = arr + slack
             req_at_driver = req_at_pin - wire
-            prev = seeds.get(net_name, _INF)
+            prev = seeds.get(net.name, _INF)
             if req_at_driver < prev:
-                seeds[net_name] = req_at_driver
+                seeds[net.name] = req_at_driver
         return seeds
+
+    def required_through(
+        self, inst: Instance, pin: str, arc: TimingArc, req_out: float,
+        load: float,
+    ) -> tuple[str, float] | None:
+        """``(input net, required time)`` one arc imposes on its input net.
+
+        The net is looked up once for the slew, the arc delay and the wire
+        delay.  None when the pin is unconnected.
+        """
+        net_name = inst.net_of(pin)
+        if net_name is None:
+            return None
+        calc = self.calc
+        net = self.netlist.nets[net_name]
+        _, slew_in = self.input_arrival_slew(inst, pin, net)
+        delay, _ = calc.arc_delay_slew(inst, arc, slew_in, load, net)
+        wire = calc.net_parasitics(net).sink_delay_ns.get((inst.name, pin), 0.0)
+        return net_name, req_out - delay - wire
 
     def propagate_required(self, endpoints: dict[tuple[str, str], float]) -> None:
         """Backward pass: required time at every net's driver output."""
         # Seed required times at endpoint input pins, mapped back to nets.
+        required = self.required
         for net_name, req_at_driver in self.seed_required_map(endpoints).items():
-            prev = self.required.get(net_name, _INF)
-            self.required[net_name] = min(prev, req_at_driver)
+            prev = required.get(net_name, _INF)
+            required[net_name] = min(prev, req_at_driver)
 
         for inst in reversed(self.netlist.topological_order()):
-            out_pin = inst.cell.output_pin
-            out_net = inst.net_of(out_pin)
+            cell = inst.cell
+            out_net = inst.net_of(cell.output_pin)
             if out_net is None:
                 continue
-            req_out = self.required.get(out_net, _INF)
+            req_out = required.get(out_net, _INF)
             if req_out == _INF:
                 continue
-            load = self.calc.output_load_ff(inst, out_pin)
-            for pin in inst.cell.input_pins:
-                arc = inst.cell.arc_to(out_pin, pin)
-                if arc is None:
+            load = self.calc.output_load_ff(inst, cell.output_pin)
+            for pin, arc in cell.input_arcs:
+                pulled = self.required_through(inst, pin, arc, req_out, load)
+                if pulled is None:
                     continue
-                in_net = inst.net_of(pin)
-                if in_net is None:
-                    continue
-                net = self.netlist.nets[in_net]
-                _, slew_in = self.input_arrival_slew(inst, pin)
-                delay, _ = self.calc.arc_delay_slew(inst, arc, slew_in, load)
-                wire = self.calc.net_parasitics(net).sink_delay_ns.get(
-                    (inst.name, pin), 0.0
-                )
-                candidate = req_out - delay - wire
-                prev = self.required.get(in_net, _INF)
-                if candidate < prev:
-                    self.required[in_net] = candidate
+                in_net, candidate = pulled
+                if candidate < required.get(in_net, _INF):
+                    required[in_net] = candidate
 
     def cell_slacks(self) -> dict[str, float]:
         """Worst slack of any path through each instance (criticality)."""
         slacks: dict[str, float] = {}
         for inst in self.netlist.instances.values():
-            out_net = inst.net_of(inst.cell.output_pin) if not inst.cell.is_sequential else None
-            if inst.cell.is_sequential:
-                out_net = inst.net_of(inst.cell.output_pin)
+            out_net = inst.net_of(inst.cell.output_pin)
             if out_net is None:
                 continue
             arr = self.arrival.get(out_net)
@@ -368,7 +394,9 @@ class StaEngine:
     def backtrace(self, endpoint: tuple[str, str], slack: float) -> CriticalPath:
         inst_name, pin = endpoint
         capture = self.netlist.instances[inst_name]
-        _, slew_in = self.input_arrival_slew(capture, pin)
+        _, slew_in = self.input_arrival_slew(
+            capture, pin, self._net_on(capture, pin)
+        )
         setup = self.calc.setup_time(capture.cell, slew_in)
         steps: list[PathStep] = []
 
@@ -397,12 +425,12 @@ class StaEngine:
             crosses = driver.tier != current_inst.tier
             out_pin = driver.cell.output_pin
             if driver.cell.is_sequential:
-                clock_pin = driver.cell.clock_pin
-                arc = driver.cell.arc_to(out_pin, clock_pin) if clock_pin else None
+                arc = driver.cell.launch_arc
                 load = self.calc.output_load_ff(driver, out_pin)
                 if arc is not None:
                     delay, _ = self.calc.arc_delay_slew(
-                        driver, arc, DEFAULT_INPUT_SLEW_NS, load
+                        driver, arc, DEFAULT_INPUT_SLEW_NS, load,
+                        self._net_on(driver, driver.cell.clock_pin),
                     )
                 else:
                     delay = 0.0
@@ -424,8 +452,11 @@ class StaEngine:
                 break
             arc = driver.cell.arc_to(out_pin, worst_pin)
             load = self.calc.output_load_ff(driver, out_pin)
-            _, slew_at = self.input_arrival_slew(driver, worst_pin)
-            delay, _ = self.calc.arc_delay_slew(driver, arc, slew_at, load)
+            in_net = self._net_on(driver, worst_pin)
+            _, slew_at = self.input_arrival_slew(driver, worst_pin, in_net)
+            delay, _ = self.calc.arc_delay_slew(
+                driver, arc, slew_at, load, in_net
+            )
             steps.append(
                 PathStep(
                     instance=driver.name,

@@ -148,7 +148,7 @@ class TestDelayCalculator:
         lib12, _ = pair
         nl = chain(lib12)
         calc = self.make_calc(pair, nl)
-        d, s = calc.input_derates(nl.instances["i1"], "A")
+        d, s = calc.input_derates(nl.instances["i1"], nl.nets["n0"])
         assert d == 1.0 and s == 1.0
 
     def test_heterogeneous_input_derate_applied(self, pair):
@@ -158,11 +158,11 @@ class TestDelayCalculator:
         nl.rebind("i0", lib9.equivalent_of(nl.instances["i0"].cell))
         nl.instances["i0"].tier = 1
         calc = self.make_calc(pair, nl)
-        d, s = calc.input_derates(nl.instances["i1"], "A")
+        d, s = calc.input_derates(nl.instances["i1"], nl.nets["n0"])
         assert d > 1.0
         assert s > 1.0
         # and the converse direction speeds up
-        d2, s2 = calc.input_derates(nl.instances["i0"], "A")
+        d2, s2 = calc.input_derates(nl.instances["i0"], nl.nets["din"])
         assert d2 == 1.0  # driven by a primary input, no derate
 
     def test_setup_time_positive(self, pair):

@@ -245,3 +245,37 @@ class TestSupervisedExecution:
         assert view["attempts"] == 2
         assert core.stats.worker_respawns >= 1
         core.close()
+
+
+class TestWorkerJobState:
+    def test_flow_jobs_release_placed_designs(self, monkeypatch):
+        """A worker runs many jobs; none may pin a finished design."""
+        import gc
+        import weakref
+
+        from repro.experiments import runner
+        from repro.serve.supervisor import _execute_job
+
+        runner.clear_memory_caches()
+        designs = []
+        real_run = runner.run_configuration
+
+        def recording_run(*args, **kwargs):
+            design, result = real_run(*args, **kwargs)
+            designs.append(weakref.ref(design))
+            return design, result
+
+        monkeypatch.setattr(runner, "run_configuration", recording_run)
+        # Seeds no other test uses: a disk-cache hit returns no design.
+        for seed, config in ((301, "2D_12T"), (302, "3D_HET"), (303, "3D_HET")):
+            payload = _execute_job(
+                "flow",
+                {"design": "aes", "config": config, "period_ns": 0.9,
+                 "scale": 0.1, "seed": seed},
+                1,
+            )
+            assert payload["result"]["config"] == config
+        gc.collect()
+        assert len(designs) == 3
+        assert not runner._result_cache
+        assert [ref() for ref in designs] == [None, None, None]

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.experiments.configs import configurations
 from repro.flow.design import Design
 from repro.flow.synthesis import (
     find_max_frequency,
     fix_drv_violations,
     initial_sizing,
     max_drv_load_ff,
+    synthesis_store,
+    synthesize,
 )
+from repro.integrity.checkpoint import design_to_dict
 from repro.liberty.cells import CellFunction
 from repro.liberty.presets import make_library_pair
 from repro.netlist.core import Netlist, PortDirection
@@ -109,3 +113,125 @@ class TestMaxFrequencySearch:
 
         best = find_max_frequency(flow, lo_period_ns=0.2, hi_period_ns=1.0)
         assert best == 1.0
+
+
+class TestSynthesisStore:
+    """synthesize() inside a store equals cold synthesis, byte for byte."""
+
+    PERIOD = 0.7
+
+    @staticmethod
+    def _configs(pair):
+        lib12, lib9 = pair
+        return {
+            "2D_12T": {0: lib12},
+            "3D_12T": {0: lib12, 1: lib12},
+            "3D_HET": {0: lib12, 1: lib9},
+            "2D_9T": {0: lib9},
+            "3D_9T": {0: lib9, 1: lib9},
+        }
+
+    @staticmethod
+    def _synth(config, tier_libs, period):
+        return synthesize(
+            "aes", config, tier_libs, period_ns=period, scale=0.15, seed=4,
+            utilization=0.8,
+        )
+
+    def test_hits_equal_cold_synthesis(self, pair):
+        configs = self._configs(pair)
+        cold = {
+            config: design_to_dict(self._synth(config, libs, self.PERIOD))
+            for config, libs in configs.items()
+        }
+        with synthesis_store() as store:
+            for config, libs in configs.items():
+                assert design_to_dict(
+                    self._synth(config, libs, self.PERIOD)
+                ) == cold[config]
+            # one period-independent and one finished entry per library
+            assert len(store) == 4
+
+    def test_base_entry_serves_another_period(self, pair):
+        libs = self._configs(pair)["3D_HET"]
+        cold = design_to_dict(self._synth("3D_HET", libs, 0.45))
+        with synthesis_store():
+            self._synth("2D_12T", {0: pair[0]}, self.PERIOD)
+            warm = self._synth("3D_HET", libs, 0.45)
+        assert design_to_dict(warm) == cold
+
+    def test_every_hit_is_a_fresh_netlist(self, pair):
+        libs = {0: pair[0]}
+        with synthesis_store():
+            first = self._synth("2D_12T", libs, self.PERIOD)
+            expected = design_to_dict(first)
+            victim = next(iter(first.netlist.instances))
+            first.netlist.remove_instance(victim)
+            second = self._synth("2D_12T", libs, self.PERIOD)
+            third = self._synth("2D_12T", libs, self.PERIOD)
+        assert second.netlist is not third.netlist
+        assert design_to_dict(second) == expected
+        assert design_to_dict(third) == expected
+
+    def test_store_keeps_one_design(self, pair):
+        libs = {0: pair[0]}
+        with synthesis_store() as store:
+            self._synth("2D_12T", libs, self.PERIOD)
+            assert len(store) == 2
+            synthesize("ldpc", "2D_12T", libs, period_ns=self.PERIOD,
+                       scale=0.1, seed=4, utilization=0.8)
+            assert len(store) == 2
+
+    def test_matrix_scopes_and_empties_its_store(self, pair, monkeypatch):
+        from repro.experiments import runner
+        from repro.flow import synthesis
+
+        stores = []
+        hits = []
+
+        class RecordingStore(synthesis.SynthesisStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+            def get(self, key):
+                netlist = super().get(key)
+                hits.append(netlist is not None)
+                return netlist
+
+        monkeypatch.setattr(synthesis, "SynthesisStore", RecordingStore)
+        matrix = runner.run_matrix(
+            designs=("aes",),
+            config_names=("2D_12T", "3D_12T", "3D_HET"),
+            scale=0.15, seed=4, jobs=1,
+            target_periods={"aes": self.PERIOD},
+        )
+        assert len(stores) == 1 and len(stores[0]) == 0
+        assert synthesis._STORE.get() is None
+        assert hits.count(True) == 2  # 3D_12T and 3D_HET reuse 2D_12T
+        # Outside run_matrix nothing is stored: every flow runs cold.
+        configs = configurations()
+        for config in ("2D_12T", "3D_12T", "3D_HET"):
+            _design, cold = configs[config].run(
+                "aes", period_ns=self.PERIOD, scale=0.15, seed=4
+            )
+            assert cold.to_dict() == matrix.result("aes", config).to_dict()
+        assert len(stores) == 1
+
+    def test_pool_path_holds_no_store(self, monkeypatch):
+        """Pool workers fork from the caller, so they must not see a store."""
+        from repro.experiments import parallel, runner
+        from repro.flow import synthesis
+
+        seen = []
+
+        def fake_pool(matrix, **_kwargs):
+            seen.append(synthesis._STORE.get())
+            return True
+
+        monkeypatch.setattr(parallel, "run_matrix_parallel", fake_pool)
+        runner.run_matrix(
+            designs=("aes",), config_names=("2D_12T",), scale=0.15, seed=4,
+            jobs=2, target_periods={"aes": self.PERIOD},
+        )
+        assert seen == [None]

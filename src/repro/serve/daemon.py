@@ -280,6 +280,9 @@ class ServerCore:
         self.stats = ServerStats()
         self.draining = False
         self.degraded = False  # disk-pressure mode: submits rejected
+        # Called when a submit leaves a job pending; a started
+        # Supervisor installs its wake() so dispatch need not wait.
+        self.on_pending = None
         self._lock = threading.RLock()
         # Terminal-transition timestamps inside DRAIN_WINDOW_S; their
         # rate converts queue depth into an honest retry_after hint.
@@ -488,6 +491,8 @@ class ServerCore:
                 "job_state", job_id=job.job_id, state=job.state,
                 kind=job.kind, priority=job.priority,
             )
+            if self.on_pending is not None:
+                self.on_pending()
             return {
                 "ok": True,
                 "job_id": job.job_id,

@@ -3,7 +3,16 @@
 Each worker is a separate process (spawn context: the daemon is
 multi-threaded, and forking a threaded parent is how deadlocks are
 born) connected by a duplex pipe and a shared heartbeat timestamp.  The
-supervisor runs one thread in the daemon, ticking a fixed loop:
+supervisor runs one thread in the daemon.  That thread sleeps in
+:func:`multiprocessing.connection.wait` on a wait set of
+
+- the **wake channel**, a non-blocking self-pipe that the core writes
+  to when a submit leaves a job pending;
+- the pipe of every **busy** worker (a finished job or a live span);
+- the process **sentinel** of every worker (readable once it exits);
+
+and runs one scheduling step, :meth:`Supervisor.tick`, as soon as any
+of them is ready, or after ``HOUSEKEEPING_S`` when none is.  A step is:
 
 1. **harvest** -- pull finished-job replies off worker pipes and hand
    them to the core (which journals before mutating);
@@ -12,8 +21,17 @@ supervisor runs one thread in the daemon, ticking a fixed loop:
 3. **watchdog** -- a worker whose heartbeat went stale (the process is
    wedged) or whose job outlived the per-job timeout (the flow is
    hung) is killed, replaced, and its job requeued;
-4. **dispatch** -- idle workers claim the highest-priority pending job
-   (claim journaled and fsync'd *before* the job crosses the pipe).
+4. **autoscale** -- grow or shrink the pool (below);
+5. **dispatch** -- idle workers claim the highest-priority pending job
+   (claim journaled and fsync'd *before* the job crosses the pipe);
+6. **publish** -- refresh the pool-state gauges.
+
+So a job is dispatched, harvested or requeued within about a
+millisecond of the event behind it, while the housekeeping timeout
+bounds how late the clock-driven checks (heartbeat staleness, job
+timeouts, idle retirement, the gauges) can run.  Requeues and respawns
+happen inside the step, before its dispatch, so only submits -- which
+arrive on other threads -- need the wake channel.
 
 Requeues respect a **restart budget**: a job whose attempts exceed it
 is failed as a poison job (``crash_loop``) instead of being allowed to
@@ -44,6 +62,7 @@ as a fallback where pdeathsig is unavailable.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -55,6 +74,11 @@ from repro.obs import attach_subtree
 __all__ = ["Supervisor", "WorkerHandle"]
 
 _log = get_logger("serve.supervisor")
+
+#: Longest the supervisor loop waits between scheduling steps when no
+#: event arrives: the watchdog, autoscaler and pool gauges run at least
+#: this often, and ``drain`` re-checks the pool at this interval.
+HOUSEKEEPING_S = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +418,6 @@ class Supervisor:
         scale_up_pending: int = 2,
         scale_cooldown_s: float = 5.0,
         idle_retire_s: float = 30.0,
-        poll_s: float = 0.05,
         boot_grace_s: float = 30.0,
         forward_spans: bool = True,
     ):
@@ -408,7 +431,6 @@ class Supervisor:
         self.boot_grace_s = boot_grace_s
         self.job_timeout_s = job_timeout_s
         self.restart_budget = restart_budget
-        self.poll_s = poll_s
         self.forward_spans = forward_spans
         self.ctx = multiprocessing.get_context("spawn")
         self.workers: list[WorkerHandle] = []
@@ -417,6 +439,12 @@ class Supervisor:
         self._thread: threading.Thread | None = None
         self._worker_seq = 0  # names are monotonic, never reused
         self._last_scale = 0.0  # cooldown clock shared by up and down
+        # Wake channel (read end, write end): open while the loop runs.
+        # The lock keeps a wake() on another thread from writing to a
+        # descriptor number the loop has just closed and the OS reused.
+        self._wake_r: int | None = None
+        self._wake_w: int | None = None
+        self._wake_lock = threading.Lock()
 
     def _next_name(self) -> str:
         name = f"w{self._worker_seq}"
@@ -443,6 +471,14 @@ class Supervisor:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        # Submits arrive on socket threads: the core wakes the loop as
+        # soon as one leaves a job pending.  A core without the hook
+        # (a test double) is served on the housekeeping timeout.
+        if hasattr(self.core, "on_pending"):
+            self.core.on_pending = self.wake
         self.workers = [
             WorkerHandle(
                 self._next_name(), self.ctx, self.heartbeat_s,
@@ -459,17 +495,61 @@ class Supervisor:
         self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.is_set():
+        try:
+            while not self._stop.is_set():
+                try:
+                    self.tick()
+                    self._wait_for_event()
+                except Exception:  # noqa: BLE001 -- the pool must outlive bugs
+                    _log.exception("supervisor tick failed; continuing")
+                    self._stop.wait(HOUSEKEEPING_S)
+        finally:
+            # Closed by the loop itself, not by stop(): a loop that
+            # outlives stop()'s join must not wait on a closed (and
+            # possibly reused) descriptor.
+            with self._wake_lock:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_r = self._wake_w = None
+
+    def _wait_for_event(self) -> None:
+        """Block until the next tick is due: a wake, a reply from a busy
+        worker or a worker exit, else the housekeeping timeout."""
+        waitables = [self._wake_r]
+        for handle in self.workers:
+            waitables.append(handle.proc.sentinel)
+            # A killed handle's pipe is closed until its respawn.
+            if not handle.idle and not handle.conn.closed:
+                waitables.append(handle.conn)
+        ready = multiprocessing.connection.wait(waitables, HOUSEKEEPING_S)
+        if self._wake_r in ready:
+            # Drained before the tick runs: a submit landing during the
+            # tick leaves its byte here, and the next wait returns at once.
             try:
-                self.tick()
-            except Exception:  # noqa: BLE001 -- the pool must outlive bugs
-                _log.exception("supervisor tick failed; continuing")
-            self._stop.wait(self.poll_s)
+                while os.read(self._wake_r, 512):
+                    pass
+            except BlockingIOError:
+                pass
+
+    def wake(self) -> None:
+        """Run a tick now instead of at the housekeeping timeout.
+
+        Safe from any thread and never blocks; a no-op while the loop
+        is not running.
+        """
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: a wake-up is already pending
 
     def stop(self) -> None:
         """Stop the loop and the workers (jobs in flight stay claimed:
         the journal requeues them on the next daemon start)."""
         self._stop.set()
+        self.wake()  # the loop is blocked in its wait: end it now
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         for handle in self.workers:
@@ -494,7 +574,7 @@ class Supervisor:
             if all(handle.idle for handle in self.workers):
                 complete = True
                 break
-            time.sleep(min(0.05, self.poll_s))
+            time.sleep(HOUSEKEEPING_S)
         busy = [] if complete else [
             h.name for h in self.workers if not h.idle
         ]

@@ -2,18 +2,26 @@
 
 These tests drive the daemon's core without the socket layer: submits,
 dedup, backpressure, the journal-before-memory invariant under injected
-journal faults, and a real (spawned) worker pool executing probe jobs
-with crash/requeue/poison handling.
+journal faults, a real (spawned) worker pool executing probe jobs
+with crash/requeue/poison handling, and the supervisor loop's event
+wake-ups (submit, worker reply, worker exit, stop).
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
+import sys
+import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.errors import ServeError
 from repro.experiments import faults
+from repro.serve import supervisor as supervisor_module
 from repro.serve.daemon import ServeConfig, ServerCore
 from repro.serve.journal import JournalError, replay_file
 from repro.serve.queue import DONE, FAILED, PENDING
@@ -36,6 +44,19 @@ def _core(tmp_path, **overrides) -> ServerCore:
 
 def _probe(nonce, **extra):
     return {"kind": "probe", "nonce": nonce, **extra}
+
+
+def _settle(core, job_ids, timeout_s):
+    """Wait until every job is done or failed; fail the test on timeout."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if all(core.queue.jobs[j].state in (DONE, FAILED) for j in job_ids):
+            return
+        time.sleep(0.002)
+    states = Counter(core.queue.jobs[j].state for j in job_ids)
+    raise AssertionError(
+        f"jobs did not settle within {timeout_s:.0f}s: {dict(states)}"
+    )
 
 
 class TestCoreOps:
@@ -167,17 +188,6 @@ class TestJournalFirstOrdering:
 
 
 class TestSupervisedExecution:
-    def _run(self, core, supervisor, job_ids, timeout_s=60.0):
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if all(
-                core.queue.jobs[j].state in (DONE, FAILED) for j in job_ids
-            ):
-                return
-            time.sleep(0.05)
-        states = {j: core.queue.jobs[j].state for j in job_ids}
-        raise AssertionError(f"jobs did not settle: {states}")
-
     def test_probe_jobs_complete_and_failures_classify(self, tmp_path):
         core = _core(tmp_path, workers=2)
         supervisor = Supervisor(
@@ -188,7 +198,7 @@ class TestSupervisedExecution:
         bad = core.submit(_probe("bad", fail="deterministic"))["job_id"]
         supervisor.start()
         try:
-            self._run(core, supervisor, [ok, bad])
+            _settle(core, [ok, bad], timeout_s=60)
         finally:
             supervisor.stop()
         assert core.result(ok)["result"]["echo"] == {"v": 1}
@@ -209,7 +219,7 @@ class TestSupervisedExecution:
         job_id = core.submit(_probe("flaky", fail="transient"))["job_id"]
         supervisor.start()
         try:
-            self._run(core, supervisor, [job_id])
+            _settle(core, [job_id], timeout_s=60)
         finally:
             supervisor.stop()
         view = core.result(job_id)
@@ -235,7 +245,7 @@ class TestSupervisedExecution:
         job_id = core.submit(_probe("crashy"))["job_id"]
         supervisor.start()
         try:
-            self._run(core, supervisor, [job_id])
+            _settle(core, [job_id], timeout_s=60)
         finally:
             supervisor.stop()
         # First attempt died with the worker; the respawned worker
@@ -279,3 +289,159 @@ class TestWorkerJobState:
         assert len(designs) == 3
         assert not runner._result_cache
         assert [ref() for ref in designs] == [None, None, None]
+
+
+class TestEventDrivenLoop:
+    """The loop's housekeeping timeout is raised to 30 s here, so work
+    that finishes sooner was started by an event, not by a tick."""
+
+    @pytest.fixture(autouse=True)
+    def _slow_housekeeping(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "HOUSEKEEPING_S", 30.0)
+
+    @staticmethod
+    def _supervisor(core, workers=1, restart_budget=0):
+        # A 2 s beat is stale only after 6 s: a busy host must not make
+        # the watchdog restart a worker and retry its job.
+        return Supervisor(
+            core, workers=workers, heartbeat_s=2.0, job_timeout_s=60.0,
+            restart_budget=restart_budget,
+        )
+
+    def test_submits_dispatch_without_a_tick(self, tmp_path):
+        core = _core(tmp_path)
+        warm = core.submit(_probe("warm"))["job_id"]
+        supervisor = self._supervisor(core)
+        supervisor.start()
+        try:
+            _settle(core, [warm], timeout_s=25)  # worker boot
+            started = time.monotonic()
+            for i in range(20):
+                job_id = core.submit(_probe(f"seq{i}", payload=i))["job_id"]
+                _settle(core, [job_id], timeout_s=10)
+            elapsed = time.monotonic() - started
+        finally:
+            supervisor.stop()
+        assert elapsed < 10.0, f"20 probes took {elapsed:.1f}s"
+        assert core.stats.completed == 21
+        core.close()
+
+    def test_dead_worker_is_reaped_without_a_tick(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "site=worker,kind=exit,times=1")
+        monkeypatch.setenv(
+            "REPRO_FAULTS_STATE", str(tmp_path / "fault-state")
+        )
+        faults.reset_fault_state()
+        core = _core(tmp_path)
+        # Pending before start: the first tick dispatches it, so what
+        # follows -- exit, reap, requeue, redispatch, harvest -- must
+        # all be driven by the worker's sentinel and pipe.
+        job_id = core.submit(_probe("crashy"))["job_id"]
+        supervisor = self._supervisor(core, restart_budget=3)
+        supervisor.start()
+        try:
+            _settle(core, [job_id], timeout_s=25)
+            assert core.stats.worker_respawns == 1
+            # An idle worker has no pipe in the wait set: its process
+            # sentinel alone must bring the reaper.
+            os.kill(supervisor.workers[0].proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while core.stats.worker_respawns < 2:
+                assert time.monotonic() < deadline, "idle worker not reaped"
+                time.sleep(0.002)
+        finally:
+            supervisor.stop()
+        view = core.result(job_id)
+        assert view["state"] == DONE
+        assert view["attempts"] == 2
+        core.close()
+
+    def test_stop_returns_at_once(self, tmp_path):
+        core = _core(tmp_path)
+        warm = core.submit(_probe("warm"))["job_id"]
+        supervisor = self._supervisor(core)
+        supervisor.start()
+        try:
+            _settle(core, [warm], timeout_s=25)
+        finally:
+            started = time.monotonic()
+            supervisor.stop()
+            elapsed = time.monotonic() - started
+        assert not supervisor._thread.is_alive()
+        assert elapsed < 1.0, f"stop() took {elapsed:.2f}s"
+        core.close()
+
+    def test_concurrent_submits_lose_no_wakeup(self, tmp_path):
+        """8 threads each submit 25 probes, one at a time, to 3 workers
+        (more workers than the host has cores) with a tiny switch
+        interval, so submits land on the shared wake channel while the
+        loop is mid-tick.  With housekeeping at 30 s, a job stranded by
+        a lost wake-up is a timeout, not a slow run."""
+        core = _core(tmp_path)
+        supervisor = self._supervisor(core, workers=3)
+        payloads: dict[str, str] = {}
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+
+        def submit_many(thread: int) -> None:
+            try:
+                for i in range(25):
+                    payload = f"t{thread}-{i}"
+                    response = core.submit(_probe(payload, payload=payload))
+                    assert response["ok"] and not response["deduped"]
+                    with lock:
+                        payloads[response["job_id"]] = payload
+                    _settle(core, [response["job_id"]], timeout_s=20)
+            except Exception as exc:  # noqa: BLE001 -- asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        supervisor.start()
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [
+                threading.Thread(target=submit_many, args=(t,))
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=25)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+        finally:
+            sys.setswitchinterval(interval)
+            supervisor.stop()
+        assert len(payloads) == 200
+        for job_id, payload in payloads.items():
+            view = core.result(job_id)
+            assert view["state"] == DONE, view
+            assert view["attempts"] == 1
+            assert view["result"]["echo"] == payload
+        records, _, _ = replay_file(core.config.journal_path)
+        claims = Counter(r["job_id"] for r in records if r["type"] == "claim")
+        assert set(claims) == set(payloads)
+        assert set(claims.values()) == {1}
+        core.close()
+
+    def test_start_stop_cycles_leak_no_descriptors(self, tmp_path):
+        core = _core(tmp_path)
+
+        def cycle() -> None:
+            supervisor = self._supervisor(core)
+            supervisor.start()
+            supervisor.stop()
+            assert not supervisor._thread.is_alive()
+
+        def open_fds() -> int:
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        cycle()  # the first spawn also starts multiprocessing's helpers
+        before = open_fds()
+        for _ in range(20):
+            cycle()
+        assert open_fds() == before
+        core.close()

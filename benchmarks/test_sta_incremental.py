@@ -8,8 +8,8 @@ per query, through identical code paths):
   then a full report with cell slacks, repeated over many rounds.  The
   dirty cone is a small fraction of the graph, so the incremental side
   must win by at least 2x.
-- **period sweep**: ``quick_max_frequency``-style probes on a frozen
-  netlist.  Arrivals are period-independent, so the session propagates
+- **period sweep**: binary-search period probes on a frozen netlist
+  (STA only).  Arrivals are period-independent, so the session propagates
   once and each probe is O(endpoints); the guard is 3x.
 
 Both record their measurements in ``BENCH_sta.json`` at the repo root

@@ -765,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-retries", type=int, default=None,
                        help="retries per transient failure (default 2)")
         p.add_argument("--timeout", type=float, default=None,
-                       help="per-wave wall-clock timeout in seconds "
-                            "(parallel path only)")
+                       help="wall-clock timeout in seconds per job, from "
+                            "dispatch (parallel path only)")
         p.add_argument("--resume", action="store_true",
                        help="resume an interrupted run from its manifest; "
                             "completed cells are never rerun")

@@ -88,6 +88,7 @@ import hashlib
 import json
 import os
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -110,10 +111,10 @@ from repro.experiments.dse.space import (
 )
 from repro.experiments.faults import inject
 from repro.experiments.resilience import (
+    PoolUnavailable,
     RetryPolicy,
-    WorkerTaskError,
     call_with_retry,
-    run_jobs_with_retry,
+    settle_pool_job,
 )
 from repro.experiments.telemetry import get_telemetry, timed_stage
 from repro.flow.design import Design
@@ -701,26 +702,6 @@ def evaluate_config(
 
 
 # ----------------------------------------------------------------------
-# worker entry point (top level: picklable by spawn/fork alike)
-# ----------------------------------------------------------------------
-def _evaluate_task(cfg: DseConfig, spec: ExploreSpec, hint_index):
-    from repro.experiments.telemetry import get_telemetry, reset_telemetry
-    from repro.obs import reset_trace, trace_snapshot
-
-    reset_telemetry()
-    reset_trace(from_env=True)
-    try:
-        with inject("worker", stage="dse", design=spec.design,
-                    config=cfg.label):
-            row = evaluate_config(cfg, spec, hint_index)
-    except Exception as exc:  # noqa: BLE001 -- process boundary
-        raise WorkerTaskError.wrap(
-            exc, stage="dse", design=spec.design, config=cfg.label
-        ) from None
-    return cfg.label, row, get_telemetry().snapshot(), trace_snapshot()
-
-
-# ----------------------------------------------------------------------
 # the explorer
 # ----------------------------------------------------------------------
 def _objective_vector(row: dict, objectives) -> tuple[float, ...]:
@@ -988,8 +969,9 @@ def explore(
 ) -> ExploreReport:
     """Run one exploration end to end; quarantines failing configs.
 
-    ``jobs > 1`` fans config evaluations out in waves through
-    :func:`~repro.experiments.resilience.run_jobs_with_retry`;
+    ``jobs > 1`` fans config evaluations out in waves of ``jobs`` over
+    one worker pool (:class:`~repro.serve.supervisor.BatchPool`, with
+    ``policy`` as its per-job timeout and restart budget);
     pruning/warm-start state advances between waves.  ``resume``
     restores completed rows and recorded skips from the run-manifest
     (zero redundant flow runs); ``progress`` is an optional callable
@@ -1040,10 +1022,15 @@ def explore(
             if c.label not in rows and c.label not in skipped
         ]
         wave_size = max(1, jobs)
+        pool = None
+        if jobs > 1:
+            from repro.serve.supervisor import BatchPool
+
+            pool = BatchPool(min(jobs, max(1, len(pending))), policy)
 
         with span(
             "dse", design=spec.design, configs=len(configs), jobs=jobs
-        ):
+        ), pool or nullcontext():
             while pending:
                 wave: list[DseConfig] = []
                 hints: dict[str, int | None] = {}
@@ -1072,7 +1059,7 @@ def explore(
                     break
 
                 wave_rows = _run_wave(
-                    wave, spec, hints, jobs=jobs, policy=policy, failed=failed
+                    wave, spec, hints, pool=pool, policy=policy, failed=failed
                 )
                 for label, row in wave_rows.items():
                     rows[label] = row
@@ -1114,45 +1101,36 @@ def _run_wave(
     spec: ExploreSpec,
     hints: dict[str, int | None],
     *,
-    jobs: int,
+    pool,
     policy: RetryPolicy,
     failed: dict[str, dict],
 ) -> dict[str, dict]:
-    """Evaluate one wave of configs (parallel when it pays)."""
+    """Evaluate one wave of configs (on the pool when it pays)."""
     results: dict[str, dict] = {}
-    if jobs > 1 and len(wave) > 1:
-        from repro.experiments.parallel import _pool_factory
-        from repro.experiments.resilience import PoolUnavailable
-        from repro.obs import attach_subtree
-
-        tasks = {
-            cfg.label: (cfg, spec, hints.get(cfg.label)) for cfg in wave
-        }
-        try:
-            raw, wave_failures = run_jobs_with_retry(
-                tasks,
-                _evaluate_task,
-                pool_factory=_pool_factory,
-                jobs=min(jobs, len(wave)),
-                policy=policy,
-                describe=lambda label: ("dse", spec.design, label),
-            )
-        except PoolUnavailable as exc:
-            _log.warning(
-                "worker pool unavailable (%s); evaluating wave serially", exc
-            )
-            raw, wave_failures = {}, {}
-            _run_wave_serial(wave, spec, hints, policy, results, failed)
-            return results
-        telemetry = get_telemetry()
-        for label, (_label, row, snapshot, trace) in raw.items():
-            results[label] = row
-            telemetry.merge(snapshot)
-            attach_subtree(trace, worker=f"dse:{label}")
-        for label, cell in wave_failures.items():
-            failed[label] = cell.to_dict()
+    if pool is None or len(wave) < 2:
+        _run_wave_serial(wave, spec, hints, policy, results, failed)
         return results
-    _run_wave_serial(wave, spec, hints, policy, results, failed)
+    try:
+        done, errors = pool.run({
+            f"dse:{cfg.label}": ("dse", {
+                "design": spec.design, "config": cfg.label, "cfg": cfg,
+                "explore": spec, "hint": hints.get(cfg.label),
+            })
+            for cfg in wave
+        })
+    except PoolUnavailable as exc:
+        _log.warning(
+            "worker pool unavailable (%s); evaluating wave serially", exc
+        )
+        _run_wave_serial(wave, spec, hints, policy, results, failed)
+        return results
+    for cfg in wave:
+        row, failure = settle_pool_job(
+            f"dse:{cfg.label}", done, errors,
+            rescue=lambda c=cfg: evaluate_config(c, spec, hints.get(c.label)),
+            policy=policy, stage="dse", design=spec.design, config=cfg.label,
+        )
+        _record_row(cfg, row, failure, results, failed)
     return results
 
 
@@ -1170,12 +1148,15 @@ def _run_wave_serial(
             policy=policy, stage="dse",
             design=spec.design, config=cfg.label,
         )
-        if failure is not None:
-            failed[cfg.label] = failure.to_dict()
-            _log.warning(
-                "quarantined dse config %s after %d attempt(s): %s: %s",
-                cfg.label, failure.attempts,
-                failure.error_type, failure.message,
-            )
-            continue
-        results[cfg.label] = value
+        _record_row(cfg, value, failure, results, failed)
+
+
+def _record_row(cfg: DseConfig, row, failure, results, failed) -> None:
+    if failure is None:
+        results[cfg.label] = row
+        return
+    failed[cfg.label] = failure.to_dict()
+    _log.warning(
+        "quarantined dse config %s after %d attempt(s): %s: %s",
+        cfg.label, failure.attempts, failure.error_type, failure.message,
+    )

@@ -2,14 +2,14 @@
 
 The matrix engine distinguishes two failure families:
 
-**Transient** failures are environmental: a worker process died
-(``BrokenProcessPool``), the pool could not ship a task
-(``PicklingError``), a job exceeded its wall-clock timeout, or the code
+**Transient** failures are environmental: a worker process died, a job
+outlived its per-job timeout, a task could not be pickled, or the code
 under execution raised an OS-level error (``OSError``, ``EOFError``,
 ``ConnectionError``, ``MemoryError``, ``TimeoutError``).  These are
-retried with capped exponential backoff -- and, on the parallel path,
-the broken pool is rebuilt and *only the affected jobs* rerun; completed
-futures are never discarded.
+retried: serially with capped exponential backoff
+(:func:`call_with_retry`), and on the worker pool
+(:class:`~repro.serve.supervisor.BatchPool`) by requeueing *only the
+affected job* within the restart budget; finished jobs are never rerun.
 
 **Deterministic** failures are the code telling us the input is bad: any
 :class:`~repro.errors.ReproError`, or any other exception the flow
@@ -18,19 +18,16 @@ deterministic computation cannot change the answer).  These are never
 retried; with ``keep_going`` the cell is *quarantined* -- recorded as a
 structured :class:`FailedCell` -- instead of poisoning the whole run.
 
-Worker exceptions cross the process boundary wrapped in
-:class:`WorkerTaskError`, which carries the original type name, message
-and classification -- so a flow-raised ``OSError`` inside a worker is
-*not* mistaken for pool breakage (it is retried in the pool, not
-degraded to the serial path).
+A pool worker classifies its job's exception itself
+(:func:`classify_job_error`) and sends the verdict back with the error's
+type name and message, so a flow-raised ``OSError`` inside a worker is
+retried as a job failure, never mistaken for the worker dying.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
@@ -43,17 +40,14 @@ __all__ = [
     "FailedCell",
     "PoolUnavailable",
     "RetryPolicy",
-    "WorkerTaskError",
     "call_with_retry",
     "classify",
-    "run_jobs_with_retry",
+    "classify_job_error",
+    "settle_pool_job",
 ]
 
 TRANSIENT = "transient"
 DETERMINISTIC = "deterministic"
-
-#: Failures of the pool machinery itself (never of the flow under it).
-POOL_BREAKAGE = (BrokenProcessPool, pickle.PicklingError)
 
 #: Exception families treated as transient when raised *by the job's own
 #: code* (in a worker or serially): environmental, so worth a retry.
@@ -66,11 +60,11 @@ _log = get_logger("resilience")
 class RetryPolicy:
     """How hard the engine fights transient failures.
 
-    ``timeout_s`` is the per-dispatch wall-clock limit of the parallel
-    path: it is measured from the moment a wave of jobs is submitted to
-    the pool, so size it to cover the slowest *legitimate* job plus any
-    queueing (jobs > workers).  The serial path cannot preempt a running
-    flow, so timeouts are not enforced there.
+    On the worker pool, ``timeout_s`` is the wall-clock limit of one job,
+    measured from its dispatch to a worker (time spent queued behind
+    other jobs does not count), and ``max_retries`` is the restart
+    budget: a job gets ``1 + max_retries`` attempts.  The serial path
+    cannot preempt a running flow, so timeouts are not enforced there.
     """
 
     max_retries: int = 2
@@ -112,7 +106,7 @@ class FailedCell:
 
     design: str
     config: str  # "*" for design-level (period-search) failures
-    stage: str  # "period_search" | "flow" | "timeout" | "pool"
+    stage: str  # "period_search" | "flow" | "dse"
     kind: str  # TRANSIENT | DETERMINISTIC
     error_type: str
     message: str
@@ -168,109 +162,30 @@ class FailedCell:
 
 
 class PoolUnavailable(Exception):
-    """Worker pool could not be constructed at all (caller goes serial)."""
+    """No pool worker could start (the caller goes serial)."""
 
 
-class WorkerTaskError(Exception):
-    """Picklable carrier for an exception raised inside a pool worker.
+def classify_job_error(exc: BaseException) -> str:
+    """How a pool worker classifies an exception its job raised.
 
-    Raising this (rather than the original exception) from the worker
-    entry point lets the parent distinguish "the flow failed" from "the
-    pool broke" -- the two demand opposite recoveries.
+    Only OS-level errors (:data:`TRANSIENT_ERRORS`) are transient, so a
+    flow-raised ``OSError`` is retried while an ``ImportError`` -- a bug,
+    not weather -- is not.
     """
-
-    def __init__(
-        self,
-        stage: str,
-        design: str,
-        config: str,
-        error_type: str,
-        message: str,
-        transient: bool,
-    ):
-        super().__init__(message)
-        self.stage = stage
-        self.design = design
-        self.config = config
-        self.error_type = error_type
-        self.message = message
-        self.transient = transient
-
-    def __reduce__(self):
-        return (
-            WorkerTaskError,
-            (
-                self.stage,
-                self.design,
-                self.config,
-                self.error_type,
-                self.message,
-                self.transient,
-            ),
-        )
-
-    def __str__(self) -> str:
-        return (
-            f"{self.error_type}: {self.message}"
-            f"  [stage={self.stage}, design={self.design},"
-            f" config={self.config}]"
-        )
-
-    @staticmethod
-    def wrap(
-        exc: BaseException, *, stage: str, design: str, config: str = "*"
-    ) -> "WorkerTaskError":
-        """Classify and box an exception raised by worker-side job code."""
-        if isinstance(exc, WorkerTaskError):
-            return exc
-        transient = not isinstance(exc, ReproError) and isinstance(
-            exc, TRANSIENT_ERRORS
-        )
-        return WorkerTaskError(
-            stage, design, config, type(exc).__name__, str(exc), transient
-        )
-
-
-def classify(exc: BaseException) -> str:
-    """``TRANSIENT`` (retry) or ``DETERMINISTIC`` (quarantine)."""
-    if isinstance(exc, WorkerTaskError):
-        return TRANSIENT if exc.transient else DETERMINISTIC
-    if isinstance(exc, ReproError):
-        return DETERMINISTIC
-    if isinstance(exc, POOL_BREAKAGE) or isinstance(exc, TRANSIENT_ERRORS):
+    if isinstance(exc, TRANSIENT_ERRORS) and not isinstance(exc, ReproError):
         return TRANSIENT
     return DETERMINISTIC
 
 
-def _failed_cell(
-    exc: BaseException,
-    *,
-    stage: str,
-    design: str,
-    config: str,
-    attempts: int,
-    keep_exception: bool = True,
-) -> FailedCell:
-    if isinstance(exc, WorkerTaskError):
-        return FailedCell(
-            design=exc.design,
-            config=exc.config,
-            stage=exc.stage,
-            kind=classify(exc),
-            error_type=exc.error_type,
-            message=exc.message,
-            attempts=attempts,
-        )
-    return FailedCell(
-        design=design,
-        config=config,
-        stage=stage,
-        kind=classify(exc),
-        error_type=type(exc).__name__,
-        message=str(exc),
-        attempts=attempts,
-        exception=exc if keep_exception else None,
-    )
+def classify(exc: BaseException) -> str:
+    """``TRANSIENT`` (retry) or ``DETERMINISTIC`` (quarantine).
+
+    :func:`classify_job_error`, plus a task that could not be pickled
+    counts as transient.
+    """
+    if isinstance(exc, pickle.PicklingError):
+        return TRANSIENT
+    return classify_job_error(exc)
 
 
 # ----------------------------------------------------------------------
@@ -315,187 +230,50 @@ def call_with_retry(
                 if delay:
                     time.sleep(delay)
                 continue
-            return None, _failed_cell(
-                exc, stage=stage, design=design, config=config,
+            return None, FailedCell(
+                design=design,
+                config=config,
+                stage=stage,
+                kind=kind,
+                error_type=type(exc).__name__,
+                message=str(exc),
                 attempts=attempt,
+                exception=exc,
             )
 
 
-# ----------------------------------------------------------------------
-# pooled execution with retry / timeout / pool rebuild
-# ----------------------------------------------------------------------
-def run_jobs_with_retry(
-    tasks: dict,
-    worker,
+def settle_pool_job(
+    label: str,
+    done: dict,
+    failed: dict,
     *,
-    pool_factory,
-    jobs: int,
+    rescue,
     policy: RetryPolicy,
-    describe,
+    stage: str,
+    design: str,
+    config: str = "*",
 ):
-    """Run ``{key: args}`` over worker processes, surviving the pool.
+    """The outcome of job ``label`` of a
+    :class:`~repro.serve.supervisor.BatchPool` batch.
 
-    ``worker`` is the picklable task function, ``pool_factory(n)``
-    builds an executor with ``n`` workers, and ``describe(key)`` returns
-    ``(stage, design, config)`` for failure records.
-
-    Completed futures are harvested even when the pool later breaks or
-    times out; transiently-failed jobs are retried (with backoff) on a
-    freshly-built pool up to ``policy.max_retries`` times.  Returns
-    ``(results, failures)`` where ``results`` maps keys to raw worker
-    return values and ``failures`` maps keys to :class:`FailedCell`.
-
-    Raises :class:`PoolUnavailable` only when the very first pool cannot
-    be constructed -- nothing has run yet, so the caller loses no work
-    by switching to the serial path.
+    ``(payload, None)`` when the job finished, ``(None, FailedCell)``
+    when it failed deterministically.  Any other job -- transient past
+    the restart budget, or stranded by a worker that could not restart
+    -- gets one serial rescue: ``call_with_retry(rescue)``, where
+    ``rescue()`` returns a payload of the job's shape.
     """
-    telemetry = get_telemetry()
-    attempts = dict.fromkeys(tasks, 0)
-    results: dict = {}
-    failures: dict = {}
-    pending = set(tasks)
-    round_no = 0
-    pool = None  # reused across rounds unless it broke or timed out
-
-    try:
-        while pending:
-            round_keys = sorted(pending)
-            if round_no > 0:
-                delay = policy.backoff(round_no - 1)
-                if delay:
-                    time.sleep(delay)
-            if pool is None and round_no > 0:
-                telemetry.pool_rebuilds += 1
-                _log.warning(
-                    "rebuilding worker pool (round %d) for %d job(s)",
-                    round_no + 1, len(round_keys),
-                )
-            if pool is None:
-                try:
-                    pool = pool_factory(min(jobs, len(round_keys)))
-                except Exception as exc:  # noqa: BLE001 -- spawn/OS failures
-                    if round_no == 0:
-                        raise PoolUnavailable(str(exc)) from exc
-                    for key in round_keys:
-                        stage, design, config = describe(key)
-                        failures[key] = _failed_cell(
-                            exc, stage="pool", design=design, config=config,
-                            attempts=attempts[key] + 1, keep_exception=False,
-                        )
-                    break
-
-            futures = {}
-            submit_failed: list = []
-            try:
-                for key in round_keys:
-                    futures[pool.submit(worker, *tasks[key])] = key
-            except Exception as exc:  # noqa: BLE001 -- broken at submit time
-                if round_no == 0 and not futures:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise PoolUnavailable(str(exc)) from exc
-                submitted = set(futures.values())
-                submit_failed = [
-                    (key, exc) for key in round_keys if key not in submitted
-                ]
-
-            round_failures: dict = {}
-            deadline = (
-                time.monotonic() + policy.timeout_s if policy.timeout_s else None
-            )
-            not_done = set(futures)
-            broken = False
-            timed_out = False
-            while not_done:
-                step = 0.05 if deadline is not None else None
-                done, not_done = wait(
-                    not_done, timeout=step, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    key = futures[future]
-                    stage, design, config = describe(key)
-                    try:
-                        results[key] = future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        if isinstance(exc, POOL_BREAKAGE):
-                            broken = True
-                            round_failures[key] = _failed_cell(
-                                exc, stage="pool", design=design, config=config,
-                                attempts=attempts[key] + 1, keep_exception=False,
-                            )
-                        else:
-                            round_failures[key] = _failed_cell(
-                                exc, stage=stage, design=design, config=config,
-                                attempts=attempts[key] + 1, keep_exception=False,
-                            )
-                if deadline is not None and not_done and time.monotonic() > deadline:
-                    timed_out = True
-                    for future in not_done:
-                        future.cancel()
-                        key = futures[future]
-                        stage, design, config = describe(key)
-                        telemetry.timeouts += 1
-                        _log.warning(
-                            "job %s/%s exceeded %.1fs timeout; abandoning attempt",
-                            design, config, policy.timeout_s,
-                        )
-                        round_failures[key] = FailedCell(
-                            design=design, config=config, stage="timeout",
-                            kind=TRANSIENT, error_type="TimeoutError",
-                            message=(
-                                f"no result within {policy.timeout_s:.1f}s"
-                            ),
-                            attempts=attempts[key] + 1,
-                        )
-                    not_done = set()
-            if timed_out or broken or submit_failed:
-                # The pool is unusable (hung or crashed workers): tear it
-                # down now; the next round builds a fresh one.
-                _shutdown_pool(pool, kill=True)
-                pool = None
-
-            for key, exc in submit_failed:
-                stage, design, config = describe(key)
-                round_failures[key] = _failed_cell(
-                    exc, stage="pool", design=design, config=config,
-                    attempts=attempts[key] + 1, keep_exception=False,
-                )
-
-            pending = set()
-            for key, cell in round_failures.items():
-                attempts[key] = cell.attempts
-                if cell.kind == TRANSIENT and attempts[key] <= policy.max_retries:
-                    telemetry.retries += 1
-                    _log.warning(
-                        "retrying %s/%s (attempt %d/%d): %s",
-                        cell.design, cell.config, attempts[key] + 1,
-                        policy.max_retries + 1, cell.message,
-                    )
-                    pending.add(key)
-                else:
-                    failures[key] = cell
-            round_no += 1
-    except BaseException:
-        # Interrupt (SIGINT/SIGTERM via KeyboardInterrupt/SystemExit) or
-        # an unexpected crash mid-round: never leave worker processes
-        # running behind an exiting parent -- an orphaned pool keeps
-        # burning CPU and can double-run cells the caller will retry.
-        if pool is not None:
-            _shutdown_pool(pool, kill=True)
-        raise
-    if pool is not None:
-        _shutdown_pool(pool, kill=False)
-    return results, failures
-
-
-def _shutdown_pool(pool, *, kill: bool) -> None:
-    """Tear a pool down; with ``kill``, terminate hung workers too."""
-    if not kill:
-        pool.shutdown(wait=True)
-        return
-    procs = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:  # noqa: BLE001 -- best-effort cleanup
-            pass
+    if label in done:
+        return done[label], None
+    error = failed.get(label)
+    if error is not None and error.get("kind") == DETERMINISTIC:
+        return None, FailedCell.from_dict({
+            **error, "design": design, "config": config, "stage": stage,
+            "attempts": error.get("attempt", 1),
+        })
+    _log.warning(
+        "%s %s/%s did not finish in the worker pool; retrying serially",
+        stage, design, config,
+    )
+    return call_with_retry(
+        rescue, policy=policy, stage=stage, design=design, config=config
+    )

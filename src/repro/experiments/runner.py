@@ -18,14 +18,14 @@ Flow runs are seconds-to-minutes, so results are cached at two levels:
   the next pytest session, CLI call, or example script -- warm starts
   without running a single flow.  Disable with ``REPRO_CACHE=0``.
 
-Independent matrix cells can fan out over worker processes
-(:mod:`repro.experiments.parallel`); pass ``jobs=`` to
-:func:`run_matrix` or set ``$REPRO_JOBS``.  Cache traffic and flow
-executions are counted by :mod:`repro.experiments.telemetry`.
+Independent matrix cells can fan out over worker processes (the
+serving pool, :class:`~repro.serve.supervisor.BatchPool`); pass
+``jobs=`` to :func:`run_matrix` or set ``$REPRO_JOBS``.  Cache traffic
+and flow executions are counted by :mod:`repro.experiments.telemetry`.
 
 Failure semantics (:mod:`repro.experiments.resilience`): transient
-failures (worker crash, hang past the timeout, OS-level errors) are
-retried with capped exponential backoff; deterministic failures (any
+failures (worker crash, hang past the per-job timeout, OS-level errors)
+are retried; deterministic failures (any
 :class:`~repro.errors.ReproError`) are never retried.  With
 ``keep_going=True`` a failing cell is *quarantined* -- recorded as a
 structured :class:`~repro.experiments.resilience.FailedCell` on
@@ -46,10 +46,11 @@ from repro.experiments import cache
 from repro.experiments.configs import CONFIG_NAMES, configurations
 from repro.experiments.faults import inject
 from repro.experiments.resilience import (
-    DETERMINISTIC,
     FailedCell,
+    PoolUnavailable,
     RetryPolicy,
     call_with_retry,
+    settle_pool_job,
 )
 from repro.experiments.telemetry import get_telemetry, timed_stage
 from repro.flow.design import Design
@@ -60,6 +61,7 @@ from repro.netlist.generators import DESIGN_NAMES
 from repro.obs import add_span_event, emit_metric, span
 
 __all__ = [
+    "default_jobs",
     "default_scale",
     "clear_memory_caches",
     "EvaluationMatrix",
@@ -91,6 +93,15 @@ _result_cache: dict[
 def default_scale() -> float:
     """Netlist scale used by benchmarks; override with $REPRO_SCALE."""
     return float(os.environ.get("REPRO_SCALE", "0.5"))
+
+
+def default_jobs() -> int:
+    """Worker count: ``$REPRO_JOBS`` (default 1 = serial)."""
+    try:
+        jobs = int(os.environ.get("REPRO_JOBS", "1"))
+    except ValueError:
+        return 1
+    return max(1, jobs)
 
 
 def clear_memory_caches() -> None:
@@ -459,13 +470,13 @@ def run_matrix(
 
     ``jobs`` (default ``$REPRO_JOBS``, else 1) fans the per-design
     period searches and then all independent cells out over worker
-    processes; if no pool can be built at all, the serial path takes
-    over and produces identical results.
+    processes; if no worker can start, the serial path takes over and
+    produces identical results.
 
     Resilience: transient failures (worker crash, hang past
-    ``timeout_s``, OS-level errors) are retried up to ``max_retries``
-    times with capped exponential backoff, rebuilding the pool when it
-    broke -- completed cells are never discarded or rerun.
+    ``timeout_s`` -- per job, from its dispatch -- OS-level errors) are
+    retried up to ``max_retries`` times, on a fresh worker when the old
+    one died -- completed cells are never discarded or rerun.
     Deterministic failures (any :class:`~repro.errors.ReproError`) are
     quarantined when ``keep_going`` is true: the matrix completes
     partially, with structured records on ``matrix.failed``.  With
@@ -481,8 +492,6 @@ def run_matrix(
     (the individual ``keep_going``/``max_retries``/``timeout_s``
     arguments refine whichever policy is in effect).
     """
-    from repro.experiments.parallel import default_jobs, run_matrix_parallel
-
     scale = default_scale() if scale is None else scale
     jobs = default_jobs() if jobs is None else jobs
     policy = (policy or RetryPolicy()).with_overrides(
@@ -506,7 +515,7 @@ def run_matrix(
 
         try:
             with span("matrix", scale=scale, seed=seed, jobs=jobs):
-                if jobs > 1 and run_matrix_parallel(
+                if jobs > 1 and _run_matrix_pool(
                     matrix,
                     designs=designs,
                     config_names=config_names,
@@ -589,3 +598,119 @@ def _run_matrix_serial(
             _store_run_manifest(
                 manifest_key, matrix, designs, config_names, complete=False
             )
+
+
+def _run_matrix_pool(
+    matrix: EvaluationMatrix,
+    *,
+    designs: tuple[str, ...],
+    config_names: tuple[str, ...],
+    jobs: int,
+    policy: RetryPolicy,
+) -> bool:
+    """Fill ``matrix`` on one worker pool, in two batches.
+
+    The per-design period searches run first, then every cell the
+    caches cannot serve.  Workers write the disk cache; the parent
+    seeds its memory caches with what they return.  A job the pool
+    could not finish gets one serial rescue (:func:`settle_pool_job`)
+    before it is quarantined.  Returns ``False`` when no worker could
+    start, so :func:`run_matrix` runs its serial loop instead; results
+    are identical either way.
+    """
+    from repro.serve.supervisor import BatchPool
+
+    scale, seed = matrix.scale, matrix.seed
+    workers = min(jobs, len(designs) * len(config_names))
+    try:
+        with BatchPool(workers, policy) as pool:
+            need = [d for d in designs if d not in matrix.target_periods]
+            done, failed = pool.run({
+                f"period_search:{name}": (
+                    "sweep", {"design": name, "scale": scale, "seed": seed}
+                )
+                for name in need
+            })
+            for name in need:
+                payload, failure = settle_pool_job(
+                    f"period_search:{name}", done, failed,
+                    rescue=lambda name=name: {
+                        "period_ns": find_target_period(
+                            name, scale=scale, seed=seed
+                        )
+                    },
+                    policy=policy, stage="period_search", design=name,
+                )
+                if failure is not None:
+                    matrix.record_period_failure(name, failure)
+                    continue
+                matrix.target_periods[name] = payload["period_ns"]
+                _period_cache[(name, scale, seed)] = payload["period_ns"]
+
+            cold: list[tuple[str, str, float]] = []
+            for design_name in designs:
+                period = matrix.target_periods.get(design_name)
+                if period is None:
+                    continue  # period search quarantined this design's row
+                for config_name in config_names:
+                    design, result = _lookup_cached(
+                        design_name, config_name, period, scale, seed
+                    )
+                    if result is None:
+                        cold.append((design_name, config_name, period))
+                        continue
+                    matrix.results[(design_name, config_name)] = result
+                    if design is not None:
+                        matrix.designs[(design_name, config_name)] = design
+            done, failed = pool.run({
+                f"{d}:{c}": ("flow", {
+                    "design": d, "config": c, "period_ns": p,
+                    "scale": scale, "seed": seed,
+                })
+                for d, c, p in cold
+            })
+            for d, c, p in cold:
+                payload, failure = settle_pool_job(
+                    f"{d}:{c}", done, failed,
+                    rescue=lambda d=d, c=c, p=p: {
+                        "result": run_configuration(
+                            d, c, period_ns=p, scale=scale, seed=seed
+                        )[1].to_dict()
+                    },
+                    policy=policy, stage="flow", design=d, config=c,
+                )
+                if failure is not None:
+                    matrix.record_cell_failure((d, c), failure)
+                    continue
+                result = FlowResult.from_dict(payload["result"])
+                matrix.results[(d, c)] = result
+                _result_cache[(d, c, scale, seed, p)] = (None, result)
+    except PoolUnavailable as exc:
+        _log.warning("worker pool unavailable (%s); running serially", exc)
+        return False
+    return True
+
+
+def _lookup_cached(design_name, config_name, period, scale, seed):
+    """Memory-then-disk lookup of one cell without ever running a flow."""
+    telemetry = get_telemetry()
+    key = (design_name, config_name, scale, seed, period)
+    hit = _result_cache.get(key)
+    if hit is not None:
+        telemetry.memory_hits += 1
+        telemetry.record_cell(design_name, config_name, 0.0, "memory")
+        return hit
+    if cache.cache_enabled():
+        result = cache.load_result(
+            cache.result_key(
+                design_name, config_name, scale=scale, seed=seed, period_ns=period
+            )
+        )
+        if result is not None:
+            telemetry.disk_hits += 1
+            telemetry.record_cell(design_name, config_name, 0.0, "disk")
+            _result_cache[key] = (None, result)
+            return None, result
+        # A miss here is not counted: the worker (or the serial rescue)
+        # that actually runs the cell records it.
+    return None, None

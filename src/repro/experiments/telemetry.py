@@ -15,16 +15,17 @@ A process-global :class:`Telemetry` object accumulates, per run:
   configs skipped by dominance pruning (every skip is also logged);
 - ``memory_hits`` / ``disk_hits`` / ``disk_misses`` -- where each
   requested cell was served from;
-- ``retries`` / ``timeouts`` / ``quarantined`` / ``pool_rebuilds`` --
-  the resilience layer's activity: transient-failure retries, per-wave
-  timeouts, cells quarantined as :class:`FailedCell` records, and
-  worker-pool rebuilds after breakage;
+- ``retries`` / ``timeouts`` / ``quarantined`` / ``worker_respawns``
+  -- the resilience layer's activity: transient-failure retries, jobs
+  killed past their per-job timeout, cells quarantined as
+  :class:`FailedCell` records, and pool workers replaced after they
+  died or hung;
 - ``cell_seconds`` / ``cell_source`` -- wall time and provenance
   (``"flow"``, ``"memory"``, ``"disk"``) of every matrix cell;
 - ``stage_seconds`` -- cumulative wall time per named stage
   (``"period_search"``, ``"flow"``, ...).
 
-Worker processes of the parallel engine carry their own instance; the
+Worker processes of the worker pool carry their own instance; the
 parent merges their snapshots with :meth:`Telemetry.merge`, so the
 counters stay correct whether the matrix ran serially or fanned out.
 """
@@ -59,7 +60,7 @@ class Telemetry:
     retries: int = 0
     timeouts: int = 0
     quarantined: int = 0
-    pool_rebuilds: int = 0
+    worker_respawns: int = 0
     cell_seconds: dict[tuple[str, str], float] = field(default_factory=dict)
     cell_source: dict[tuple[str, str], str] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -97,7 +98,7 @@ class Telemetry:
         self.retries += other.retries
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
-        self.pool_rebuilds += other.pool_rebuilds
+        self.worker_respawns += other.worker_respawns
         # Worker snapshots must describe disjoint cells: the matrix
         # dispatches each (design, config) to exactly one worker.  A
         # collision means a cell was attributed twice (double-counted
@@ -140,7 +141,7 @@ class Telemetry:
             retries=d.get("retries", 0),
             timeouts=d.get("timeouts", 0),
             quarantined=d.get("quarantined", 0),
-            pool_rebuilds=d.get("pool_rebuilds", 0),
+            worker_respawns=d.get("worker_respawns", 0),
             stage_seconds=dict(d.get("stage_seconds", {})),
         )
         for design, config, v in d.get("cell_seconds", []):
@@ -166,7 +167,7 @@ class Telemetry:
             f"resilience       retries {self.retries},"
             f" timeouts {self.timeouts},"
             f" quarantined {self.quarantined},"
-            f" pool rebuilds {self.pool_rebuilds}",
+            f" worker respawns {self.worker_respawns}",
         ]
         if self.stage_seconds:
             lines.append("stage wall time:")

@@ -5,7 +5,7 @@ from repro.flow.flow2d import run_flow_2d
 from repro.flow.hetero import run_flow_hetero_3d
 from repro.flow.pin3d import run_flow_pin3d
 from repro.flow.report import FlowResult, finalize_design
-from repro.flow.synthesis import find_max_frequency, initial_sizing
+from repro.flow.synthesis import initial_sizing
 
 __all__ = [
     "Design",
@@ -14,6 +14,5 @@ __all__ = [
     "run_flow_2d",
     "run_flow_pin3d",
     "run_flow_hetero_3d",
-    "find_max_frequency",
     "initial_sizing",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pickle
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.flow.design import Design
 from repro.flow.opt import optimize_timing
@@ -33,12 +33,10 @@ from repro.netlist.core import Netlist
 from repro.netlist.generators import generate_netlist
 from repro.obs import emit_metric, span
 from repro.timing.delaycalc import DelayCalculator, FanoutWireModel
-from repro.timing.incremental import TimingSession
 
 __all__ = [
     "SynthesisStore",
     "fix_drv_violations",
-    "find_max_frequency",
     "initial_sizing",
     "synthesis_store",
     "synthesize",
@@ -305,66 +303,3 @@ def synthesize(
         emit_metric("cells", len(design.netlist.instances))
         emit_metric("cell_area_um2", design.netlist.cell_area_um2())
     return design
-
-
-def find_max_frequency(
-    flow: Callable[[float], tuple[float, float]],
-    *,
-    lo_period_ns: float = 0.20,
-    hi_period_ns: float = 3.0,
-    wns_band: tuple[float, float] = (-0.07, -0.0),
-    iterations: int = 7,
-) -> float:
-    """Binary-search the smallest period the flow can close.
-
-    ``flow(period)`` must return ``(wns, period)`` for an implementation
-    at that target.  A period *passes* when ``wns >= wns_band[0] * period``
-    (the paper's 5-7% tolerance).  Returns the smallest passing period.
-    """
-    lo, hi = lo_period_ns, hi_period_ns
-    best = hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        wns, _ = flow(mid)
-        if wns >= wns_band[0] * mid:
-            best = mid
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 0.01:
-            break
-    return best
-
-
-def quick_max_frequency(
-    netlist: Netlist,
-    design: Design,
-    calc: DelayCalculator,
-    *,
-    wns_tolerance: float = 0.06,
-    iterations: int = 8,
-    lo_period_ns: float = 0.15,
-    hi_period_ns: float = 4.0,
-) -> float:
-    """Cheap period search on a *fixed* implementation (STA only).
-
-    Used to seed the full sweep: re-running only STA at each candidate
-    period gives a lower bound on the closable period without repeating
-    placement and optimization.
-
-    Arrivals are period-independent, so the session propagates the graph
-    once and each probe below re-derives endpoint slacks in O(endpoints).
-    """
-    latencies = design.clock_latencies()
-    session = TimingSession(netlist, calc, latencies)
-    lo, hi = lo_period_ns, hi_period_ns
-    best = hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        report = session.report(mid, with_cell_slacks=False)
-        if report.wns_ns >= -wns_tolerance * mid:
-            best = mid
-            hi = mid
-        else:
-            lo = mid
-    return best

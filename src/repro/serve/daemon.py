@@ -1063,6 +1063,11 @@ class ServerCore:
         """
         self._heartbeat_age.remove(worker=worker)
 
+    def trace_label(self, job_id: str, worker: str) -> str:
+        """Supervisor hook: the ``worker=`` attribute a finished
+        attempt's spans carry in this process's trace."""
+        return f"serve:{worker}"
+
     def note_worker_pool(self, counts: dict) -> None:
         """Supervisor hook: publish ``repro_workers{state}`` gauges."""
         for state in ("idle", "busy", "booting"):

@@ -1,9 +1,22 @@
 """Worker-pool supervisor: heartbeats, hang detection, restart budgets.
 
-Each worker is a separate process (spawn context: the daemon is
-multi-threaded, and forking a threaded parent is how deadlocks are
-born) connected by a duplex pipe and a shared heartbeat timestamp.  The
-supervisor runs one thread in the daemon.  That thread sleeps in
+This is the package's one worker pool, and two kinds of caller drive it:
+
+- the serving daemon runs it on a thread of its own
+  (:meth:`Supervisor.start`).  The daemon is multi-threaded, and forking
+  a threaded parent is how deadlocks are born, so its workers start
+  with the spawn method;
+- a batch run -- ``run_matrix(jobs > 1)`` or ``explore(jobs > 1)`` --
+  drives it from the calling thread (:class:`BatchPool`, through
+  :meth:`Supervisor.drive`) over an in-memory
+  :class:`~repro.serve.queue.JobQueue` and no journal.  That caller is
+  single-threaded, so its workers start with the platform's default
+  method (fork on Linux): they inherit the caller's imports, and a
+  ``__main__`` script without an import guard is never re-run.
+
+Each worker is a separate process connected by a duplex pipe and a
+shared heartbeat timestamp, and runs every job through
+:func:`_worker_main`.  The driving thread sleeps in
 :func:`multiprocessing.connection.wait` on a wait set of
 
 - the **wake channel**, a non-blocking self-pipe that the core writes
@@ -19,8 +32,9 @@ of them is ready, or after ``HOUSEKEEPING_S`` when none is.  A step is:
 2. **reap** -- a dead worker process (crash, ``os._exit``, OOM kill) is
    replaced and its job requeued as a *transient* failure;
 3. **watchdog** -- a worker whose heartbeat went stale (the process is
-   wedged) or whose job outlived the per-job timeout (the flow is
-   hung) is killed, replaced, and its job requeued;
+   wedged) or whose job outlived the per-job timeout, measured from
+   dispatch (the flow is hung), is killed, replaced, and its job
+   requeued;
 4. **autoscale** -- grow or shrink the pool (below);
 5. **dispatch** -- idle workers claim the highest-priority pending job
    (claim journaled and fsync'd *before* the job crosses the pipe);
@@ -31,13 +45,16 @@ millisecond of the event behind it, while the housekeeping timeout
 bounds how late the clock-driven checks (heartbeat staleness, job
 timeouts, idle retirement, the gauges) can run.  Requeues and respawns
 happen inside the step, before its dispatch, so only submits -- which
-arrive on other threads -- need the wake channel.
+arrive on other threads -- need the wake channel.  A batch run submits
+everything before it drives the pool, so it has no wake channel.
 
 Requeues respect a **restart budget**: a job whose attempts exceed it
 is failed as a poison job (``crash_loop``) instead of being allowed to
-take the pool down forever -- the serving analog of the batch engine's
-transient-vs-deterministic taxonomy (transient worker death retries;
-the budget converts "retries forever" into a structured failure).
+take the pool down forever.  Worker death, a hang and a transient error
+(:data:`~repro.experiments.resilience.TRANSIENT_ERRORS`) retry; a
+deterministic error fails the job at once.  A batch run takes its
+budget from ``RetryPolicy.max_retries`` and its per-job timeout from
+``RetryPolicy.timeout_s``.
 
 The pool size is adaptive between a floor (``workers``) and a ceiling
 (``max_workers``): when the pending backlog outgrows
@@ -53,10 +70,11 @@ per-worker gauge names exactly one process; retired and reaped names
 drop their gauge label sets via ``core.drop_worker``.
 
 Workers double as crash-confinement cells: they set ``PR_SET_PDEATHSIG``
-so a ``kill -9`` of the daemon kills them too (no orphan keeps burning
-CPU or double-running a flow after the daemon restarts and requeues),
-and their heartbeat thread exits the process if the parent pid changes,
-as a fallback where pdeathsig is unavailable.
+so a ``kill -9`` of the daemon or batch run kills them too (no orphan
+keeps burning CPU, double-running a flow after a restart requeues it,
+or holding a forked copy of the run-manifest lock), and their heartbeat
+thread exits the process if the parent pid changes, as a fallback where
+pdeathsig is unavailable.
 """
 
 from __future__ import annotations
@@ -64,14 +82,18 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import threading
 import time
 
 from repro.experiments.faults import inject
+from repro.experiments.resilience import PoolUnavailable
+from repro.experiments.telemetry import get_telemetry
 from repro.log import get_logger
 from repro.obs import attach_subtree
+from repro.serve.queue import JobQueue
 
-__all__ = ["Supervisor", "WorkerHandle"]
+__all__ = ["BatchPool", "Supervisor", "WorkerHandle"]
 
 _log = get_logger("serve.supervisor")
 
@@ -88,7 +110,6 @@ def _set_pdeathsig() -> None:
     """Ask Linux to SIGKILL this worker when its parent dies."""
     try:
         import ctypes
-        import signal
 
         PR_SET_PDEATHSIG = 1
         libc = ctypes.CDLL(None, use_errno=True)
@@ -114,10 +135,11 @@ def _heartbeat_loop(name, heartbeat, parent_pid, interval_s, stop):
 def _execute_job(kind: str, spec: dict, attempt: int) -> dict:
     """Run one job body; returns its JSON-safe result payload.
 
-    Flow, sweep and matrix jobs release the runner's in-process caches
-    when they end.  The daemon deduplicates resubmits by job key, so the
-    worker never reads those entries back; kept, they would pin every
-    finished job's placed design for the worker's whole life.
+    Flow, sweep, matrix and dse jobs release the runner's in-process
+    caches when they end.  The daemon deduplicates resubmits by job key
+    and a batch run never resubmits a finished job, so the worker never
+    reads those entries back; kept, they would pin every finished job's
+    placed design for the worker's whole life.
     """
     if kind == "probe":
         from repro.experiments.faults import FaultInjected
@@ -157,6 +179,12 @@ def _execute_flow_job(kind: str, spec: dict, attempt: int) -> dict:
             seed=spec["seed"],
         )
         return {"result": result.to_dict()}
+    if kind == "dse":
+        # Batch-only: the spec crosses the pipe, never the journal, so
+        # it carries the config and exploration objects as they are.
+        from repro.experiments.dse.search import evaluate_config
+
+        return evaluate_config(spec["cfg"], spec["explore"], spec["hint"])
     # matrix: serial inside the worker (no nested pools); interrupted
     # attempts resume through the run-manifest + content-addressed cache,
     # so a requeued matrix never re-executes a completed cell.
@@ -233,14 +261,9 @@ def _worker_main(
     forward_spans: bool = True,
 ):
     """Worker entry point: loop on jobs from the pipe until told to stop."""
-    from repro.errors import ReproError
     from repro.experiments.faults import inject
-    from repro.experiments.resilience import (
-        DETERMINISTIC,
-        TRANSIENT,
-        TRANSIENT_ERRORS,
-    )
-    from repro.experiments.telemetry import get_telemetry, reset_telemetry
+    from repro.experiments.resilience import classify_job_error
+    from repro.experiments.telemetry import reset_telemetry
     from repro.log import init_from_env
     from repro.obs import (
         add_span_observer,
@@ -250,6 +273,8 @@ def _worker_main(
         trace_snapshot,
     )
 
+    # The worker inherits the SIGINT block its parent holds across start.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _set_pdeathsig()
     init_from_env()
     stop = threading.Event()
@@ -278,20 +303,20 @@ def _worker_main(
             forwarder = _span_forwarder(conn, job_id)
             add_span_observer(forwarder)
         try:
-            with inject("worker", stage=kind, job=job_id, worker=name):
+            with inject(
+                "worker", stage=kind, job=job_id, worker=name,
+                design=spec.get("design"), config=spec.get("config"),
+            ):
                 payload = _execute_job(kind, spec, attempt)
             reply = {"job_id": job_id, "status": "done", "payload": payload}
         except Exception as exc:  # noqa: BLE001 -- process boundary
-            transient = not isinstance(exc, ReproError) and isinstance(
-                exc, TRANSIENT_ERRORS
-            )
             reply = {
                 "job_id": job_id,
                 "status": "failed",
                 "error": {
                     "error_type": type(exc).__name__,
                     "message": str(exc),
-                    "kind": TRANSIENT if transient else DETERMINISTIC,
+                    "kind": classify_job_error(exc),
                     "attempt": attempt,
                     "worker": name,
                 },
@@ -351,7 +376,14 @@ class WorkerHandle:
             daemon=True,
             name=f"repro-serve-{self.name}",
         )
-        self.proc.start()
+        # SIGINT is held across the fork: its KeyboardInterrupt would
+        # otherwise be raised inside an at-fork callback, where CPython
+        # reports and drops it, and the interrupted run would go on.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         child_conn.close()
         self.conn = parent_conn
         self.job_id = None
@@ -432,7 +464,7 @@ class Supervisor:
         self.job_timeout_s = job_timeout_s
         self.restart_budget = restart_budget
         self.forward_spans = forward_spans
-        self.ctx = multiprocessing.get_context("spawn")
+        self.ctx = None  # chosen by how the pool is driven (see _boot)
         self.workers: list[WorkerHandle] = []
         self._draining = False
         self._stop = threading.Event()
@@ -479,20 +511,56 @@ class Supervisor:
         # (a test double) is served on the housekeeping timeout.
         if hasattr(self.core, "on_pending"):
             self.core.on_pending = self.wake
-        self.workers = [
-            WorkerHandle(
-                self._next_name(), self.ctx, self.heartbeat_s,
-                self.forward_spans,
-            )
-            for _ in range(self.workers_wanted)
-        ]
-        for handle in self.workers:
-            self._lifecycle("worker_boot", worker=handle.name)
+        self._boot(multiprocessing.get_context("spawn"))
         self._publish_pool()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-supervisor", daemon=True
         )
         self._thread.start()
+
+    def _boot(self, ctx) -> None:
+        """Start the floor of workers with start method ``ctx``.
+
+        Workers join ``self.workers`` as they start, so a failed boot
+        leaves the started ones where the caller's cleanup finds them.
+        """
+        self.ctx = ctx
+        while len(self.workers) < self.workers_wanted:
+            self.workers.append(
+                WorkerHandle(
+                    self._next_name(), ctx, self.heartbeat_s,
+                    self.forward_spans,
+                )
+            )
+        for handle in self.workers:
+            self._lifecycle("worker_boot", worker=handle.name)
+
+    def drive(self) -> None:
+        """Run the core's jobs to completion on the calling thread.
+
+        The batch form of :meth:`start`: no loop thread and no wake
+        channel, and workers start with the platform's default method
+        (see the module docstring).  Returns once no job is pending or
+        running, leaving the workers up for the next batch; :meth:`stop`
+        ends them.  On any exception -- a ``KeyboardInterrupt``, or an
+        ``OSError`` from a worker that could not start -- the workers
+        are killed before it propagates, and the next call boots afresh.
+        """
+        try:
+            if not self.workers:
+                self._boot(multiprocessing.get_context())
+            while True:
+                self.tick()
+                if not self._pending_jobs() and all(
+                    handle.idle for handle in self.workers
+                ):
+                    return
+                self._wait_for_event()
+        except BaseException:
+            for handle in self.workers:
+                handle.kill()
+            self.workers = []
+            raise
 
     def _run(self) -> None:
         try:
@@ -515,7 +583,7 @@ class Supervisor:
     def _wait_for_event(self) -> None:
         """Block until the next tick is due: a wake, a reply from a busy
         worker or a worker exit, else the housekeeping timeout."""
-        waitables = [self._wake_r]
+        waitables = [] if self._wake_r is None else [self._wake_r]
         for handle in self.workers:
             waitables.append(handle.proc.sentinel)
             # A killed handle's pipe is closed until its respawn.
@@ -710,7 +778,9 @@ class Supervisor:
         telemetry = reply.get("telemetry")
         trace = reply.get("trace")
         if trace:
-            attach_subtree(trace, worker=f"serve:{handle.name}")
+            attach_subtree(
+                trace, worker=self.core.trace_label(job_id, handle.name)
+            )
         if reply.get("status") == "done":
             self.core.finish_job(
                 job_id, reply.get("payload"), telemetry, trace=trace
@@ -864,3 +934,115 @@ class Supervisor:
                 self._requeue_or_poison(
                     job.job_id, reason="worker pipe broke at dispatch"
                 )
+
+
+# ----------------------------------------------------------------------
+# batch runs: one Supervisor driven from the calling thread
+# ----------------------------------------------------------------------
+#: Heartbeat interval of batch workers (stale after 3x): the daemon's
+#: default.
+BATCH_HEARTBEAT_S = 1.0
+
+
+class BatchPool:
+    """One Supervisor for one ``run_matrix`` or ``explore`` call.
+
+    Runs batches of ``{label: (kind, spec)}`` jobs on workers that
+    outlive each batch, so a matrix's period searches and its cells use
+    the same workers; leaving the ``with`` block stops them.  The pool
+    is its Supervisor's core: it keeps the in-memory queue, merges every
+    attempt's telemetry into this process's, and labels each stitched
+    trace subtree with its job's label.  ``policy.timeout_s`` is the
+    per-job timeout, measured from dispatch, and ``policy.max_retries``
+    the restart budget.
+    """
+
+    def __init__(self, workers: int, policy) -> None:
+        self.queue = JobQueue()
+        self._labels: dict[str, str] = {}
+        self._done: dict[str, dict] = {}
+        self._failed: dict[str, dict] = {}
+        self.supervisor = Supervisor(
+            self,
+            workers=workers,
+            heartbeat_s=BATCH_HEARTBEAT_S,
+            job_timeout_s=policy.timeout_s or 0.0,
+            restart_budget=policy.max_retries,
+            forward_spans=False,
+        )
+
+    def __enter__(self) -> "BatchPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.supervisor.stop()
+
+    def run(self, jobs: dict[str, tuple[str, dict]]) -> tuple[dict, dict]:
+        """Run one batch; returns ``(payloads, errors)`` keyed by label.
+
+        An error is the worker's structured failure: deterministic, or
+        a transient ``CrashLoop`` once the restart budget is spent.  A
+        job in neither dict lost its worker to a failed restart and is
+        left to the caller's serial path.  Raises
+        :class:`~repro.experiments.resilience.PoolUnavailable` when no
+        worker could start and nothing finished.
+        """
+        if not jobs:
+            return {}, {}
+        # A fresh queue per batch: drive() returns only with every
+        # worker idle, so no reply can arrive for an earlier batch.
+        self.queue = JobQueue()
+        self._labels, self._done, self._failed = {}, {}, {}
+        for label, (kind, spec) in jobs.items():
+            job = self.queue.add(self.queue.make_job(kind, spec, label, 0))
+            self._labels[job.job_id] = label
+        try:
+            self.supervisor.drive()
+        except OSError as exc:
+            if not self._done and not self._failed:
+                raise PoolUnavailable(str(exc)) from exc
+            _log.warning(
+                "worker pool failed (%s); %d job(s) left for the serial path",
+                exc, len(jobs) - len(self._done) - len(self._failed),
+            )
+        return self._done, self._failed
+
+    # -- the core interface the Supervisor drives ----------------------
+    def job(self, job_id: str):
+        return self.queue.jobs.get(job_id)
+
+    def claim_job(self, worker: str):
+        job = self.queue.next_pending()
+        if job is None:
+            return None
+        return self.queue.mark_claimed(job.job_id, worker)
+
+    def trace_label(self, job_id: str, worker: str) -> str:
+        return self._labels[job_id]
+
+    def finish_job(self, job_id: str, payload, telemetry=None, trace=None) -> None:
+        self.queue.mark_done(job_id, payload)
+        self._done[self._labels[job_id]] = payload
+        self._merge(telemetry)
+
+    def fail_job(self, job_id: str, error: dict, telemetry=None, trace=None) -> None:
+        self.queue.mark_failed(job_id, error)
+        self._failed[self._labels[job_id]] = error
+        self._merge(telemetry)
+
+    def requeue_job(self, job_id: str, reason: str, telemetry=None) -> None:
+        self.queue.mark_requeued(job_id)
+        get_telemetry().retries += 1
+        _log.warning("retrying %s: %s", self._labels[job_id], reason)
+        self._merge(telemetry)
+
+    def stats_bump(self, counter: str) -> None:
+        if counter == "worker_respawns":
+            get_telemetry().worker_respawns += 1
+        elif counter == "hangs_detected":
+            get_telemetry().timeouts += 1
+
+    @staticmethod
+    def _merge(telemetry) -> None:
+        if telemetry:
+            get_telemetry().merge(telemetry)

@@ -380,6 +380,35 @@ def test_parallel_sweep_matches_serial_front(fresh_cache, monkeypatch):
     assert parallel.front_json() == serial.front_json()
 
 
+def test_parallel_sweep_survives_a_worker_crash(fresh_cache, monkeypatch):
+    """A pool worker that dies mid-sweep is replaced and its config
+    rerun: the front is still the serial one."""
+    from repro.experiments import faults
+    from repro.experiments.resilience import RetryPolicy
+
+    spec = tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
+        tier_caps=(0.25,), fm_tolerances=(0.10,),
+    ))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / "serial"))
+    serial = explore(spec)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / "parallel"))
+    # The claim files make times=1 count across worker processes.
+    monkeypatch.setenv("REPRO_FAULTS_STATE", str(fresh_cache / "faults"))
+    monkeypatch.setenv("REPRO_FAULTS", "site=worker,kind=exit,times=1")
+    faults.reset_fault_state()
+    reset_telemetry()
+    try:
+        parallel = explore(spec, jobs=2, policy=RetryPolicy(backoff_s=0.0))
+    finally:
+        faults.reset_fault_state()
+    assert parallel.ok and len(parallel.rows) == 4
+    telemetry = get_telemetry()
+    assert telemetry.worker_respawns == 1
+    assert telemetry.retries == 1
+    assert parallel.front_json() == serial.front_json()
+
+
 def test_traced_explore_names_its_bookkeeping(fresh_cache, monkeypatch):
     """Prefix seeding, publishing and the partition fingerprint run
     inside spans of their own, so ``repro profile`` attributes them

@@ -3,7 +3,7 @@
 Driven end to end by the deterministic fault-injection harness
 (:mod:`repro.experiments.faults`): worker crashes, hangs past the
 timeout, corrupt cache writes and deterministically failing cells are
-*injected* and every recovery path -- retry, pool rebuild, quarantine,
+*injected* and every recovery path -- retry, worker respawn, quarantine,
 partial-work carry, resume -- is asserted against a fault-free run.
 """
 
@@ -27,9 +27,9 @@ from repro.experiments.resilience import (
     TRANSIENT,
     FailedCell,
     RetryPolicy,
-    WorkerTaskError,
     call_with_retry,
     classify,
+    classify_job_error,
 )
 from repro.experiments.runner import (
     clear_memory_caches,
@@ -198,42 +198,17 @@ class TestClassification:
         assert classify(FaultInjected("x")) == DETERMINISTIC
 
     def test_os_level_errors_are_transient(self):
-        from concurrent.futures.process import BrokenProcessPool
-
         assert classify(OSError("x")) == TRANSIENT
-        assert classify(BrokenProcessPool("x")) == TRANSIENT
         assert classify(pickle.PicklingError("x")) == TRANSIENT
         assert classify(TimeoutError("x")) == TRANSIENT
 
     def test_arbitrary_bugs_are_deterministic(self):
         assert classify(ValueError("x")) == DETERMINISTIC
 
-    def test_worker_error_carries_its_own_classification(self):
-        transient = WorkerTaskError("flow", "aes", "3D_HET", "OSError", "m", True)
-        deterministic = WorkerTaskError(
-            "flow", "aes", "3D_HET", "PlacementError", "m", False
-        )
-        assert classify(transient) == TRANSIENT
-        assert classify(deterministic) == DETERMINISTIC
-
-    def test_wrap_classifies_flow_oserror_as_transient_not_pool(self):
-        wrapped = WorkerTaskError.wrap(
-            OSError("disk hiccup"), stage="flow", design="aes", config="2D_9T"
-        )
-        assert wrapped.transient is True
-        assert wrapped.error_type == "OSError"
+    def test_worker_classifies_flow_oserror_as_transient(self):
+        assert classify_job_error(OSError("disk hiccup")) == TRANSIENT
         # ...but an ImportError from flow code is a bug, not weather.
-        wrapped = WorkerTaskError.wrap(
-            ImportError("no such module"), stage="flow", design="aes"
-        )
-        assert wrapped.transient is False
-
-    def test_worker_error_pickle_round_trip(self):
-        err = WorkerTaskError("flow", "aes", "3D_HET", "OSError", "m", True)
-        back = pickle.loads(pickle.dumps(err))
-        assert (back.stage, back.design, back.config) == ("flow", "aes", "3D_HET")
-        assert back.transient is True
-        assert "stage=flow" in str(back)
+        assert classify_job_error(ImportError("no such module")) == DETERMINISTIC
 
 
 class TestRetryPolicy:
@@ -457,7 +432,7 @@ class TestParallelResilience:
         telemetry = get_telemetry()
         assert telemetry.quarantined == 1
         assert telemetry.retries >= 1
-        assert telemetry.pool_rebuilds >= 1
+        assert telemetry.worker_respawns >= 1
 
     def test_completed_cells_survive_pool_death(
         self, fresh_engine, monkeypatch
@@ -478,7 +453,7 @@ class TestParallelResilience:
         assert matrix.ok
         telemetry = get_telemetry()
         assert telemetry.flows_run == len(self.CONFIGS)
-        assert telemetry.pool_rebuilds >= 1
+        assert telemetry.worker_respawns >= 1
 
     def test_flow_raised_transient_error_does_not_rebuild_pool(
         self, fresh_engine, monkeypatch
@@ -497,7 +472,7 @@ class TestParallelResilience:
         assert matrix.ok
         telemetry = get_telemetry()
         assert telemetry.retries == 1
-        assert telemetry.pool_rebuilds == 0
+        assert telemetry.worker_respawns == 0
 
     def test_deterministic_worker_failure_not_retried(
         self, fresh_engine, monkeypatch
@@ -531,6 +506,37 @@ class TestParallelResilience:
         )
         assert matrix.ok
         assert get_telemetry().timeouts == 1
+
+
+class TestPerJobTimeout:
+    def test_timeout_runs_from_dispatch_not_from_submission(
+        self, fresh_engine, monkeypatch
+    ):
+        """A dozen 0.5 s probes on two workers take about 3 s in all,
+        past the 2.5 s timeout, yet none of them is timed out: each
+        job's clock starts when a worker takes it.  A probe that really
+        hangs is still killed and retried once."""
+        from repro.serve.supervisor import BatchPool
+
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            "site=worker,design=wedged,kind=hang,seconds=60,times=1",
+        )
+        jobs = {f"p{i}": ("probe", {"seconds": 0.5}) for i in range(12)}
+        jobs["wedged"] = ("probe", {"design": "wedged"})
+        policy = RetryPolicy(
+            max_retries=2, backoff_s=0.0, timeout_s=2.5, keep_going=True
+        )
+        with BatchPool(2, policy) as pool:
+            done, failed = pool.run(jobs)
+        assert set(done) == set(jobs)
+        assert failed == {}
+        assert done["wedged"]["attempt"] == 2
+        assert all(done[f"p{i}"]["attempt"] == 1 for i in range(12))
+        telemetry = get_telemetry()
+        assert telemetry.timeouts == 1
+        assert telemetry.retries == 1
+        assert telemetry.worker_respawns == 1
 
 
 # ----------------------------------------------------------------------

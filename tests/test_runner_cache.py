@@ -245,12 +245,12 @@ class TestParallel:
             assert parallel.results[key].row() == result.row()
 
     def test_pool_failure_falls_back_to_serial(self, fresh_engine, monkeypatch):
-        import repro.experiments.parallel as par
+        from repro.serve.supervisor import WorkerHandle
 
         def broken(*args, **kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(par, "ProcessPoolExecutor", broken)
+        monkeypatch.setattr(WorkerHandle, "spawn", broken)
         matrix = run_matrix(
             designs=("aes",), config_names=("2D_12T",), scale=0.2, seed=18,
             jobs=4,
@@ -258,7 +258,7 @@ class TestParallel:
         assert ("aes", "2D_12T") in matrix.results
 
     def test_default_jobs_env(self, monkeypatch):
-        from repro.experiments.parallel import default_jobs
+        from repro.experiments.runner import default_jobs
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert default_jobs() == 1

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.configs import configurations
 from repro.flow.design import Design
 from repro.flow.synthesis import (
-    find_max_frequency,
     fix_drv_violations,
     initial_sizing,
     max_drv_load_ff,
@@ -90,29 +89,6 @@ class TestInitialSizing:
         growth12 = d12.netlist.cell_area_um2() / base12
         growth9 = d9.netlist.cell_area_um2() / base9
         assert growth9 > growth12
-
-
-class TestMaxFrequencySearch:
-    def test_monotone_flow_converges(self):
-        """Search a synthetic closure function with known max frequency."""
-
-        def flow(period):
-            wns = period - 0.8  # closes exactly at 0.8ns
-            return wns, period
-
-        best = find_max_frequency(
-            flow, lo_period_ns=0.2, hi_period_ns=3.0, iterations=10
-        )
-        # acceptance allows wns >= -7% of the period, so the search may
-        # close slightly below the exact 0.8ns crossover
-        assert 0.70 <= best <= 0.83
-
-    def test_returns_upper_bound_when_nothing_closes(self):
-        def flow(period):
-            return -1.0, period
-
-        best = find_max_frequency(flow, lo_period_ns=0.2, hi_period_ns=1.0)
-        assert best == 1.0
 
 
 class TestSynthesisStore:
@@ -220,7 +196,7 @@ class TestSynthesisStore:
 
     def test_pool_path_holds_no_store(self, monkeypatch):
         """Pool workers fork from the caller, so they must not see a store."""
-        from repro.experiments import parallel, runner
+        from repro.experiments import runner
         from repro.flow import synthesis
 
         seen = []
@@ -229,7 +205,7 @@ class TestSynthesisStore:
             seen.append(synthesis._STORE.get())
             return True
 
-        monkeypatch.setattr(parallel, "run_matrix_parallel", fake_pool)
+        monkeypatch.setattr(runner, "_run_matrix_pool", fake_pool)
         runner.run_matrix(
             designs=("aes",), config_names=("2D_12T",), scale=0.15, seed=4,
             jobs=2, target_periods={"aes": self.PERIOD},

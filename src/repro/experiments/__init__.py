@@ -9,7 +9,7 @@ from repro.experiments.runner import (
     run_configuration,
     run_matrix,
 )
-from repro.experiments.telemetry import Telemetry, get_telemetry, reset_telemetry
+from repro.experiments.telemetry import get_telemetry, reset_telemetry
 
 __all__ = [
     "CONFIG_NAMES",
@@ -22,7 +22,6 @@ __all__ = [
     "find_target_period",
     "run_configuration",
     "run_matrix",
-    "Telemetry",
     "get_telemetry",
     "reset_telemetry",
 ]

@@ -116,7 +116,7 @@ from repro.experiments.resilience import (
     call_with_retry,
     settle_pool_job,
 )
-from repro.experiments.telemetry import get_telemetry, timed_stage
+from repro.experiments.telemetry import count, get_telemetry, timed_stage
 from repro.flow.design import Design
 from repro.flow.hetero import FAST_TIER, SLOW_TIER, run_flow_hetero_3d
 from repro.flow.report import FlowResult
@@ -561,14 +561,13 @@ def _flow_at_period(
     cfg: DseConfig, spec: ExploreSpec, period_ns: float
 ) -> FlowResult:
     """One (config, period) evaluation: cache, prefix-reuse, run, store."""
-    telemetry = get_telemetry()
     rkey = _result_cache_key(cfg, spec, period_ns)
     if cache.cache_enabled():
         result = cache.load_result(rkey)
         if result is not None:
-            telemetry.disk_hits += 1
+            count("disk_hits")
             return result
-        telemetry.disk_misses += 1
+        count("disk_misses")
 
     fast_lib = spec.lattice.fast_library()
     slow_lib = build_library(cfg.slow_tracks, cfg.slow_vdd)
@@ -593,7 +592,7 @@ def _flow_at_period(
             )
         else:
             _design, result = flow()
-        telemetry.flows_run += 1
+        count("flows_run")
     if cache.cache_enabled():
         cache.store_result(rkey, result, meta=meta)
     return result
@@ -609,7 +608,6 @@ def _flow_reusing(
     partitioning (to fingerprint it), then continues from the same
     object.
     """
-    telemetry = get_telemetry()
     pkey = _prefix_cache_key(spec, period_ns)
     with span("dse_prefix_seed"):
         seeded, design = _PREFIXES.seed(pkey, tier_libs)
@@ -640,14 +638,14 @@ def _flow_reusing(
         result = cache.load_result(skey)
         resume = _SUFFIX_RESUME
     if result is not None:
-        telemetry.suffix_flows_reused += 1
+        count("suffix_flows_reused")
         emit_metric("suffix_flows_reused", 1)
     else:
         _design, result = flow(design=design, from_stage=resume)
         if skey is not None:
             cache.store_result(skey, result, meta=meta)
     if seeded:
-        telemetry.prefix_stages_reused += seeded
+        count("prefix_stages_reused", seeded)
         emit_metric("prefix_stages_reused", seeded)
     return result
 
@@ -657,7 +655,6 @@ def evaluate_config(
 ) -> dict:
     """Full evaluation of one config: period search + metrics row."""
     grid = period_grid(spec.design, spec.period_steps)
-    telemetry = get_telemetry()
     # Re-import to keep one source of truth for the WNS acceptance band.
     from repro.experiments.runner import _WNS_TOLERANCE
 
@@ -669,7 +666,7 @@ def evaluate_config(
         return memo[i]
 
     def passes(i: int) -> bool:
-        telemetry.period_probes += 1
+        count("period_probes")
         result = result_at(i)
         return result.wns_ns >= -_WNS_TOLERANCE * grid[i]
 
@@ -979,7 +976,6 @@ def explore(
     """
     spec = resolve_spec(spec)
     policy = policy or RetryPolicy()
-    telemetry = get_telemetry()
     configs, incompatible_pairs = generate_lattice(spec.lattice)
     incompatible = [
         {"label": cfg.label, "config": cfg.to_dict(), "reason": reason}
@@ -1040,7 +1036,7 @@ def explore(
                         skip = _maybe_prune(cfg, spec, rows, by_label, front)
                         if skip is not None:
                             skipped[cfg.label] = skip
-                            telemetry.dse_pruned += 1
+                            count("dse_pruned")
                             emit_metric("dse_pruned", 1)
                             _log.info(
                                 "pruned %s: bound %s (from %d neighbors)"
@@ -1091,7 +1087,7 @@ def explore(
         failed=failed,
         front_ids=_compute_front(rows, spec.objectives),
         objectives=[o.label for o in spec.objectives],
-        telemetry=telemetry.snapshot(),
+        telemetry=get_telemetry().snapshot(),
     )
     return report
 

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
-from repro.experiments.telemetry import get_telemetry
+from repro.experiments.telemetry import count
 from repro.log import get_logger
 
 __all__ = [
@@ -221,7 +221,7 @@ def call_with_retry(
             kind = classify(exc)
             if kind == TRANSIENT and attempt <= policy.max_retries:
                 delay = policy.backoff(attempt - 1)
-                get_telemetry().retries += 1
+                count("retries")
                 _log.warning(
                     "transient failure in %s (%s/%s), retry %d/%d in %.2fs: %s",
                     stage, design, config, attempt, policy.max_retries,

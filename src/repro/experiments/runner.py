@@ -52,7 +52,7 @@ from repro.experiments.resilience import (
     call_with_retry,
     settle_pool_job,
 )
-from repro.experiments.telemetry import get_telemetry, timed_stage
+from repro.experiments.telemetry import count, record_cell, timed_stage
 from repro.flow.design import Design
 from repro.flow.report import FlowResult
 from repro.flow.synthesis import synthesis_store
@@ -133,7 +133,7 @@ def find_target_period(
     mem_key = (design_name, scale, seed)
     cached = _period_cache.get(mem_key)
     if cached is not None:
-        get_telemetry().memory_hits += 1
+        count("memory_hits")
         return cached
 
     disk_key = cache.period_key(
@@ -142,10 +142,10 @@ def find_target_period(
     if cache.cache_enabled():
         from_disk = cache.load_period(disk_key)
         if from_disk is not None:
-            get_telemetry().disk_hits += 1
+            count("disk_hits")
             _period_cache[mem_key] = from_disk
             return from_disk
-        get_telemetry().disk_misses += 1
+        count("disk_misses")
 
     configs = configurations()
     lo, hi = _SWEEP_BOUNDS[design_name]
@@ -164,8 +164,8 @@ def find_target_period(
                 opt_iterations=8,
             )
             probes += 1
-            get_telemetry().period_probes += 1
-            get_telemetry().flows_run += 1
+            count("period_probes")
+            count("flows_run")
             if result.wns_ns >= -_WNS_TOLERANCE * mid:
                 best = mid
                 hi = mid
@@ -211,14 +211,13 @@ def run_configuration(
     if period_ns is None:
         period_ns = find_target_period(design_name, scale=scale, seed=seed)
 
-    telemetry = get_telemetry()
     cacheable = not kwargs
     key = (design_name, config_name, scale, seed, period_ns)
     if cacheable:
         hit = _result_cache.get(key)
         if hit is not None and (hit[0] is not None or not need_design):
-            telemetry.memory_hits += 1
-            telemetry.record_cell(design_name, config_name, 0.0, "memory")
+            count("memory_hits")
+            record_cell(design_name, config_name, 0.0, "memory")
             return hit
         if not need_design and cache.cache_enabled():
             disk_key = cache.result_key(
@@ -228,14 +227,12 @@ def run_configuration(
             start = time.perf_counter()
             result = cache.load_result(disk_key)
             if result is not None:
-                telemetry.disk_hits += 1
-                telemetry.record_cell(
-                    design_name, config_name,
-                    time.perf_counter() - start, "disk",
-                )
+                count("disk_hits")
+                seconds = time.perf_counter() - start
+                record_cell(design_name, config_name, seconds, "disk")
                 _result_cache[key] = (None, result)
                 return None, result
-            telemetry.disk_misses += 1
+            count("disk_misses")
 
     configs = configurations()
     start = time.perf_counter()
@@ -245,10 +242,8 @@ def run_configuration(
         design, result = configs[config_name].run(
             design_name, period_ns=period_ns, scale=scale, seed=seed, **kwargs
         )
-    telemetry.flows_run += 1
-    telemetry.record_cell(
-        design_name, config_name, time.perf_counter() - start, "flow"
-    )
+    count("flows_run")
+    record_cell(design_name, config_name, time.perf_counter() - start, "flow")
     if cacheable:
         _result_cache[key] = (design, result)
         cache.store_result(
@@ -323,7 +318,7 @@ class EvaluationMatrix:
     def record_cell_failure(self, key: tuple[str, str], cell: FailedCell) -> None:
         """Quarantine one cell (and count it in the telemetry)."""
         self.failed[key] = cell
-        get_telemetry().quarantined += 1
+        count("quarantined")
         add_span_event(
             "quarantined",
             stage=cell.stage,
@@ -342,7 +337,7 @@ class EvaluationMatrix:
     def record_period_failure(self, design: str, cell: FailedCell) -> None:
         """Quarantine a whole design row: its period search failed."""
         self.failed_periods[design] = cell
-        get_telemetry().quarantined += 1
+        count("quarantined")
         add_span_event(
             "quarantined",
             stage=cell.stage,
@@ -693,12 +688,11 @@ def _run_matrix_pool(
 
 def _lookup_cached(design_name, config_name, period, scale, seed):
     """Memory-then-disk lookup of one cell without ever running a flow."""
-    telemetry = get_telemetry()
     key = (design_name, config_name, scale, seed, period)
     hit = _result_cache.get(key)
     if hit is not None:
-        telemetry.memory_hits += 1
-        telemetry.record_cell(design_name, config_name, 0.0, "memory")
+        count("memory_hits")
+        record_cell(design_name, config_name, 0.0, "memory")
         return hit
     if cache.cache_enabled():
         result = cache.load_result(
@@ -707,8 +701,8 @@ def _lookup_cached(design_name, config_name, period, scale, seed):
             )
         )
         if result is not None:
-            telemetry.disk_hits += 1
-            telemetry.record_cell(design_name, config_name, 0.0, "disk")
+            count("disk_hits")
+            record_cell(design_name, config_name, 0.0, "disk")
             _result_cache[key] = (None, result)
             return None, result
         # A miss here is not counted: the worker (or the serial rescue)

@@ -1,158 +1,155 @@
-"""Lightweight instrumentation for the evaluation-matrix engine.
+"""Run counters of the evaluation-matrix engine, in the process registry.
 
-A process-global :class:`Telemetry` object accumulates, per run:
+Every count a run makes lives in the process-global metrics registry
+(:func:`repro.obs.registry.get_registry`):
 
-- ``flows_run`` / ``period_probes`` -- how many full flow executions
-  actually happened (the expensive part; a fully warm matrix run must
-  report zero);
-- ``flow_stages_run`` -- individual stage bodies executed by the staged
-  driver (:func:`repro.flow.pipeline.execute_flow`); the design-space
-  explorer's stage-prefix reuse is proven by this counter, not timing;
+- ``flows_run`` / ``period_probes`` / ``flow_stages_run`` -- full flow
+  executions, period-search probes among them, and stage bodies run by
+  :func:`repro.flow.pipeline.execute_flow` (a warm run reports zero;
+  the explorer's prefix reuse is proven by the stage count, not timing);
 - ``prefix_stages_reused`` / ``suffix_flows_reused`` / ``dse_pruned``
-  -- the explorer's perf layers: checkpointed stages served from the
-  shared prefix store instead of re-executing, post-partition flow
-  tails served whole from the partition-fingerprint cache, and lattice
-  configs skipped by dominance pruning (every skip is also logged);
+  -- the explorer's perf layers: prefix stages served from the shared
+  store, post-partition tails served from the fingerprint cache, and
+  lattice configs skipped by dominance pruning (each skip is logged);
 - ``memory_hits`` / ``disk_hits`` / ``disk_misses`` -- where each
-  requested cell was served from;
+  requested cell or period was served from;
 - ``retries`` / ``timeouts`` / ``quarantined`` / ``worker_respawns``
-  -- the resilience layer's activity: transient-failure retries, jobs
-  killed past their per-job timeout, cells quarantined as
-  :class:`FailedCell` records, and pool workers replaced after they
-  died or hung;
+  -- transient-failure retries, jobs killed past their per-job timeout
+  or hung, cells quarantined as :class:`FailedCell` records, and pool
+  workers replaced after they died or hung;
 - ``cell_seconds`` / ``cell_source`` -- wall time and provenance
   (``"flow"``, ``"memory"``, ``"disk"``) of every matrix cell;
 - ``stage_seconds`` -- cumulative wall time per named stage
   (``"period_search"``, ``"flow"``, ...).
 
-Worker processes of the worker pool carry their own instance; the
-parent merges their snapshots with :meth:`Telemetry.merge`, so the
-counters stay correct whether the matrix ran serially or fanned out.
+Counter ``name`` is the family ``repro_<name>_total``, the cells are
+the gauge ``repro_cell_seconds{design,config,source}`` and the stages
+the counter ``repro_stage_seconds_total{stage}``.  Writers look their
+family up at every write: a pool worker replaces the registry at every
+job start and ships its snapshot home, where :func:`merge_snapshot`
+folds it in, so the counters stay correct whether the matrix ran
+serially or fanned out.  :func:`get_telemetry` is a read-only view.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 
 from repro.log import get_logger
 from repro.obs import trace as _trace
+from repro.obs.registry import MetricsRegistry, get_registry, reset_registry
 
-__all__ = ["Telemetry", "get_telemetry", "reset_telemetry", "timed_stage"]
+__all__ = [
+    "COUNTERS",
+    "TelemetryView",
+    "count",
+    "get_telemetry",
+    "merge_snapshot",
+    "record_cell",
+    "record_stage",
+    "reset_telemetry",
+    "timed_stage",
+]
 
 _log = get_logger("telemetry")
 
+#: Run counter -> its registry family.
+COUNTERS = {name: f"repro_{name}_total" for name in (
+    "flows_run", "period_probes", "flow_stages_run", "prefix_stages_reused",
+    "suffix_flows_reused", "dse_pruned", "memory_hits", "disk_hits",
+    "disk_misses", "retries", "timeouts", "quarantined", "worker_respawns",
+)}
+CELL_SECONDS = "repro_cell_seconds"
+STAGE_SECONDS = "repro_stage_seconds_total"
 
-@dataclass
-class Telemetry:
-    """Counters and timings for one evaluation run."""
 
-    flows_run: int = 0
-    period_probes: int = 0
-    flow_stages_run: int = 0
-    prefix_stages_reused: int = 0
-    suffix_flows_reused: int = 0
-    dse_pruned: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    worker_respawns: int = 0
-    cell_seconds: dict[tuple[str, str], float] = field(default_factory=dict)
-    cell_source: dict[tuple[str, str], str] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to the run counter ``name`` (one of :data:`COUNTERS`)."""
+    get_registry().counter(COUNTERS[name]).inc(amount)
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def record_cell(
-        self, design: str, config: str, seconds: float, source: str
-    ) -> None:
-        """Log one matrix cell: where it came from and how long it took."""
-        self.cell_seconds[(design, config)] = seconds
-        self.cell_source[(design, config)] = source
 
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate wall time under a named stage."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+def _forget_cell(registry: MetricsRegistry, design: str, config: str):
+    """Drop a cell's report, whatever its source; returns the family."""
+    labels = ("design", "config", "source")
+    family = registry.gauge(CELL_SECONDS, labels=labels)
+    for source in ("flow", "memory", "disk"):
+        family.remove(design=design, config=config, source=source)
+    return family
 
-    # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
-    def merge(self, other: "Telemetry | dict") -> None:
-        """Fold a worker snapshot (object or ``snapshot()`` dict) in."""
-        if isinstance(other, dict):
-            other = Telemetry.from_snapshot(other)
-        self.flows_run += other.flows_run
-        self.period_probes += other.period_probes
-        self.flow_stages_run += other.flow_stages_run
-        self.prefix_stages_reused += other.prefix_stages_reused
-        self.suffix_flows_reused += other.suffix_flows_reused
-        self.dse_pruned += other.dse_pruned
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.quarantined += other.quarantined
-        self.worker_respawns += other.worker_respawns
-        # Worker snapshots must describe disjoint cells: the matrix
-        # dispatches each (design, config) to exactly one worker.  A
-        # collision means a cell was attributed twice (double-counted
-        # wall time), so make it diagnosable instead of silently keeping
-        # whichever snapshot merged last.
-        collisions = self.cell_seconds.keys() & other.cell_seconds.keys()
-        for design, config in sorted(collisions):
-            _log.warning(
-                "telemetry merge: cell %s/%s reported by more than one"
-                " source (%.2fs then %.2fs); keeping the later report",
-                design, config,
-                self.cell_seconds[(design, config)],
-                other.cell_seconds[(design, config)],
-            )
-        self.cell_seconds.update(other.cell_seconds)
-        self.cell_source.update(other.cell_source)
-        for stage, seconds in other.stage_seconds.items():
-            self.record_stage(stage, seconds)
+
+def record_cell(design: str, config: str, seconds: float, source: str) -> None:
+    """Log one matrix cell: where it came from and how long it took."""
+    family = _forget_cell(get_registry(), design, config)
+    family.labels(design=design, config=config, source=source).set(seconds)
+
+
+def record_stage(stage: str, seconds: float) -> None:
+    """Accumulate wall time under a named stage."""
+    family = get_registry().counter(STAGE_SECONDS, labels=("stage",))
+    family.labels(stage=stage).inc(seconds)
+
+
+def merge_snapshot(snapshot: dict | None) -> None:
+    """Fold a pool worker's registry snapshot (if any) into this process's.
+
+    The matrix dispatches each cell to exactly one worker, so a cell
+    reported twice was attributed twice (double-counted wall time): it
+    is logged, and only the later report is kept.
+    """
+    if not snapshot:
+        return
+    registry = get_registry()
+    mine = TelemetryView(registry).cell_seconds
+    incoming = MetricsRegistry()
+    incoming.merge(snapshot)
+    theirs = TelemetryView(incoming).cell_seconds
+    for design, config in sorted(mine.keys() & theirs.keys()):
+        _log.warning(
+            "telemetry merge: cell %s/%s reported by more than one"
+            " source (%.2fs then %.2fs); keeping the later report",
+            design, config, mine[(design, config)], theirs[(design, config)],
+        )
+        _forget_cell(registry, design, config)
+    registry.merge(snapshot)
+
+
+class TelemetryView:
+    """Read-only run counters of one registry (see :func:`get_telemetry`).
+
+    Every :meth:`snapshot` key also reads as an attribute: the counters
+    as ``int``, the cells as ``{(design, config): value}`` dicts.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self._registry = registry
+
+    def __getattr__(self, name: str):
+        if name not in (*COUNTERS, "cell_seconds", "cell_source",
+                        "stage_seconds"):
+            raise AttributeError(name)
+        value = self.snapshot()[name]
+        if name in ("cell_seconds", "cell_source"):
+            return {(d, c): v for d, c, v in value}
+        return value
+
+    def __repr__(self) -> str:
+        return f"TelemetryView({self.snapshot()!r})"
 
     def snapshot(self) -> dict:
-        """A picklable/JSON-able dict view (cell keys become lists)."""
-        d = asdict(self)
-        d["cell_seconds"] = [[k[0], k[1], v] for k, v in self.cell_seconds.items()]
-        d["cell_source"] = [[k[0], k[1], v] for k, v in self.cell_source.items()]
-        return d
+        """A JSON-able dict of every counter (cell keys become lists)."""
+        values = self._registry.values
+        out: dict = {
+            name: int(values(family).get((), 0))
+            for name, family in COUNTERS.items()
+        }
+        cells = values(CELL_SECONDS)
+        out["cell_seconds"] = [[d, c, v] for (d, c, _s), v in cells.items()]
+        out["cell_source"] = [[d, c, s] for d, c, s in cells]
+        stages = values(STAGE_SECONDS)
+        out["stage_seconds"] = {stage: v for (stage,), v in stages.items()}
+        return out
 
-    @staticmethod
-    def from_snapshot(d: dict) -> "Telemetry":
-        """Inverse of :meth:`snapshot`."""
-        t = Telemetry(
-            flows_run=d.get("flows_run", 0),
-            period_probes=d.get("period_probes", 0),
-            flow_stages_run=d.get("flow_stages_run", 0),
-            prefix_stages_reused=d.get("prefix_stages_reused", 0),
-            suffix_flows_reused=d.get("suffix_flows_reused", 0),
-            dse_pruned=d.get("dse_pruned", 0),
-            memory_hits=d.get("memory_hits", 0),
-            disk_hits=d.get("disk_hits", 0),
-            disk_misses=d.get("disk_misses", 0),
-            retries=d.get("retries", 0),
-            timeouts=d.get("timeouts", 0),
-            quarantined=d.get("quarantined", 0),
-            worker_respawns=d.get("worker_respawns", 0),
-            stage_seconds=dict(d.get("stage_seconds", {})),
-        )
-        for design, config, v in d.get("cell_seconds", []):
-            t.cell_seconds[(design, config)] = v
-        for design, config, v in d.get("cell_source", []):
-            t.cell_source[(design, config)] = v
-        return t
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
     def summary(self) -> str:
         """Multi-line human-readable report (``repro matrix --stats``)."""
         lines = [
@@ -169,35 +166,32 @@ class Telemetry:
             f" quarantined {self.quarantined},"
             f" worker respawns {self.worker_respawns}",
         ]
-        if self.stage_seconds:
+        stages = sorted(self.stage_seconds.items())
+        if stages:
             lines.append("stage wall time:")
-            for stage, seconds in sorted(self.stage_seconds.items()):
-                lines.append(f"  {stage:20s} {seconds:8.2f} s")
-        if self.cell_seconds:
+            lines += [f"  {stage:20s} {sec:8.2f} s" for stage, sec in stages]
+        cells = sorted(self._registry.values(CELL_SECONDS).items())
+        if cells:
             lines.append("cells:")
-            for key in sorted(self.cell_seconds):
-                design, config = key
-                src = self.cell_source.get(key, "?")
-                lines.append(
-                    f"  {design:8s} {config:8s} {self.cell_seconds[key]:8.2f} s"
-                    f"  [{src}]"
-                )
+            lines += [
+                f"  {design:8s} {config:8s} {sec:8.2f} s  [{source}]"
+                for (design, config, source), sec in cells
+            ]
         return "\n".join(lines)
 
 
-_telemetry = Telemetry()
+def get_telemetry() -> TelemetryView:
+    """A view of the run counters in the current process registry.
+
+    The view keeps reading the registry it was taken on, so one taken
+    before :func:`reset_telemetry` keeps its values.
+    """
+    return TelemetryView(get_registry())
 
 
-def get_telemetry() -> Telemetry:
-    """The process-global telemetry accumulator."""
-    return _telemetry
-
-
-def reset_telemetry() -> Telemetry:
-    """Zero the global accumulator (start of a run / a worker task)."""
-    global _telemetry
-    _telemetry = Telemetry()
-    return _telemetry
+def reset_telemetry() -> TelemetryView:
+    """Start a fresh process registry (start of a run / a worker job)."""
+    return TelemetryView(reset_registry())
 
 
 @contextmanager
@@ -221,4 +215,4 @@ def timed_stage(stage: str, **attrs):
             sp.duration_s if sp.is_recording
             else time.perf_counter() - start
         )
-        get_telemetry().record_stage(stage, seconds)
+        record_stage(stage, seconds)

@@ -136,12 +136,12 @@ def execute_flow(
 
     # Imported lazily (like the fault hook) to keep flow -> experiments
     # a runtime-only edge.
-    from repro.experiments.telemetry import get_telemetry
+    from repro.experiments.telemetry import count
 
     for index in range(start, len(stages)):
         stage = stages[index]
         stage.fn(ctx)
-        get_telemetry().flow_stages_run += 1
+        count("flow_stages_run")
         _maybe_corrupt(ctx, stage.name)
         if ctx.design is not None:
             enforce(ctx.design, stage=stage.name, checks=stage.checks,

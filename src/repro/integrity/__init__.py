@@ -29,12 +29,10 @@ from repro.integrity.checkpoint import (
 from repro.integrity.contracts import (
     ENV_CHECK,
     CheckMode,
-    IntegrityStats,
     current_mode,
     enforce,
-    get_integrity_stats,
+    integrity_counts,
     parse_mode,
-    reset_integrity_stats,
 )
 from repro.integrity.invariants import (
     CHECKS,
@@ -53,7 +51,6 @@ __all__ = [
     "CHECKS",
     "CheckMode",
     "ENV_CHECK",
-    "IntegrityStats",
     "InvariantViolation",
     "check_connectivity",
     "check_design",
@@ -67,11 +64,10 @@ __all__ = [
     "design_from_dict",
     "design_to_dict",
     "enforce",
-    "get_integrity_stats",
+    "integrity_counts",
     "latest_valid_checkpoint",
     "library_from_spec",
     "load_checkpoint",
     "parse_mode",
-    "reset_integrity_stats",
     "write_checkpoint",
 ]

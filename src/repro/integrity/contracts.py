@@ -23,30 +23,30 @@ happens to a violation is policy, selected by ``--check`` /
 Repairs intentionally mirror what the flow itself would do (the hooks
 call the same ``legalize_all_tiers`` / ``insert_level_shifters`` the
 stages use), so a repaired design is indistinguishable from one the
-flow produced legally.
+flow produced legally.  Boundaries checked, violations per check and
+repairs are counted in the process metrics registry
+(:func:`integrity_counts`), so pool workers' counts come home too.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError
 from repro.flow.design import Design
 from repro.integrity.invariants import InvariantViolation, check_design
 from repro.log import get_logger
 from repro.obs import emit_metric, span
+from repro.obs.registry import get_registry
 
 __all__ = [
     "ENV_CHECK",
     "CheckMode",
-    "IntegrityStats",
     "current_mode",
     "enforce",
-    "get_integrity_stats",
+    "integrity_counts",
     "parse_mode",
-    "reset_integrity_stats",
 ]
 
 ENV_CHECK = "REPRO_CHECK"
@@ -89,41 +89,22 @@ def current_mode(explicit: str | CheckMode | None = None) -> CheckMode:
     return parse_mode(raw) if raw else CheckMode.OFF
 
 
-@dataclass
-class IntegrityStats:
-    """Process-wide contract counters (mirrors ``Telemetry``'s role)."""
-
-    boundaries_checked: int = 0
-    violations: int = 0
-    repairs: int = 0
-    by_check: dict[str, int] = field(default_factory=dict)
-
-    def record(self, violations: list[InvariantViolation]) -> None:
-        self.violations += len(violations)
-        for v in violations:
-            self.by_check[v.check] = self.by_check.get(v.check, 0) + 1
-
-    def summary(self) -> str:
-        per = ", ".join(f"{k}={v}" for k, v in sorted(self.by_check.items()))
-        return (
-            f"boundaries={self.boundaries_checked} "
-            f"violations={self.violations} repairs={self.repairs}"
-            + (f" ({per})" if per else "")
-        )
+BOUNDARIES_TOTAL = "repro_integrity_boundaries_total"
+VIOLATIONS_TOTAL = "repro_integrity_violations_total"
+REPAIRS_TOTAL = "repro_integrity_repairs_total"
 
 
-_STATS = IntegrityStats()
-
-
-def get_integrity_stats() -> IntegrityStats:
-    """The process-global contract counters."""
-    return _STATS
-
-
-def reset_integrity_stats() -> None:
-    """Zero the counters (tests / worker task entry)."""
-    global _STATS
-    _STATS = IntegrityStats()
+def integrity_counts() -> dict:
+    """The contract counts in the process registry: boundaries checked,
+    violations (in total and per check) and repairs."""
+    values = get_registry().values
+    by_check = {c: int(n) for (c,), n in values(VIOLATIONS_TOTAL).items()}
+    return {
+        "boundaries_checked": int(values(BOUNDARIES_TOTAL).get((), 0)),
+        "violations": sum(by_check.values()),
+        "repairs": int(values(REPAIRS_TOTAL).get((), 0)),
+        "by_check": by_check,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -219,12 +200,14 @@ def enforce(
     if mode is CheckMode.OFF or not checks:
         return []
     with span("integrity", stage=stage, mode=mode.value):
-        stats = get_integrity_stats()
-        stats.boundaries_checked += 1
+        registry = get_registry()
+        registry.counter(BOUNDARIES_TOTAL).inc()
         violations = check_design(design, checks)
         if not violations:
             return []
-        stats.record(violations)
+        by_check = registry.counter(VIOLATIONS_TOTAL, labels=("check",))
+        for v in violations:
+            by_check.labels(check=v.check).inc()
         _report(stage, violations, mode)
 
         if mode is CheckMode.WARN:
@@ -237,7 +220,7 @@ def enforce(
             broken = {v.check for v in violations if v.repairable}
             for check in [c for c in checks if c in broken and c in REPAIRS]:
                 detail = REPAIRS[check](design)
-                stats.repairs += 1
+                registry.counter(REPAIRS_TOTAL).inc()
                 add_span_event(
                     "integrity_repair", stage=stage, check=check, detail=detail
                 )

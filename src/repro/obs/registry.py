@@ -20,17 +20,18 @@ the daemon's socket threads, supervisor thread and metric ticker can
 hammer the same registry safely; reads take the same lock and return
 plain-dict :meth:`MetricsRegistry.snapshot` views.
 
-Snapshots are the interchange format: :meth:`MetricsRegistry.merge`
-folds one in (counters/histograms add, gauges last-write-wins) --
-mirroring how ``Telemetry.merge`` folds worker counters -- and
+Snapshots are the interchange format, and the only way counts cross a
+process boundary: :meth:`MetricsRegistry.merge` folds one in
+(counters/histograms add, gauges last-write-wins), and
 :func:`render_prometheus` turns one into Prometheus text exposition
-format, so the daemon and a client holding a scraped snapshot render
-identically.  :func:`validate_prometheus` is the format check CI runs
+format.  :func:`validate_prometheus` is the format check CI runs
 against ``repro metrics --prom`` output.
 
-A process-global registry (:func:`get_registry`) mirrors the telemetry
-singleton; the daemon publishes through it and tests reset it with
-:func:`reset_registry`.
+The process-global registry (:func:`get_registry`) holds the run
+counters of :mod:`repro.experiments.telemetry` and the integrity
+contracts' counts; a pool worker resets it (:func:`reset_registry`) at
+every job start and ships its snapshot home.  The daemon's ``metrics``
+op exposes the per-``ServerCore`` registry instead.
 """
 
 from __future__ import annotations
@@ -343,13 +344,17 @@ class MetricsRegistry:
                     else:
                         child.value = float(sample.get("value", 0.0))
 
+    def values(self, name: str) -> dict[tuple[str, ...], float]:
+        """Family ``name``'s values keyed by label values, in creation
+        order; empty when nothing registered the family yet."""
+        with self._lock:
+            family = self._families.get(name)
+            children = family._children.items() if family else ()
+            return {key: child.value for key, child in children}
+
     def to_prometheus(self) -> str:
         """This registry's state in Prometheus text exposition format."""
         return render_prometheus(self.snapshot())
-
-    def to_json(self) -> dict:
-        """Alias of :meth:`snapshot` (the documented JSON export)."""
-        return self.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +440,9 @@ _SAMPLE_RE = re.compile(
 _LABEL_PAIR_RE = re.compile(
     r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$'
 )
+#: The suffixed series that may share their family's TYPE line.
+_SERIES_SUFFIXES = {"histogram": ("_bucket", "_sum", "_count"),
+                    "summary": ("_sum", "_count")}
 
 
 def validate_prometheus(text: str) -> list[str]:
@@ -456,10 +464,11 @@ def validate_prometheus(text: str) -> list[str]:
     counts: dict[tuple[str, str], float] = {}
 
     def base_of(name: str) -> str:
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in typed:
-                if typed[name[: -len(suffix)]] == "histogram":
-                    return name[: -len(suffix)]
+        """The family a sample belongs to: its own name, or the typed
+        histogram or summary whose suffixed series it is."""
+        head, _, suffix = name.rpartition("_")
+        if "_" + suffix in _SERIES_SUFFIXES.get(typed.get(head, ""), ()):
+            return head
         return name
 
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -517,9 +526,7 @@ def validate_prometheus(text: str) -> list[str]:
             continue
         base = base_of(name)
         seen_samples.add(base)
-        if base != name or name in typed:
-            pass
-        elif not any(name.startswith(t) for t in typed):
+        if base not in typed:
             problems.append(f"line {lineno}: sample {name} has no TYPE line")
         if typed.get(base) == "histogram" and name == base + "_bucket":
             le = label_map.get("le")
@@ -583,7 +590,7 @@ def _split_label_pairs(body: str) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# process-global registry (mirrors the telemetry singleton)
+# process-global registry (run counters, integrity counts)
 # ----------------------------------------------------------------------
 _registry = MetricsRegistry()
 
@@ -594,7 +601,7 @@ def get_registry() -> MetricsRegistry:
 
 
 def reset_registry() -> MetricsRegistry:
-    """Replace the global registry with a fresh one (test setup)."""
+    """Replace the global registry with a fresh one (job start, tests)."""
     global _registry
     _registry = MetricsRegistry()
     return _registry

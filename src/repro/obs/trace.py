@@ -19,8 +19,8 @@ Design constraints, in order:
    :func:`reset_trace` at task entry, trace normally, and ship
    :func:`trace_snapshot` (plain dicts) back with their result; the
    parent rebuilds the subtree with :func:`attach_subtree` under its
-   active matrix span -- mirroring how ``Telemetry.merge`` folds worker
-   counters in.
+   active matrix span -- mirroring how the parent merges the worker's
+   metrics-registry snapshot.
 4. **Deterministic modulo timestamps.**  Two runs of the same flow
    produce the same tree shape, names, attributes and metric names;
    only clock values differ (see ``Span.to_dict(strip_times=True)``).

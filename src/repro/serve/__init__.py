@@ -19,7 +19,7 @@ failure domain:
 """
 
 from repro.serve.client import ServeClient, request
-from repro.serve.daemon import ServeConfig, ServerCore, ServerStats, serve
+from repro.serve.daemon import ServeConfig, ServerCore, serve
 from repro.serve.journal import Journal, JournalError, replay_file, verify_line
 from repro.serve.protocol import (
     KINDS,
@@ -41,7 +41,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServerCore",
-    "ServerStats",
     "Supervisor",
     "job_key",
     "normalize_spec",

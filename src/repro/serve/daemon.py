@@ -47,12 +47,13 @@ finish, the journal is flushed, and the process exits 0.  Jobs still
 running at the deadline stay claimed in the journal and are requeued by
 the next start.
 
-Observability: the daemon owns a typed metrics registry
-(:mod:`repro.obs.registry`) and a best-effort event bus
-(:mod:`repro.serve.events`).  ``metrics`` returns the registry
-snapshot, ``trace JOB`` the job's incrementally-stitched span tree, and
-``subscribe`` turns the connection into a long-lived JSON-lines feed of
-job state transitions, live worker span open/close, supervisor
+Observability: every daemon counter lives in the core's typed metrics
+registry (:mod:`repro.obs.registry`); ``metrics`` returns its snapshot
+and ``stats`` reads its counters off it (finished jobs' flow counters
+stay apart, in the ``telemetry`` window).  ``trace JOB`` returns the
+job's incrementally-stitched span tree, and ``subscribe`` turns the
+connection into a long-lived JSON-lines feed (:mod:`repro.serve.events`)
+of job state transitions, live worker span open/close, supervisor
 lifecycle actions, and periodic metric summaries.  The feed is
 journaled nowhere and never blocks the daemon: each subscriber has a
 bounded queue that drops-and-counts under backpressure.
@@ -93,13 +94,13 @@ import socketserver
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.errors import ServeError
 from repro.experiments.cache import cache_dir
 from repro.experiments.faults import FaultInjected, inject
-from repro.experiments.telemetry import Telemetry
+from repro.experiments.telemetry import TelemetryView
 from repro.log import get_logger
 from repro.obs import add_span_event
 from repro.obs.registry import MetricsRegistry
@@ -115,7 +116,7 @@ from repro.serve.protocol import (
 from repro.serve.queue import DONE, EVICTED, FAILED, PENDING, JobQueue, QueueFull
 from repro.serve.supervisor import Supervisor
 
-__all__ = ["ServeConfig", "ServerCore", "ServerStats", "serve"]
+__all__ = ["ServeConfig", "ServerCore", "serve"]
 
 _log = get_logger("serve.daemon")
 
@@ -219,50 +220,28 @@ class ServeConfig:
         return self.state_dir / "daemon.pid"
 
 
-@dataclass
-class ServerStats:
-    """Daemon-side counters (the workers' flow telemetry merges apart)."""
-
-    submitted: int = 0
-    deduped: int = 0
-    completed: int = 0
-    failed: int = 0
-    requeued: int = 0
-    recovered: int = 0
-    busy_rejected: int = 0
-    draining_rejected: int = 0
-    disk_rejected: int = 0
-    shed: int = 0
-    expired: int = 0
-    evicted: int = 0
-    compactions: int = 0
-    worker_respawns: int = 0
-    hangs_detected: int = 0
-    started_s: float = field(default_factory=time.time)
-
-    def to_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "deduped": self.deduped,
-            "completed": self.completed,
-            "failed": self.failed,
-            "requeued": self.requeued,
-            "recovered": self.recovered,
-            "busy_rejected": self.busy_rejected,
-            "draining_rejected": self.draining_rejected,
-            "disk_rejected": self.disk_rejected,
-            "shed": self.shed,
-            "expired": self.expired,
-            "evicted": self.evicted,
-            "compactions": self.compactions,
-            "worker_respawns": self.worker_respawns,
-            "hangs_detected": self.hangs_detected,
-            "uptime_s": time.time() - self.started_s,
-        }
+#: ``stats`` key -> the registry family and label values it reads.
+_STATS_FAMILIES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "submitted": ("repro_submits_total", ("accepted",)),
+    "deduped": ("repro_submits_total", ("deduped",)),
+    "completed": ("repro_jobs_total", ("done",)),
+    "failed": ("repro_jobs_total", ("failed",)),
+    "requeued": ("repro_jobs_total", ("requeued",)),
+    "recovered": ("repro_jobs_total", ("recovered",)),
+    "busy_rejected": ("repro_submits_total", ("busy",)),
+    "draining_rejected": ("repro_submits_total", ("draining",)),
+    "disk_rejected": ("repro_submits_total", ("disk_pressure",)),
+    "shed": ("repro_submits_total", ("shed",)),
+    "expired": ("repro_jobs_total", ("expired",)),
+    "evicted": ("repro_jobs_total", ("evicted",)),
+    "compactions": ("repro_compactions_total", ()),
+    "worker_respawns": ("repro_worker_restarts_total", ()),
+    "hangs_detected": ("repro_worker_hangs_total", ()),
+}
 
 
 class ServerCore:
-    """Journal + queue + stats behind one lock; transport-agnostic.
+    """Journal + queue + metrics behind one lock; transport-agnostic.
 
     Every mutator follows the same order: journal (fsync'd) first, then
     memory, then acknowledgment.  A :class:`JournalError` aborts the
@@ -277,7 +256,7 @@ class ServerCore:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.stats = ServerStats()
+        self.started_s = time.time()
         self.draining = False
         self.degraded = False  # disk-pressure mode: submits rejected
         # Called when a submit leaves a job pending; a started
@@ -293,7 +272,8 @@ class ServerCore:
         self.registry = MetricsRegistry()
         self._init_metrics()
         self.bus = EventBus(
-            queue_max=config.feed_queue, backlog=config.feed_backlog
+            queue_max=config.feed_queue, backlog=config.feed_backlog,
+            registry=self.registry,
         )
         self._traces: OrderedDict[str, JobTrace] = OrderedDict()
         # Finished-job telemetry, (wall_s, snapshot) pairs pruned to the
@@ -305,7 +285,6 @@ class ServerCore:
         records = self.journal.open()
         self.queue = JobQueue(max_pending=config.queue_max)
         recovered = self.queue.restore(records)
-        self.stats.recovered = len(recovered)
         if records:
             # Startup is the one quiet moment: squash the replayed
             # history down to its live state so the file stays bounded.
@@ -352,6 +331,9 @@ class ServerCore:
             "repro_worker_restarts_total",
             "Worker processes respawned (crash, stale heartbeat, hang)",
         )
+        self._hangs_total = reg.counter(
+            "repro_worker_hangs_total", "Worker restarts caused by a hang"
+        )
         self._heartbeat_age = reg.gauge(
             "repro_heartbeat_age_seconds",
             "Seconds since each worker's last heartbeat",
@@ -381,18 +363,9 @@ class ServerCore:
             "Cumulative wall seconds per flow stage, fed from live spans",
             labels=("stage",),
         )
-        self._feed_events = reg.counter(
-            "repro_feed_events_total", "Events published on the live feed"
-        )
-        self._feed_dropped = reg.counter(
-            "repro_feed_dropped_total",
-            "Feed events dropped by full subscriber queues",
-        )
         self._feed_subscribers = reg.gauge(
             "repro_feed_subscribers", "Live subscribe connections"
         )
-        self._dropped_seen = 0  # bus drop count already folded in
-        self._published_seen = 0  # bus publish count already folded in
 
     # ------------------------------------------------------------------
     # client-facing operations
@@ -408,7 +381,6 @@ class ServerCore:
         with self._lock:
             existing = self.queue.lookup_key(key)
             if existing is not None:
-                self.stats.deduped += 1
                 self._submits_total.labels(disposition="deduped").inc()
                 return {
                     "ok": True,
@@ -417,7 +389,6 @@ class ServerCore:
                     "deduped": True,
                 }
             if self.draining:
-                self.stats.draining_rejected += 1
                 self._submits_total.labels(disposition="draining").inc()
                 return {
                     "ok": False,
@@ -426,7 +397,6 @@ class ServerCore:
                     "retry_after": self.config.retry_after_s,
                 }
             if self.degraded:
-                self.stats.disk_rejected += 1
                 self._submits_total.labels(disposition="disk_pressure").inc()
                 return {
                     "ok": False,
@@ -442,7 +412,6 @@ class ServerCore:
             except QueueFull as exc:
                 victim = self.queue.shed_candidate(priority)
                 if victim is None:
-                    self.stats.busy_rejected += 1
                     self._submits_total.labels(disposition="busy").inc()
                     return {
                         "ok": False,
@@ -472,7 +441,6 @@ class ServerCore:
                     # The disk filled between maintenance ticks: the
                     # submit was not acknowledged and must not be kept.
                     self._enter_degraded_locked(free_mb=0.0)
-                    self.stats.disk_rejected += 1
                     self._submits_total.labels(
                         disposition="disk_pressure"
                     ).inc()
@@ -484,7 +452,6 @@ class ServerCore:
                     }
                 raise
             self.queue.add(job)
-            self.stats.submitted += 1
             self._submits_total.labels(disposition="accepted").inc()
             self._update_queue_gauges()
             self.bus.publish(
@@ -557,6 +524,15 @@ class ServerCore:
                 view["result"] = job.result
             return view
 
+    def counters(self) -> dict:
+        """The ``stats`` dict: counters off the registry, plus uptime."""
+        values = self.registry.values
+        with self._lock:
+            counts = {key: int(values(family).get(labels, 0))
+                      for key, (family, labels) in _STATS_FAMILIES.items()}
+        counts["uptime_s"] = time.time() - self.started_s
+        return counts
+
     def stats_view(self) -> dict:
         with self._lock:
             return {
@@ -565,12 +541,13 @@ class ServerCore:
                 "pending": self.queue.pending_count(),
                 "running": self.queue.running_count(),
                 "jobs": len(self.queue.jobs),
-                "stats": self.stats.to_dict(),
-                "telemetry": self._windowed_telemetry().snapshot(),
+                "stats": self.counters(),
+                "telemetry": self._windowed_telemetry(),
             }
 
-    def _windowed_telemetry(self) -> Telemetry:
-        """Merge finished-job telemetry inside the reporting window.
+    def _windowed_telemetry(self) -> dict:
+        """The run counters of the finished jobs inside the reporting
+        window, merged from their registry snapshots.
 
         Called with the lock held.  Pruning happens here (reads are the
         only consumer), so a quiet daemon costs nothing.
@@ -579,13 +556,26 @@ class ServerCore:
         window = self._telemetry_window
         while window and window[0][0] < horizon:
             window.popleft()
-        merged = Telemetry()
+        merged = MetricsRegistry()
         for _ts, snap in window:
             merged.merge(snap)
-        return merged
+        return TelemetryView(merged).snapshot()
+
+    def publish_metrics(self) -> None:
+        """Publish one periodic ``metrics`` feed event, its counts read
+        off the registry (the telemetry window is left alone)."""
+        with self._lock:
+            counts = self.counters()
+            self.bus.publish(
+                "metrics", pending=self.queue.pending_count(),
+                running=self.queue.running_count(), jobs=len(self.queue.jobs),
+                completed=counts["completed"], failed=counts["failed"],
+                worker_respawns=counts["worker_respawns"],
+                feed_dropped=self.bus.dropped_total(),
+            )
 
     def _record_telemetry(self, telemetry) -> None:
-        """Append one finished job's telemetry snapshot to the window."""
+        """Append one finished job's registry snapshot to the window."""
         if telemetry:
             self._telemetry_window.append((time.time(), telemetry))
 
@@ -637,7 +627,6 @@ class ServerCore:
             "fail", job_id=victim.job_id, error=error, finished_s=now
         )
         self.queue.mark_failed(victim.job_id, error)
-        self.stats.shed += 1
         self._submits_total.labels(disposition="shed").inc()
         self._jobs_total.labels(state="shed").inc()
         self._note_terminal(now)
@@ -699,15 +688,6 @@ class ServerCore:
         with self._lock:
             self._update_queue_gauges()
             self._feed_subscribers.set(self.bus.subscriber_count())
-            # Counters only go up: fold in deltas since the last view.
-            dropped = self.bus.dropped_total()
-            if dropped > self._dropped_seen:
-                self._feed_dropped.inc(dropped - self._dropped_seen)
-                self._dropped_seen = dropped
-            published = self.bus.published
-            if published > self._published_seen:
-                self._feed_events.inc(published - self._published_seen)
-                self._published_seen = published
             return {"ok": True, "metrics": self.registry.snapshot()}
 
     def trace_view(self, job_id: str) -> dict:
@@ -740,7 +720,7 @@ class ServerCore:
             return {
                 "jobs": jobs,
                 "draining": self.draining,
-                "stats": self.stats.to_dict(),
+                "stats": self.counters(),
             }
 
     def _trace_for(self, job_id: str, kind: str = "") -> JobTrace:
@@ -803,6 +783,8 @@ class ServerCore:
         self.bus.publish("lifecycle", action=action, **clean)
         if action == "worker_restart":
             self._restarts_total.inc()
+            if clean.get("hang"):
+                self._hangs_total.inc()
         add_span_event(f"serve:{action}", **clean)
 
     # ------------------------------------------------------------------
@@ -853,7 +835,6 @@ class ServerCore:
                 "complete", job_id=job_id, result=result, finished_s=now
             )
             self.queue.mark_done(job_id, result)
-            self.stats.completed += 1
             self._jobs_total.labels(state="done").inc()
             self._note_terminal(now)
             if job.claimed_s:
@@ -876,7 +857,6 @@ class ServerCore:
                 "fail", job_id=job_id, error=error, finished_s=now
             )
             self.queue.mark_failed(job_id, error)
-            self.stats.failed += 1
             self._jobs_total.labels(state="failed").inc()
             self._note_terminal(now)
             if job.claimed_s:
@@ -903,7 +883,6 @@ class ServerCore:
                 "requeue", job_id=job_id, attempts=job.attempts, reason=reason
             )
             self.queue.mark_requeued(job_id)
-            self.stats.requeued += 1
             self._jobs_total.labels(state="requeued").inc()
             self._record_telemetry(telemetry)
             self._update_queue_gauges()
@@ -940,7 +919,6 @@ class ServerCore:
                     "fail", job_id=job.job_id, error=error, finished_s=now
                 )
                 self.queue.mark_failed(job.job_id, error)
-                self.stats.expired += 1
                 self._jobs_total.labels(state="expired").inc()
                 self._note_terminal(now)
                 self.bus.publish(
@@ -976,7 +954,6 @@ class ServerCore:
                 )
                 self.queue.evict(job.job_id, evicted_s=now)
                 self._traces.pop(job.job_id, None)
-                self.stats.evicted += 1
                 self._evictions_total.inc()
                 self._jobs_total.labels(state="evicted").inc()
                 self.bus.publish(
@@ -1003,7 +980,6 @@ class ServerCore:
             if live / total >= self.config.compact_ratio:
                 return False
             self.journal.compact(self.queue.live_records())
-            self.stats.compactions += 1
             self._compactions_total.inc()
             self.lifecycle(
                 "journal_compacted", before=total,
@@ -1074,10 +1050,6 @@ class ServerCore:
             self._workers_gauge.labels(state=state).set(
                 int(counts.get(state, 0))
             )
-
-    def stats_bump(self, counter: str) -> None:
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def start_drain(self) -> None:
         with self._lock:
@@ -1306,22 +1278,10 @@ def serve(config: ServeConfig) -> int:
             except Exception:  # noqa: BLE001 -- upkeep must outlive bugs
                 _log.exception("maintenance pass failed; continuing")
             now = time.monotonic()
-            if now - last_metrics < metrics_interval:
-                continue
-            last_metrics = now
-            if core.bus.subscriber_count() == 0:
-                continue
-            view = core.stats_view()
-            core.bus.publish(
-                "metrics",
-                pending=view["pending"],
-                running=view["running"],
-                jobs=view["jobs"],
-                completed=view["stats"]["completed"],
-                failed=view["stats"]["failed"],
-                worker_respawns=view["stats"]["worker_respawns"],
-                feed_dropped=core.bus.dropped_total(),
-            )
+            if now - last_metrics >= metrics_interval:
+                last_metrics = now
+                if core.bus.subscriber_count():
+                    core.publish_metrics()
 
     ticker_thread = threading.Thread(
         target=maintenance_ticker, name="repro-serve-maintenance", daemon=True
@@ -1333,7 +1293,7 @@ def serve(config: ServeConfig) -> int:
         _log.warning(
             "serving on %s (journal %s, %d worker(s), %d job(s) recovered)",
             config.socket_path, config.journal_path,
-            config.workers, core.stats.recovered,
+            config.workers, core.counters()["recovered"],
         )
         stop.wait()
         # --- graceful drain -------------------------------------------

@@ -36,6 +36,8 @@ import time
 from collections import deque
 from typing import Any, Iterator
 
+from repro.obs.registry import MetricsRegistry
+
 __all__ = ["EventBus", "JobTrace", "Subscriber"]
 
 
@@ -115,15 +117,25 @@ _CLOSE = object()  # sentinel waking blocked Subscriber.get() on close
 class EventBus:
     """Fan-out hub: publish to every subscriber, bounded everywhere."""
 
-    def __init__(self, queue_max: int = 256, backlog: int = 256):
+    def __init__(
+        self, queue_max: int = 256, backlog: int = 256,
+        registry: MetricsRegistry | None = None,
+    ):
         self._lock = threading.Lock()
         self._subscribers: list[Subscriber] = []
         self._backlog: deque = deque(maxlen=max(0, backlog))
         self._queue_max = queue_max
         self._seq = 0
-        self.published = 0
-        self.dropped = 0
         self._closed = False
+        # Counted in the owner's registry (the daemon's ``metrics``).
+        registry = MetricsRegistry() if registry is None else registry
+        self._published = registry.counter(
+            "repro_feed_events_total", "Events published on the live feed"
+        )
+        self._dropped = registry.counter(
+            "repro_feed_dropped_total",
+            "Feed events dropped by full subscriber queues",
+        )
 
     def publish(self, event_kind: str, **fields: Any) -> dict[str, Any]:
         """Stamp, backlog, and offer an event; never blocks.
@@ -140,12 +152,11 @@ class EventBus:
             event = {"event": event_kind, "seq": self._seq, "ts": time.time()}
             event.update(fields)
             self._backlog.append(event)
-            self.published += 1
+            self._published.inc()
             subscribers = list(self._subscribers)
         for sub in subscribers:
             if not sub.offer(event) and sub.wants(event) and not sub.closed:
-                with self._lock:
-                    self.dropped += 1
+                self._dropped.inc()
         return event
 
     def subscribe(
@@ -173,8 +184,7 @@ class EventBus:
             return len(self._subscribers)
 
     def dropped_total(self) -> int:
-        with self._lock:
-            return self.dropped
+        return int(self._dropped.value)
 
     def close(self) -> None:
         """Stop the bus and wake every blocked subscriber."""

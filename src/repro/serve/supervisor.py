@@ -54,7 +54,9 @@ take the pool down forever.  Worker death, a hang and a transient error
 (:data:`~repro.experiments.resilience.TRANSIENT_ERRORS`) retry; a
 deterministic error fails the job at once.  A batch run takes its
 budget from ``RetryPolicy.max_retries`` and its per-job timeout from
-``RetryPolicy.timeout_s``.
+``RetryPolicy.timeout_s``.  Every restart reaches the core, which
+counts it, as ``core.lifecycle("worker_restart", ...)``, with
+``hang=True`` when the watchdog killed the worker.
 
 The pool size is adaptive between a floor (``workers``) and a ceiling
 (``max_workers``): when the pending backlog outgrows
@@ -88,7 +90,7 @@ import time
 
 from repro.experiments.faults import inject
 from repro.experiments.resilience import PoolUnavailable
-from repro.experiments.telemetry import get_telemetry
+from repro.experiments.telemetry import count, merge_snapshot
 from repro.log import get_logger
 from repro.obs import attach_subtree
 from repro.serve.queue import JobQueue
@@ -263,7 +265,6 @@ def _worker_main(
     """Worker entry point: loop on jobs from the pipe until told to stop."""
     from repro.experiments.faults import inject
     from repro.experiments.resilience import classify_job_error
-    from repro.experiments.telemetry import reset_telemetry
     from repro.log import init_from_env
     from repro.obs import (
         add_span_observer,
@@ -272,6 +273,7 @@ def _worker_main(
         reset_trace,
         trace_snapshot,
     )
+    from repro.obs.registry import get_registry, reset_registry
 
     # The worker inherits the SIGINT block its parent holds across start.
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
@@ -292,7 +294,7 @@ def _worker_main(
         if task is None:
             break
         job_id, kind, spec, attempt = task
-        reset_telemetry()
+        reset_registry()
         reset_trace(from_env=True)
         forwarder = None
         if forward_spans:
@@ -324,7 +326,7 @@ def _worker_main(
         finally:
             if forwarder is not None:
                 remove_span_observer(forwarder)
-        reply["telemetry"] = get_telemetry().snapshot()
+        reply["telemetry"] = get_registry().snapshot()
         reply["trace"] = trace_snapshot()
         try:
             conn.send(reply)
@@ -489,16 +491,6 @@ class Supervisor:
         if hook is not None:
             hook(name)
 
-    def _lifecycle(self, action: str, **fields) -> None:
-        """Publish a structured lifecycle event through the core.
-
-        ``getattr`` keeps bare test doubles (a core without the event
-        plumbing) usable as supervisor targets.
-        """
-        hook = getattr(self.core, "lifecycle", None)
-        if hook is not None:
-            hook(action, **fields)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -533,7 +525,7 @@ class Supervisor:
                 )
             )
         for handle in self.workers:
-            self._lifecycle("worker_boot", worker=handle.name)
+            self.core.lifecycle("worker_boot", worker=handle.name)
 
     def drive(self) -> None:
         """Run the core's jobs to completion on the calling thread.
@@ -631,7 +623,7 @@ class Supervisor:
         next daemon start requeues them -- and their workers are killed.
         """
         self._draining = True
-        self._lifecycle(
+        self.core.lifecycle(
             "drain_begin",
             timeout_s=timeout_s,
             busy=[h.name for h in self.workers if not h.idle],
@@ -652,7 +644,7 @@ class Supervisor:
                 " will be recovered from the journal on restart)",
                 timeout_s, ", ".join(busy),
             )
-        self._lifecycle("drain_end", complete=not busy, busy=busy)
+        self.core.lifecycle("drain_end", complete=not busy, busy=busy)
         return not busy
 
     # ------------------------------------------------------------------
@@ -701,7 +693,7 @@ class Supervisor:
                 )
             self.workers.append(handle)
             self._last_scale = now
-            self._lifecycle(
+            self.core.lifecycle(
                 "worker_scale_up", worker=handle.name,
                 pool=len(self.workers), pending=pending,
             )
@@ -721,7 +713,7 @@ class Supervisor:
             handle.stop(timeout_s=1.0)
             self._drop_worker(handle.name)
             self._last_scale = now
-            self._lifecycle(
+            self.core.lifecycle(
                 "worker_retire", worker=handle.name,
                 pool=len(self.workers), idle_s=round(idle_s, 2),
             )
@@ -806,7 +798,6 @@ class Supervisor:
             job_id = handle.job_id
             dead = handle.name
             handle.kill()
-            self.core.stats_bump("worker_respawns")
             _log.warning(
                 "worker %s died (exit %s)%s; respawning",
                 dead, exitcode,
@@ -817,7 +808,7 @@ class Supervisor:
             self._drop_worker(dead)
             handle.name = self._next_name()
             handle.spawn()
-            self._lifecycle(
+            self.core.lifecycle(
                 "worker_restart",
                 worker=handle.name,
                 replaces=dead,
@@ -863,22 +854,20 @@ class Supervisor:
                 handle.name, why,
             )
             if stale:
-                self._lifecycle(
+                self.core.lifecycle(
                     "heartbeat_stale",
                     worker=handle.name,
                     age_s=round(now - beat, 3) if beat else None,
                     job_id=job_id,
                 )
-            self.core.stats_bump("hangs_detected")
-            self.core.stats_bump("worker_respawns")
             wedged = handle.name
             handle.kill()
             self._drop_worker(wedged)
             handle.name = self._next_name()
             handle.spawn()
-            self._lifecycle(
+            self.core.lifecycle(
                 "worker_restart", worker=handle.name, replaces=wedged,
-                reason=why, job_id=job_id,
+                reason=why, job_id=job_id, hang=True,
             )
             if job_id is not None:
                 self._requeue_or_poison(job_id, reason=why)
@@ -907,7 +896,7 @@ class Supervisor:
             }
             if error:
                 poison["cause"] = error
-            self._lifecycle(
+            self.core.lifecycle(
                 "restart_budget_exhausted",
                 job_id=job_id,
                 attempts=job.attempts,
@@ -1023,26 +1012,22 @@ class BatchPool:
     def finish_job(self, job_id: str, payload, telemetry=None, trace=None) -> None:
         self.queue.mark_done(job_id, payload)
         self._done[self._labels[job_id]] = payload
-        self._merge(telemetry)
+        merge_snapshot(telemetry)
 
     def fail_job(self, job_id: str, error: dict, telemetry=None, trace=None) -> None:
         self.queue.mark_failed(job_id, error)
         self._failed[self._labels[job_id]] = error
-        self._merge(telemetry)
+        merge_snapshot(telemetry)
 
     def requeue_job(self, job_id: str, reason: str, telemetry=None) -> None:
         self.queue.mark_requeued(job_id)
-        get_telemetry().retries += 1
+        count("retries")
         _log.warning("retrying %s: %s", self._labels[job_id], reason)
-        self._merge(telemetry)
+        merge_snapshot(telemetry)
 
-    def stats_bump(self, counter: str) -> None:
-        if counter == "worker_respawns":
-            get_telemetry().worker_respawns += 1
-        elif counter == "hangs_detected":
-            get_telemetry().timeouts += 1
-
-    @staticmethod
-    def _merge(telemetry) -> None:
-        if telemetry:
-            get_telemetry().merge(telemetry)
+    def lifecycle(self, action: str, **fields) -> None:
+        """Count a worker restart, and a hang, in this run's counters."""
+        if action == "worker_restart":
+            count("worker_respawns")
+            if fields.get("hang"):
+                count("timeouts")

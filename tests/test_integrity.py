@@ -17,11 +17,11 @@ from repro.integrity import (
     check_timing,
     current_mode,
     enforce,
-    get_integrity_stats,
+    integrity_counts,
     parse_mode,
-    reset_integrity_stats,
 )
 from repro.liberty.presets import make_twelve_track_library
+from repro.obs.registry import reset_registry
 
 
 @pytest.fixture(scope="module")
@@ -179,14 +179,37 @@ class TestEnforce:
 
     def test_stats_accumulate(self, finished):
         design, _ = finished
-        reset_integrity_stats()
+        reset_registry()
         enforce(design, stage="t", checks=("connectivity",),
                 mode=CheckMode.WARN)
-        stats = get_integrity_stats()
-        assert stats.boundaries_checked == 1
-        reset_integrity_stats()
+        stats = integrity_counts()
+        assert stats["boundaries_checked"] == 1
+        reset_registry()
 
     def test_checks_registry_names(self):
         assert set(CHECKS) == {
             "connectivity", "placement", "tiers", "tier_balance", "timing"
         }
+
+
+class TestPoolCounts:
+    def test_pool_workers_counts_reach_the_parent(self, tmp_path, monkeypatch):
+        """Regression: a ``jobs=2`` matrix reported 0 checked boundaries,
+        because its workers' counts never came home."""
+        from repro.experiments.runner import clear_memory_caches, run_matrix
+
+        monkeypatch.setenv("REPRO_CHECK", "warn")
+        checked = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"j{jobs}"))
+            clear_memory_caches()
+            reset_registry()
+            matrix = run_matrix(
+                designs=("aes",), scale=0.1, seed=3,
+                target_periods={"aes": 1.1}, jobs=jobs,
+            )
+            assert matrix.ok
+            checked[jobs] = integrity_counts()["boundaries_checked"]
+        clear_memory_caches()
+        reset_registry()
+        assert checked == {1: 43, 2: 43}

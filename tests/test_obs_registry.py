@@ -102,6 +102,13 @@ class TestSnapshotMerge:
         assert hist_sample["count"] == 2
         assert hist_sample["counts"] == [2, 0]
 
+    def test_values_reads_without_registering(self):
+        reg = self._registry_with_data()
+        assert reg.values("repro_jobs_total") == {("done",): 3.0}
+        assert reg.values("repro_queue_depth") == {(): 4.0}
+        assert reg.values("repro_absent_total") == {}
+        assert "repro_absent_total" not in reg.to_prometheus()
+
     def test_merge_overwrites_gauges(self):
         reg = self._registry_with_data()
         other = MetricsRegistry()
@@ -200,6 +207,28 @@ class TestExposition:
             "non-numeric" in p
             for p in validate_prometheus("# TYPE repro_g gauge\nrepro_g x\n")
         )
+        # A name that merely starts with a typed family's name is not
+        # one of its series: only histograms and summaries have those.
+        borrowed = (
+            "# TYPE repro_queue_depth gauge\n"
+            "repro_queue_depth 1\n"
+            "repro_queue_depth_bogus 2\n"
+        )
+        problems = validate_prometheus(borrowed)
+        assert len(problems) == 1
+        assert "repro_queue_depth_bogus has no TYPE" in problems[0]
+        assert validate_prometheus(
+            "# TYPE repro_g gauge\nrepro_g 1\nrepro_g_count 1\n"
+        ) != []
+
+    def test_validator_accepts_summary_series(self):
+        summary = (
+            "# TYPE repro_s summary\n"
+            'repro_s{quantile="0.5"} 1\n'
+            "repro_s_sum 3\n"
+            "repro_s_count 2\n"
+        )
+        assert validate_prometheus(summary) == []
 
     def test_validator_checks_inf_bucket_against_count(self):
         mismatched = (

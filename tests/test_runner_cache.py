@@ -22,12 +22,17 @@ from repro.experiments.runner import (
     run_matrix,
 )
 from repro.experiments.telemetry import (
-    Telemetry,
+    TelemetryView,
+    count,
     get_telemetry,
+    merge_snapshot,
+    record_cell,
+    record_stage,
     reset_telemetry,
     timed_stage,
 )
 from repro.flow.report import FlowResult
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.power.analysis import PowerReport
 
 
@@ -326,47 +331,95 @@ class TestFindTargetPeriod:
         assert len(fake.calls) >= 4  # only the first search probed
 
 
+def worker_snapshot(*cells) -> dict:
+    """What a pool worker ships: its fresh registry's snapshot after
+    recording ``cells`` as (design, config, seconds, source)."""
+    reset_telemetry()
+    for cell in cells:
+        record_cell(*cell)
+    return get_registry().snapshot()
+
+
 class TestTelemetry:
     def test_merge_and_snapshot_round_trip(self):
-        a = Telemetry(flows_run=2, disk_hits=1)
-        a.record_cell("aes", "2D_12T", 1.5, "flow")
-        a.record_stage("flow", 1.5)
-        b = Telemetry(flows_run=1, memory_hits=3)
-        b.record_cell("cpu", "3D_HET", 2.5, "disk")
-        b.record_stage("flow", 0.5)
-        a.merge(b.snapshot())
+        reset_telemetry()
+        count("flows_run")
+        count("memory_hits", 3)
+        record_cell("cpu", "3D_HET", 2.5, "disk")
+        record_stage("flow", 0.5)
+        b = get_registry().snapshot()
+        reset_telemetry()
+        count("flows_run", 2)
+        count("disk_hits")
+        record_cell("aes", "2D_12T", 1.5, "flow")
+        record_stage("flow", 1.5)
+        merge_snapshot(b)
+        a = get_telemetry()
         assert a.flows_run == 3
         assert a.memory_hits == 3
         assert a.cell_seconds[("cpu", "3D_HET")] == 2.5
         assert a.stage_seconds["flow"] == pytest.approx(2.0)
-        again = Telemetry.from_snapshot(a.snapshot())
-        assert again.cell_source == a.cell_source
-        assert again.stage_seconds == a.stage_seconds
+        again = MetricsRegistry()
+        again.merge(get_registry().snapshot())
+        assert TelemetryView(again).snapshot() == a.snapshot()
+        assert TelemetryView(again).cell_source == a.cell_source
+
+    def test_snapshot_keeps_its_keys_and_types(self):
+        reset_telemetry()
+        count("prefix_stages_reused", 3)
+        record_cell("aes", "2D_12T", 1.5, "flow")
+        snap = get_telemetry().snapshot()
+        assert list(snap)[:13] == [
+            "flows_run", "period_probes", "flow_stages_run",
+            "prefix_stages_reused", "suffix_flows_reused", "dse_pruned",
+            "memory_hits", "disk_hits", "disk_misses", "retries",
+            "timeouts", "quarantined", "worker_respawns",
+        ]
+        assert all(type(snap[k]) is int for k in list(snap)[:13])
+        assert snap["prefix_stages_reused"] == 3
+        assert snap["cell_seconds"] == [["aes", "2D_12T", 1.5]]
+        assert snap["cell_source"] == [["aes", "2D_12T", "flow"]]
+        assert snap["stage_seconds"] == {}
+
+    def test_view_taken_before_a_reset_keeps_its_values(self):
+        reset_telemetry()
+        count("flows_run", 2)
+        before = get_telemetry()
+        reset_telemetry()
+        count("flows_run")
+        assert before.flows_run == 2
+        assert get_telemetry().flows_run == 1
+
+    def test_a_rerecorded_cell_keeps_only_its_latest_report(self):
+        reset_telemetry()
+        record_cell("aes", "2D_12T", 1.5, "flow")
+        record_cell("aes", "2D_12T", 0.0, "memory")
+        assert get_telemetry().cell_source == {("aes", "2D_12T"): "memory"}
+        assert get_telemetry().cell_seconds == {("aes", "2D_12T"): 0.0}
 
     def test_merge_warns_on_cell_collision(self, caplog):
         import logging
 
-        a = Telemetry()
-        a.record_cell("aes", "3D_9T", 1.0, "flow")
-        b = Telemetry()
-        b.record_cell("aes", "3D_9T", 2.0, "flow")
-        b.record_cell("cpu", "3D_9T", 3.0, "disk")
+        b = worker_snapshot(("aes", "3D_9T", 2.0, "flow"),
+                            ("cpu", "3D_9T", 3.0, "disk"))
+        reset_telemetry()
+        record_cell("aes", "3D_9T", 1.0, "flow")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            a.merge(b)
+            merge_snapshot(b)
         warnings = [r for r in caplog.records if "telemetry merge" in r.message]
         assert len(warnings) == 1  # only the colliding cell, not cpu
         assert "aes/3D_9T" in warnings[0].getMessage()
-        assert a.cell_seconds[("aes", "3D_9T")] == 2.0  # later report kept
+        # later report kept
+        assert get_telemetry().cell_seconds[("aes", "3D_9T")] == 2.0
 
     def test_merge_disjoint_cells_is_silent(self, caplog):
         import logging
 
-        a = Telemetry()
-        a.record_cell("aes", "2D_12T", 1.0, "flow")
-        b = Telemetry()
-        b.record_cell("aes", "3D_9T", 2.0, "flow")
+        b = worker_snapshot(("aes", "3D_9T", 2.0, "flow"))
+        reset_telemetry()
+        record_cell("aes", "2D_12T", 1.0, "flow")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            a.merge(b.snapshot())
+            merge_snapshot(b)
         assert not [r for r in caplog.records if "telemetry merge" in r.message]
 
     def test_timed_stage_accumulates(self):
@@ -379,9 +432,13 @@ class TestTelemetry:
         assert len(get_telemetry().stage_seconds) == 1
 
     def test_summary_mentions_key_counters(self):
-        t = Telemetry(flows_run=4, disk_hits=2, disk_misses=1, memory_hits=7)
-        t.record_cell("aes", "2D_12T", 1.25, "flow")
-        text = t.summary()
+        reset_telemetry()
+        count("flows_run", 4)
+        count("disk_hits", 2)
+        count("disk_misses", 1)
+        count("memory_hits", 7)
+        record_cell("aes", "2D_12T", 1.25, "flow")
+        text = get_telemetry().summary()
         assert "flows run" in text and "4" in text
         assert "disk 2 hits / 1 misses" in text
         assert "aes" in text and "[flow]" in text

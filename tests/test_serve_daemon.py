@@ -80,7 +80,7 @@ class TestCoreOps:
         first = core.submit(_probe("same"))
         second = core.submit(_probe("same"))
         assert second["deduped"] and second["job_id"] == first["job_id"]
-        assert core.stats.deduped == 1
+        assert core.counters()["deduped"] == 1
         core.close()
 
     def test_backpressure_busy_with_retry_after(self, tmp_path):
@@ -90,7 +90,7 @@ class TestCoreOps:
         assert not rejected["ok"]
         assert rejected["code"] == "busy"
         assert rejected["retry_after"] == 7.5
-        assert core.stats.busy_rejected == 1
+        assert core.counters()["busy_rejected"] == 1
         # Dedup onto the existing job is still admitted while full.
         assert core.submit(_probe("a"))["deduped"]
         core.close()
@@ -127,7 +127,7 @@ class TestJournalFirstOrdering:
             core.submit(_probe("lost"))
         # The queue must not know a job the journal never recorded.
         assert core.queue.jobs == {}
-        assert core.stats.submitted == 0
+        assert core.counters()["submitted"] == 0
         monkeypatch.delenv("REPRO_FAULTS")
         faults.reset_fault_state()
         # And the daemon keeps serving once the disk recovers.
@@ -161,7 +161,7 @@ class TestJournalFirstOrdering:
         core.close()  # no clean completion for `inflight`: daemon "dies"
 
         core2 = _core(tmp_path)
-        assert core2.stats.recovered == 1
+        assert core2.counters()["recovered"] == 1
         assert core2.result(done)["state"] == DONE
         assert core2.status(inflight)["state"] == PENDING
         # The recovered claim counts toward the restart budget.
@@ -226,7 +226,7 @@ class TestSupervisedExecution:
         assert view["state"] == FAILED
         assert view["error"]["error_type"] == "CrashLoop"
         assert view["attempts"] == 3  # budget 2 -> 3 attempts total
-        assert core.stats.requeued == 2
+        assert core.counters()["requeued"] == 2
         core.close()
 
     def test_worker_crash_respawns_and_requeues(self, tmp_path, monkeypatch):
@@ -253,7 +253,7 @@ class TestSupervisedExecution:
         view = core.result(job_id)
         assert view["state"] == DONE
         assert view["attempts"] == 2
-        assert core.stats.worker_respawns >= 1
+        assert core.counters()["worker_respawns"] >= 1
         core.close()
 
 
@@ -323,7 +323,7 @@ class TestEventDrivenLoop:
         finally:
             supervisor.stop()
         assert elapsed < 10.0, f"20 probes took {elapsed:.1f}s"
-        assert core.stats.completed == 21
+        assert core.counters()["completed"] == 21
         core.close()
 
     def test_dead_worker_is_reaped_without_a_tick(
@@ -343,12 +343,12 @@ class TestEventDrivenLoop:
         supervisor.start()
         try:
             _settle(core, [job_id], timeout_s=25)
-            assert core.stats.worker_respawns == 1
+            assert core.counters()["worker_respawns"] == 1
             # An idle worker has no pipe in the wait set: its process
             # sentinel alone must bring the reaper.
             os.kill(supervisor.workers[0].proc.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while core.stats.worker_respawns < 2:
+            while core.counters()["worker_respawns"] < 2:
                 assert time.monotonic() < deadline, "idle worker not reaped"
                 time.sleep(0.002)
         finally:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
-from repro.obs.registry import validate_prometheus
+from repro.obs.registry import MetricsRegistry, validate_prometheus
 from repro.obs.trace import Span
 from repro.serve.daemon import ServeConfig, ServerCore
 from repro.serve.events import EventBus, JobTrace, Subscriber
@@ -334,11 +334,18 @@ class TestCoreObservability:
         core.close()
 
 
+def _flows(flows_run: int) -> dict:
+    """A finished job's registry snapshot that counted ``flows_run``."""
+    registry = MetricsRegistry()
+    registry.counter("repro_flows_run_total").inc(flows_run)
+    return registry.snapshot()
+
+
 class TestWindowedTelemetry:
     """Regression: daemon-side telemetry no longer grows without bound.
 
-    The old core merged every finished job's telemetry into one
-    process-global ``Telemetry`` forever; now snapshots live in a
+    The old core merged every finished job's telemetry into the
+    process's counters forever; now registry snapshots live in a
     timestamped window and ``stats`` reports only what fits in it.
     """
 
@@ -347,7 +354,7 @@ class TestWindowedTelemetry:
         job_id = core.submit(_probe("a"))["job_id"]
         core.claim_job("w0")
         core.finish_job(
-            job_id, {}, telemetry={"flows_run": 3}
+            job_id, {}, telemetry=_flows(3)
         )
         telemetry = core.stats_view()["telemetry"]
         assert telemetry["flows_run"] == 3
@@ -358,7 +365,7 @@ class TestWindowedTelemetry:
         job_id = core.submit(_probe("a"))["job_id"]
         core.claim_job("w0")
         core.finish_job(
-            job_id, {}, telemetry={"flows_run": 1}
+            job_id, {}, telemetry=_flows(1)
         )
         assert core.stats_view()["telemetry"]["flows_run"] == 1
         time.sleep(0.3)
@@ -373,7 +380,7 @@ class TestWindowedTelemetry:
             job_id = core.submit(_probe(str(i)))["job_id"]
             core.claim_job("w0")
             core.finish_job(
-                job_id, {}, telemetry={"flows_run": 1}
+                job_id, {}, telemetry=_flows(1)
             )
             time.sleep(0.06)
         # at most the window's worth of snapshots is ever merged
@@ -389,10 +396,144 @@ class TestWindowedTelemetry:
         job_id = core.submit(_probe("a"))["job_id"]
         core.claim_job("w0")
         core.finish_job(
-            job_id, {}, telemetry={"flows_run": 5}
+            job_id, {}, telemetry=_flows(5)
         )
         after = get_telemetry().snapshot()["flows_run"]
         assert after == before
+        core.close()
+
+    def test_metrics_event_leaves_the_window_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """The ticker's ``metrics`` event reads the registry: it neither
+        merges nor prunes the telemetry window."""
+        core = _core(tmp_path, telemetry_window_s=0.05)
+        sub = core.bus.subscribe()
+        job_id = core.submit(_probe("a"))["job_id"]
+        core.claim_job("w0")
+        core.finish_job(job_id, {}, telemetry=_flows(2))
+        core.submit(_probe("b"))
+        time.sleep(0.1)  # aged out: a stats read would prune it now
+        window = list(core._telemetry_window)
+
+        def merged():
+            raise AssertionError("the metrics event merged the window")
+
+        monkeypatch.setattr(core, "_windowed_telemetry", merged)
+        core.publish_metrics()
+        assert list(core._telemetry_window) == window and len(window) == 1
+        event = [e for e in sub.drain() if e["event"] == "metrics"][-1]
+        assert {k: event[k] for k in (
+            "pending", "running", "jobs", "completed", "failed",
+            "worker_respawns", "feed_dropped",
+        )} == {
+            "pending": 1, "running": 0, "jobs": 2, "completed": 1,
+            "failed": 0, "worker_respawns": 0, "feed_dropped": 0,
+        }
+        core.close()
+
+
+# ----------------------------------------------------------------------
+# stats op == metrics op
+# ----------------------------------------------------------------------
+#: Where each ``stats`` counter appears in the ``metrics`` exposition.
+STATS_SAMPLES = {
+    "submitted": ("repro_submits_total", {"disposition": "accepted"}),
+    "deduped": ("repro_submits_total", {"disposition": "deduped"}),
+    "completed": ("repro_jobs_total", {"state": "done"}),
+    "failed": ("repro_jobs_total", {"state": "failed"}),
+    "requeued": ("repro_jobs_total", {"state": "requeued"}),
+    "recovered": ("repro_jobs_total", {"state": "recovered"}),
+    "busy_rejected": ("repro_submits_total", {"disposition": "busy"}),
+    "draining_rejected": ("repro_submits_total", {"disposition": "draining"}),
+    "disk_rejected": ("repro_submits_total", {"disposition": "disk_pressure"}),
+    "shed": ("repro_submits_total", {"disposition": "shed"}),
+    "expired": ("repro_jobs_total", {"state": "expired"}),
+    "evicted": ("repro_jobs_total", {"state": "evicted"}),
+    "compactions": ("repro_compactions_total", {}),
+    "worker_respawns": ("repro_worker_restarts_total", {}),
+    "hangs_detected": ("repro_worker_hangs_total", {}),
+}
+
+
+class TestStatsAgreeWithMetrics:
+    def test_every_counted_transition(self, tmp_path, monkeypatch):
+        from repro.experiments import faults
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        faults.reset_fault_state()
+        knobs = dict(
+            queue_max=2, retain_jobs=1, retain_s=0.0, compact_min=5,
+            compact_ratio=0.99, min_free_mb=64.0,
+        )
+        # recovery: a claimed, unfinished job in the journal
+        first = _core(tmp_path, **knobs)
+        first.submit(_probe("recovered"))
+        first.claim_job("w0")
+        first.close()
+        core = _core(tmp_path, **knobs)
+        recovered = core.claim_job("w0")
+        core.finish_job(recovered.job_id, {})  # done
+        # accept, dedup, done
+        a = core.submit(_probe("a"))["job_id"]
+        assert core.submit(_probe("a"))["deduped"]
+        core.claim_job("w0")
+        core.finish_job(a, {})
+        # fail
+        b = core.submit(_probe("b"))["job_id"]
+        core.claim_job("w0")
+        core.fail_job(b, {"error_type": "Boom", "kind": "deterministic"})
+        # requeue (the job stays pending)
+        c = core.submit(_probe("c"))["job_id"]
+        core.claim_job("w0")
+        core.requeue_job(c, "worker died")
+        # expiry
+        core.submit(_probe("late"), deadline=0.01)
+        time.sleep(0.05)
+        assert core.expire_deadlines() == 1
+        # busy, then shed: the queue holds c and a priority-5 job
+        core.submit(_probe("low"), priority=5)
+        assert core.submit(_probe("busy"), priority=5)["code"] == "busy"
+        assert core.submit(_probe("urgent"), priority=1)["ok"]  # sheds low
+        # disk pressure
+        monkeypatch.setenv("REPRO_FAULTS", "site=disk_full,kind=raise,times=0")
+        faults.reset_fault_state()
+        assert core.check_disk() is True
+        assert core.submit(_probe("disk"))["code"] == "disk_pressure"
+        monkeypatch.delenv("REPRO_FAULTS")
+        faults.reset_fault_state()
+        assert core.check_disk() is False
+        # eviction, compaction
+        assert core.enforce_retention() == 4
+        assert core.maybe_compact() is True
+        # a worker restart, then a hang
+        core.lifecycle("worker_restart", worker="w1", reason="crash")
+        core.lifecycle("worker_restart", worker="w2", reason="hung", hang=True)
+        # draining
+        core.start_drain()
+        assert core.submit(_probe("drain"))["code"] == "draining"
+
+        stats = core.stats_view()["stats"]
+        samples = {
+            (family["name"], json.dumps(sample["labels"], sort_keys=True)):
+                sample["value"]
+            for family in core.metrics_view()["metrics"]["families"]
+            for sample in family["samples"]
+            if "value" in sample
+        }
+        assert list(stats) == [*STATS_SAMPLES, "uptime_s"]
+        for key, (family, labels) in STATS_SAMPLES.items():
+            sample = samples[(family, json.dumps(labels, sort_keys=True))]
+            assert type(stats[key]) is int
+            assert stats[key] == sample, key
+        assert stats["worker_respawns"] == 2 and stats["hangs_detected"] == 1
+        assert stats["completed"] == 2 and stats["evicted"] == 4
+        assert all(
+            stats[key] == 1 for key in STATS_SAMPLES
+            if key not in ("submitted", "completed", "evicted",
+                           "worker_respawns")
+        )
+        assert stats["submitted"] == 6
         core.close()
 
 

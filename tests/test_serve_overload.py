@@ -274,7 +274,7 @@ class TestCoreDeadlines:
         view = core.result(job_id)
         assert view["state"] == FAILED
         assert view["error"]["error_type"] == "DeadlineExceeded"
-        assert core.stats.expired == 1
+        assert core.counters()["expired"] == 1
         # The failure is journaled: a restarted core agrees.
         core.close()
         reborn = _core(tmp_path)
@@ -302,7 +302,7 @@ class TestCoreShedding:
         view = core.result(victim_id)
         assert view["state"] == FAILED
         assert view["error"]["error_type"] == "LoadShed"
-        assert core.stats.shed == 1
+        assert core.counters()["shed"] == 1
         submits = _family(core, "repro_submits_total")
         assert {"disposition": "shed"} in [s["labels"] for s in submits]
         core.close()
@@ -313,7 +313,7 @@ class TestCoreShedding:
         rejected = core.submit(_probe("second"), priority=3)
         assert rejected["code"] == "busy"
         assert rejected["retry_after"] >= 1.5
-        assert core.stats.shed == 0
+        assert core.counters()["shed"] == 0
         core.close()
 
     def test_retry_after_scales_with_backlog_over_drain_rate(self, tmp_path):
@@ -345,7 +345,7 @@ class TestCoreRetention:
         core = _core(tmp_path, retain_jobs=1, retain_s=0.0)
         ids = self._finish_n(core, 3)
         assert core.enforce_retention() == 2
-        assert core.stats.evicted == 2
+        assert core.counters()["evicted"] == 2
         view = core.result(ids[0])
         assert view["code"] == "evicted"
         assert view["state"] == EVICTED
@@ -372,7 +372,7 @@ class TestCoreRetention:
         before = core.journal.records_in_file
         assert core.maybe_compact() is True
         assert core.journal.records_in_file < before
-        assert core.stats.compactions == 1
+        assert core.counters()["compactions"] == 1
         core.close()
         # The compacted journal still restores the full picture.
         reborn = _core(tmp_path, retain_jobs=1, retain_s=0.0)
@@ -396,7 +396,7 @@ class TestCoreDiskPressure:
         rejected = core.submit(_probe("nope"))
         assert rejected["code"] == "disk_pressure"
         assert rejected["retry_after"] > 0
-        assert core.stats.disk_rejected == 1
+        assert core.counters()["disk_rejected"] == 1
         # Reads stay available in degraded mode.
         assert core.stats_view()["ok"]
         # Space returns: hysteresis exit, submits resume.

@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.experiments.configs import CONFIG_NAMES, configurations
-from repro.experiments.runner import find_target_period, run_configuration
+from repro.experiments.runner import find_target_period
 from repro.experiments.telemetry import get_telemetry, timed_stage
 from repro.log import init_from_env
 from repro.obs import trace as obs_trace
@@ -169,9 +169,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         seed=args.seed,
         lattice=LatticeSpec(**lattice_kwargs),
         objectives=parse_objectives(args.objectives),
-        prune=False if args.no_prune else None,
-        reuse_prefix=False if args.no_reuse else None,
-        warm_periods=False if args.no_warm else None,
+        prune=not args.no_prune,
+        reuse_prefix=not args.no_reuse,
+        warm_periods=not args.no_warm,
     )
     if args.report:
         report = load_report(spec)

@@ -27,10 +27,6 @@ Environment knobs
 ``REPRO_CACHE``
     Kill switch: set to ``0``, ``off``, ``false`` or ``no`` to disable
     all reads and writes (every lookup misses, nothing is stored).
-``REPRO_LOCK_TIMEOUT_S``
-    How long :func:`manifest_lock` waits for another process to release
-    a run-manifest before raising :class:`~repro.errors.LockError`
-    (default 10; ``0`` fails immediately).
 """
 
 from __future__ import annotations
@@ -71,6 +67,9 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_SWITCH = "REPRO_CACHE"
 
 _FALSY = {"0", "off", "false", "no"}
+
+#: Seconds :func:`manifest_lock` waits for another holder by default.
+LOCK_TIMEOUT_S = 10.0
 
 
 def cache_enabled() -> bool:
@@ -251,7 +250,7 @@ def store_manifest(key: str, manifest: dict) -> None:
 
 
 @contextlib.contextmanager
-def manifest_lock(key: str, *, timeout_s: float | None = None):
+def manifest_lock(key: str, *, timeout_s: float = LOCK_TIMEOUT_S):
     """Exclusive advisory lock on one run-manifest (``flock`` based).
 
     Two processes resuming the same matrix shape would interleave
@@ -261,21 +260,16 @@ def manifest_lock(key: str, *, timeout_s: float | None = None):
     manifest entry, so it evaporates when the holder dies -- including
     ``kill -9`` -- and can never go stale the way pidfiles do.
 
-    Waits ``timeout_s`` (default ``$REPRO_LOCK_TIMEOUT_S`` or 10s) then
-    raises :class:`~repro.errors.LockError` naming the lock file.  With
-    the cache disabled there is no shared manifest to protect, so the
-    lock degrades to a no-op.
+    Waits ``timeout_s`` (``0`` fails at once) for another process to
+    release it, then raises :class:`~repro.errors.LockError` naming the
+    lock file.  With the cache disabled there is no shared manifest to
+    protect, so the lock degrades to a no-op.
     """
     if not cache_enabled():
         yield
         return
     import fcntl
 
-    if timeout_s is None:
-        try:
-            timeout_s = float(os.environ.get("REPRO_LOCK_TIMEOUT_S", "") or 10.0)
-        except ValueError:
-            timeout_s = 10.0
     path = cache_dir() / f"{key}.lock"
     path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(path, os.O_CREAT | os.O_RDWR)

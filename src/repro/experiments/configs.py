@@ -55,11 +55,9 @@ class Configuration:
         )
 
 
-def configurations(
-    libs: tuple[StdCellLibrary, StdCellLibrary] | None = None,
-) -> dict[str, Configuration]:
-    """Build the five configurations over a (12-track, 9-track) pair."""
-    lib12, lib9 = libs if libs is not None else make_library_pair()
+def configurations() -> dict[str, Configuration]:
+    """Build the five configurations over the (12-track, 9-track) pair."""
+    lib12, lib9 = make_library_pair()
 
     def flow_2d(lib: StdCellLibrary):
         def run(name: str, **kw) -> tuple[Design, FlowResult]:

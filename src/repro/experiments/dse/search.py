@@ -44,7 +44,7 @@ compounding cost reducers:
 3. **Dominance pruning.**  Before evaluating a config, its objective
    vector is lower-bounded from every evaluated lattice neighbor in
    range: each predicts the candidate as its own vector relaxed by the
-   per-step optimism margin (``$REPRO_DSE_PRUNE_MARGIN``), and the
+   per-step optimism margin (:data:`PRUNE_MARGINS`), and the
    componentwise *minimum* of the predictions is the bound -- sound as
    soon as any one neighbor's smoothness assumption holds, which is
    what keeps configs across a partition-flip cliff safe.  If a front
@@ -59,37 +59,26 @@ run-manifest records completed rows per wave, so an interrupted
 exploration resumes (``repro explore --resume``) with zero redundant
 flow runs and a byte-identical final front.
 
-Environment knobs (all read at :func:`explore` time):
-
-- ``REPRO_DSE_PERIOD_STEPS`` -- period-grid resolution (default 17);
-- ``REPRO_DSE_PRUNE`` / ``REPRO_DSE_PREFIX`` / ``REPRO_DSE_WARM`` --
-  kill switches for the three layers (``0``/``off`` disables);
-- ``REPRO_DSE_SUFFIX`` -- kill switch for partition-fingerprint tail
-  reuse (part of the prefix layer; also auto-disabled whenever
-  ``$REPRO_CHECK`` enables stage-boundary checks, the one consumer of
-  the notes the fingerprint masks);
-- ``REPRO_DSE_PRUNE_MARGIN`` -- per-step optimism of the lower-bound
-  predictor: either one float (uniform across axes) or four
-  comma-separated floats, one per lattice axis in
-  ``(slow_tracks, slow_vdd, tier_cap, fm_tolerance)`` order (default
-  uniform ``0.25``: any neighbor may underestimate the candidate by up
-  to 25% per lattice step before a skip becomes unsound);
-- ``REPRO_DSE_PRUNE_DISTANCE`` -- the consensus radius: every
-  evaluated config within this many lattice steps contributes a
-  prediction to the componentwise-min bound (default 1).  Because the
-  bound is a minimum, widening the radius only *loosens* it -- extra
-  neighbors can veto a skip, never enable one -- so larger values
-  trade pruning yield for extra safety near metric cliffs.
+:class:`ExploreSpec` switches each layer off for one run (``prune``,
+``reuse_prefix``, ``warm_periods``; ``repro explore
+--no-prune/--no-reuse/--no-warm``) without changing any row.  Tail
+reuse belongs to the prefix layer and is also off whenever
+``$REPRO_CHECK`` enables stage-boundary checks, the one consumer of the
+notes the fingerprint masks.  ``ExploreSpec.prune_distance`` is the
+consensus radius of pruning: every evaluated config within this many
+lattice steps contributes a prediction to the componentwise-min bound
+(default 1).  Because the bound is a minimum, widening the radius only
+*loosens* it -- extra neighbors can veto a skip, never enable one -- so
+larger values trade pruning yield for extra safety near metric cliffs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -144,16 +133,6 @@ __all__ = [
 
 _log = get_logger("dse")
 
-ENV_PERIOD_STEPS = "REPRO_DSE_PERIOD_STEPS"
-ENV_PRUNE = "REPRO_DSE_PRUNE"
-ENV_PREFIX = "REPRO_DSE_PREFIX"
-ENV_SUFFIX = "REPRO_DSE_SUFFIX"
-ENV_WARM = "REPRO_DSE_WARM"
-ENV_PRUNE_MARGIN = "REPRO_DSE_PRUNE_MARGIN"
-ENV_PRUNE_DISTANCE = "REPRO_DSE_PRUNE_DISTANCE"
-
-_FALSY = {"0", "off", "false", "no"}
-
 #: Stages whose output is independent of every per-config axis (slow
 #: library, tier cap, FM tolerance) -- the shareable flow prefix, in
 #: stage order.  ``rebind_tier_library`` enforces the independence
@@ -198,55 +177,16 @@ _ROW_METRICS = (
 )
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
-
-
-#: Per-axis pruning optimism, ``(slow_tracks, slow_vdd, tier_cap,
-#: fm_tolerance)`` order -- see the module docstring for the rationale.
-DEFAULT_PRUNE_MARGINS = (0.25, 0.25, 0.25, 0.25)
-DEFAULT_PRUNE_DISTANCE = 1
-
-
-def _parse_margins(raw: str) -> tuple[float, ...]:
-    parts = [float(p) for p in raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        return tuple(parts * 4)
-    if len(parts) == 4:
-        return tuple(parts)
-    raise ValueError(
-        f"REPRO_DSE_PRUNE_MARGIN needs 1 or 4 floats, got {raw!r}"
-    )
-
-
-def _env_margins(name: str) -> tuple[float, ...]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return DEFAULT_PRUNE_MARGINS
-    try:
-        return _parse_margins(raw)
-    except ValueError:
-        return DEFAULT_PRUNE_MARGINS
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
+#: Per-step optimism of the pruning lower-bound predictor, one margin
+#: per lattice axis in ``(slow_tracks, slow_vdd, tier_cap,
+#: fm_tolerance)`` order: any neighbor may underestimate the candidate
+#: by up to 25% per lattice step before a skip becomes unsound.
+PRUNE_MARGINS = (0.25, 0.25, 0.25, 0.25)
 
 
 @dataclass(frozen=True)
 class ExploreSpec:
-    """Everything one exploration depends on (picklable for workers).
-
-    ``None`` perf knobs mean "resolve from the environment at explore
-    time"; :func:`resolve_spec` pins them so workers and manifests see
-    concrete values.
-    """
+    """Everything one exploration depends on (picklable for workers)."""
 
     design: str
     scale: float = 0.4
@@ -255,12 +195,11 @@ class ExploreSpec:
     objectives: tuple[Objective, ...] = DEFAULT_OBJECTIVES
     opt_iterations: int = 4
     utilization: float = 0.82
-    period_steps: int | None = None
-    prune: bool | None = None
-    reuse_prefix: bool | None = None
-    warm_periods: bool | None = None
-    prune_margin: tuple[float, ...] | float | None = None
-    prune_distance: int | None = None
+    period_steps: int = 17
+    prune: bool = True
+    reuse_prefix: bool = True
+    warm_periods: bool = True
+    prune_distance: int = 1
 
     def key_fields(self) -> dict:
         """Fields that shape the run-manifest identity.
@@ -279,39 +218,6 @@ class ExploreSpec:
             "utilization": self.utilization,
             "period_steps": self.period_steps,
         }
-
-
-def resolve_spec(spec: ExploreSpec) -> ExploreSpec:
-    """Pin every ``None`` perf knob from the environment/defaults."""
-    return replace(
-        spec,
-        period_steps=(
-            spec.period_steps if spec.period_steps is not None
-            else max(2, _env_int(ENV_PERIOD_STEPS, 17))
-        ),
-        prune=(
-            spec.prune if spec.prune is not None
-            else _env_flag(ENV_PRUNE)
-        ),
-        reuse_prefix=(
-            spec.reuse_prefix if spec.reuse_prefix is not None
-            else _env_flag(ENV_PREFIX)
-        ),
-        warm_periods=(
-            spec.warm_periods if spec.warm_periods is not None
-            else _env_flag(ENV_WARM)
-        ),
-        prune_margin=(
-            (spec.prune_margin,) * 4
-            if isinstance(spec.prune_margin, (int, float))
-            else spec.prune_margin if spec.prune_margin is not None
-            else _env_margins(ENV_PRUNE_MARGIN)
-        ),
-        prune_distance=(
-            spec.prune_distance if spec.prune_distance is not None
-            else _env_int(ENV_PRUNE_DISTANCE, DEFAULT_PRUNE_DISTANCE)
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -620,9 +526,7 @@ def _flow_reusing(
     # Suffix reuse is sound only while the stage-boundary checks are
     # off: they are the one consumer of the notes the fingerprint masks
     # (see _PARTITION_ECHO_NOTES).
-    use_suffix = (
-        _env_flag(ENV_SUFFIX, True) and current_mode(None) is CheckMode.OFF
-    )
+    use_suffix = current_mode(None) is CheckMode.OFF
     resume = _PARTITION_STAGE
     result = skey = None
     if use_suffix:
@@ -740,11 +644,11 @@ def _nearest_evaluated(
 def _optimism(spec: ExploreSpec, a: DseConfig, b: DseConfig) -> float:
     """Total prediction optimism between two lattice points: per-axis
     margin times per-axis step count, summed.  Anisotropic on purpose
-    -- see the ``REPRO_DSE_PRUNE_MARGIN`` doc."""
+    -- see :data:`PRUNE_MARGINS`."""
     ia = spec.lattice.axis_indices(a)
     ib = spec.lattice.axis_indices(b)
     return sum(
-        m * abs(x - y) for m, x, y in zip(spec.prune_margin, ia, ib)
+        m * abs(x - y) for m, x, y in zip(PRUNE_MARGINS, ia, ib)
     )
 
 
@@ -935,7 +839,6 @@ def load_report(spec: ExploreSpec) -> ExploreReport | None:
     spec and recomputes the front from the rows it recorded.  Returns
     ``None`` when no manifest exists (nothing was ever run).
     """
-    spec = resolve_spec(spec)
     manifest = cache.load_manifest(_manifest_key(spec))
     if manifest is None:
         return None
@@ -974,7 +877,6 @@ def explore(
     (zero redundant flow runs); ``progress`` is an optional callable
     receiving one status line per wave.
     """
-    spec = resolve_spec(spec)
     policy = policy or RetryPolicy()
     configs, incompatible_pairs = generate_lattice(spec.lattice)
     incompatible = [

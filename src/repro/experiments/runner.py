@@ -84,6 +84,9 @@ _SWEEP_BOUNDS: dict[str, tuple[float, float]] = {
 #: WNS acceptance band as a fraction of the period (paper: ~5-7%).
 _WNS_TOLERANCE = 0.06
 
+#: Most bisection steps of one target-period search.
+_SEARCH_ITERATIONS = 6
+
 _period_cache: dict[tuple[str, float, int], float] = {}
 _result_cache: dict[
     tuple[str, str, float, int, float], tuple[Design | None, FlowResult]
@@ -115,14 +118,12 @@ def find_target_period(
     *,
     scale: float,
     seed: int = 0,
-    iterations: int = 6,
 ) -> float:
     """Binary-search the 12-track 2-D max frequency for one netlist.
 
     Each probe runs the full 2-D flow (with a reduced optimization budget
     for speed) and checks the paper's timing-met criterion.  The result
-    is cached per ``(design, scale, seed)`` in process and per
-    ``(design, scale, seed, iterations)`` on disk.
+    is cached per ``(design, scale, seed)`` in process and on disk.
 
     If even the upper sweep bound fails timing, the search returns that
     upper bound ``hi`` unchanged: the caller gets the most relaxed period
@@ -137,7 +138,7 @@ def find_target_period(
         return cached
 
     disk_key = cache.period_key(
-        design_name, scale=scale, seed=seed, iterations=iterations
+        design_name, scale=scale, seed=seed, iterations=_SEARCH_ITERATIONS
     )
     if cache.cache_enabled():
         from_disk = cache.load_period(disk_key)
@@ -154,7 +155,7 @@ def find_target_period(
     with timed_stage("period_search", design=design_name), inject(
         "period_search", design=design_name
     ):
-        for _ in range(iterations):
+        for _ in range(_SEARCH_ITERATIONS):
             mid = 0.5 * (lo + hi)
             _design, result = configs["2D_12T"].run(
                 design_name,

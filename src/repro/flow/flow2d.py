@@ -17,7 +17,6 @@ and an optional checksummed checkpoint (``--checkpoint-dir`` /
 
 from __future__ import annotations
 
-from repro.cost.model import CostModel
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
 from repro.flow.opt import optimize_timing, recover_area
@@ -39,8 +38,6 @@ def run_flow_2d(
     seed: int = 0,
     utilization: float = 0.82,
     opt_iterations: int = 12,
-    recover: bool = True,
-    cost_model: CostModel | None = None,
     check: str | None = None,
     checkpoint_dir: str | None = None,
     from_stage: str | None = None,
@@ -64,8 +61,7 @@ def run_flow_2d(
         design = ctx.design
         calc = design.calculator(placed=True)
         optimize_timing(design, calc, max_iterations=opt_iterations)
-        if recover:
-            recover_area(design, calc)
+        recover_area(design, calc)
         # Sizing changed cell widths; restore row legality.
         legalize_all_tiers(design)
         calc.invalidate()
@@ -88,13 +84,12 @@ def run_flow_2d(
         calc = design.calculator(placed=True)
         optimize_timing(design, calc,
                         max_iterations=max(2, opt_iterations // 4))
-        if recover:
-            recover_area(design, calc)
+        recover_area(design, calc)
         legalize_all_tiers(design)
         calc.invalidate()
 
     def signoff(ctx: FlowContext) -> None:
-        ctx.result = finalize_design(ctx.design, cost_model=cost_model)
+        ctx.result = finalize_design(ctx.design)
 
     stages = [
         Stage("synthesis", synthesis, ("connectivity", "timing")),

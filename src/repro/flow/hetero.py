@@ -31,7 +31,6 @@ set of flow arguments.
 
 from __future__ import annotations
 
-from repro.cost.model import CostModel
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
 from repro.flow.levelshift import insert_level_shifters
@@ -156,14 +155,11 @@ def run_flow_hetero_3d(
     seed: int = 0,
     utilization: float = 0.82,
     opt_iterations: int = 12,
-    recover: bool = True,
     timing_partitioning: bool = True,
     hetero_cts: bool = True,
     repartition: bool = True,
     pinning_area_cap: float = 0.25,
     fm_tolerance: float | None = None,
-    repartition_config: RepartitionConfig | None = None,
-    cost_model: CostModel | None = None,
     allow_level_shifters: bool = False,
     check: str | None = None,
     checkpoint_dir: str | None = None,
@@ -340,8 +336,7 @@ def run_flow_hetero_3d(
             max_iterations=opt_iterations,
             **({"max_fill": pre_eco_fill} if pre_eco_fill else {}),
         )
-        if recover:
-            recover_area(design, calc)
+        recover_area(design, calc)
         legalize_all_tiers(design)
         calc.invalidate()
 
@@ -372,9 +367,7 @@ def run_flow_hetero_3d(
     def repartition_stage(ctx: FlowContext) -> None:
         # ---- ECO repartitioning (Algorithm 1) --------------------------
         design = ctx.design
-        config = repartition_config or RepartitionConfig(
-            wns_target_ns=-0.02 * period_ns
-        )
+        config = RepartitionConfig(wns_target_ns=-0.02 * period_ns)
         eco = _run_repartition(design, config, fast_fill_cap=flow_fill)
         design.notes["eco_cells_moved"] = float(len(eco.cells_moved))
         design.notes["eco_batches_accepted"] = float(eco.batches_accepted)
@@ -385,8 +378,7 @@ def run_flow_hetero_3d(
             # the final sizing pass so it optimizes real parasitics.
             legalize_all_tiers(design)
             calc = design.calculator(placed=True)
-            if recover:
-                recover_area(design, calc)
+            recover_area(design, calc)
             optimize_timing(
                 design,
                 calc,
@@ -408,7 +400,7 @@ def run_flow_hetero_3d(
         legalize_all_tiers(ctx.design)
 
     def signoff(ctx: FlowContext) -> None:
-        ctx.result = finalize_design(ctx.design, cost_model=cost_model)
+        ctx.result = finalize_design(ctx.design)
 
     # The shifter rule is only enforced where shifters are guaranteed
     # present: optimization/CTS/ECO may legitimately create unshifted

@@ -37,8 +37,16 @@ BUFFER_WIRE_THRESHOLD_NS = 0.025
 #: Paths examined per optimization round.
 PATHS_PER_ROUND = 12
 
+#: WNS goal of optimization as a fraction of the period: slightly
+#: negative, mirroring the paper's "allowing for a small negative slack
+#: shows that the achieved frequency is the max possible".
+TARGET_WNS_FRACTION = -0.02
+
 #: Slack margin (fraction of period) above which cells may downsize.
 RECOVERY_MARGIN = 0.12
+
+#: Most cells one area recovery may downsize.
+RECOVERY_MAX_CELLS = 2000
 
 
 #: Fraction of the core area optimization may fill per tier.  Kept below
@@ -250,20 +258,17 @@ def optimize_timing(
     calc: DelayCalculator,
     *,
     max_iterations: int = 12,
-    target_wns_fraction: float = -0.02,
     max_fill: float = MAX_UTILIZATION,
 ) -> OptimizeStats:
     """Iteratively size and buffer until timing converges or stalls.
 
-    ``target_wns_fraction`` is the WNS goal as a fraction of the period
-    (slightly negative, mirroring the paper's "allowing for a small
-    negative slack shows that the achieved frequency is the max
-    possible").  ``max_fill`` bounds per-tier area growth; the hetero
-    flow runs its pre-ECO optimization with a tighter bound so the
-    repartitioning loop still has fast-die room to move cells into.
+    Stops once WNS reaches :data:`TARGET_WNS_FRACTION` of the period.
+    ``max_fill`` bounds per-tier area growth; the hetero flow runs its
+    pre-ECO optimization with a tighter bound so the repartitioning
+    loop still has fast-die room to move cells into.
     """
     with span("optimize", max_iterations=max_iterations):
-        stats = _optimize(design, calc, max_iterations, target_wns_fraction, max_fill)
+        stats = _optimize(design, calc, max_iterations, max_fill)
         emit_metric("opt_upsized", stats.upsized)
         emit_metric("opt_buffers", stats.buffers_added)
     return stats
@@ -273,13 +278,12 @@ def _optimize(
     design: Design,
     calc: DelayCalculator,
     max_iterations: int,
-    target_wns_fraction: float,
     max_fill: float,
 ) -> OptimizeStats:
     stats = OptimizeStats()
     period = design.target_period_ns
     latencies = design.clock_latencies()
-    target = target_wns_fraction * period
+    target = TARGET_WNS_FRACTION * period
     budget = AreaBudget(design, max_fill)
 
     session = TimingSession.shared(design.netlist, calc, latencies)
@@ -343,27 +347,23 @@ def _optimize(
     return stats
 
 
-def recover_area(
-    design: Design,
-    calc: DelayCalculator,
-    *,
-    max_cells: int = 2000,
-) -> int:
+def recover_area(design: Design, calc: DelayCalculator) -> int:
     """Downsize high-slack cells for power; returns the number downsized.
 
     Only cells whose worst path slack exceeds ``RECOVERY_MARGIN`` of the
     period are candidates, and each downsizing is checked against the
     local delay increase so recovery cannot create new violations.  Up to
     two passes run (slacks are re-analyzed between passes), because the
-    first wave of downsizing uncovers more recoverable slack.
+    first wave of downsizing uncovers more recoverable slack; at most
+    ``RECOVERY_MAX_CELLS`` cells are downsized.
     """
-    with span("area_recovery", max_cells=max_cells):
-        downsized = _recover(design, calc, max_cells)
+    with span("area_recovery", max_cells=RECOVERY_MAX_CELLS):
+        downsized = _recover(design, calc)
         emit_metric("opt_downsized", downsized)
     return downsized
 
 
-def _recover(design: Design, calc: DelayCalculator, max_cells: int) -> int:
+def _recover(design: Design, calc: DelayCalculator) -> int:
     period = design.target_period_ns
     latencies = design.clock_latencies()
     margin = RECOVERY_MARGIN * period
@@ -382,7 +382,7 @@ def _recover(design: Design, calc: DelayCalculator, max_cells: int) -> int:
         )
         pass_count = 0
         for slack, name in candidates:
-            if downsized >= max_cells:
+            if downsized >= RECOVERY_MAX_CELLS:
                 break
             inst = design.netlist.instances[name]
             if inst.cell.is_macro or inst.fixed or inst.cell.is_sequential:
@@ -399,6 +399,6 @@ def _recover(design: Design, calc: DelayCalculator, max_cells: int) -> int:
                 _invalidate_around(design, calc, name)
                 downsized += 1
                 pass_count += 1
-        if pass_count == 0 or downsized >= max_cells:
+        if pass_count == 0 or downsized >= RECOVERY_MAX_CELLS:
             break
     return downsized

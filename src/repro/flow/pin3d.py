@@ -22,7 +22,6 @@ contracts, checksummed checkpoints, ``--from-stage`` resume).
 
 from __future__ import annotations
 
-from repro.cost.model import CostModel
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
 from repro.flow.opt import optimize_timing, recover_area
@@ -59,8 +58,6 @@ def run_flow_pin3d(
     seed: int = 0,
     utilization: float = 0.82,
     opt_iterations: int = 12,
-    recover: bool = True,
-    cost_model: CostModel | None = None,
     check: str | None = None,
     checkpoint_dir: str | None = None,
     from_stage: str | None = None,
@@ -129,8 +126,7 @@ def run_flow_pin3d(
         design = ctx.design
         calc = design.calculator(placed=True)
         optimize_timing(design, calc, max_iterations=opt_iterations)
-        if recover:
-            recover_area(design, calc)
+        recover_area(design, calc)
         legalize_all_tiers(design)
         calc.invalidate()
 
@@ -150,13 +146,12 @@ def run_flow_pin3d(
         calc = design.calculator(placed=True)
         optimize_timing(design, calc,
                         max_iterations=max(2, opt_iterations // 4))
-        if recover:
-            recover_area(design, calc)
+        recover_area(design, calc)
         legalize_all_tiers(design)
         calc.invalidate()
 
     def signoff(ctx: FlowContext) -> None:
-        ctx.result = finalize_design(ctx.design, cost_model=cost_model)
+        ctx.result = finalize_design(ctx.design)
 
     stages = [
         Stage("synthesis", synthesis, ("connectivity", "timing")),

@@ -68,7 +68,6 @@ def _maybe_corrupt(ctx: FlowContext, stage: str) -> None:
 
 def execute_flow(
     stages: list[Stage],
-    ctx: FlowContext | None = None,
     *,
     check: str | CheckMode | None = None,
     checkpoint_dir: str | None = None,
@@ -90,7 +89,7 @@ def execute_flow(
     library objects so a design resumed from disk binds the exact cells
     a cold run would.
     """
-    ctx = ctx or FlowContext()
+    ctx = FlowContext()
     names = [s.name for s in stages]
     if len(set(names)) != len(names):
         raise FlowError(f"duplicate stage names in flow: {names}")

@@ -19,7 +19,7 @@ from repro.power.activity import propagate_activities
 from repro.power.analysis import PowerReport, analyze_power, net_switching_power_uw
 from repro.route.report import RoutingReport, route_design
 from repro.timing.incremental import TimingSession
-from repro.timing.sta import CriticalPath, PathStep, TimingReport
+from repro.timing.sta import CriticalPath, PathStep
 from repro.units import um2_to_mm2
 
 __all__ = ["MemoryNetStats", "FlowResult", "finalize_design"]
@@ -173,17 +173,12 @@ def _memory_net_stats(
     )
 
 
-def finalize_design(
-    design: Design,
-    *,
-    cost_model: CostModel | None = None,
-    timing: TimingReport | None = None,
-) -> FlowResult:
+def finalize_design(design: Design) -> FlowResult:
     """Signoff a finished design and assemble its :class:`FlowResult`."""
     if design.floorplan is None:
         raise ValueError("design must be floorplanned before finalization")
     with span("signoff", design=design.name, config=design.config):
-        result = _finalize(design, cost_model, timing)
+        result = _finalize(design)
         emit_metric("wns_ns", result.wns_ns)
         emit_metric("tns_ns", result.tns_ns)
         emit_metric("total_power_mw", result.total_power_mw)
@@ -192,18 +187,10 @@ def finalize_design(
     return result
 
 
-def _finalize(
-    design: Design,
-    cost_model: CostModel | None,
-    timing: TimingReport | None,
-) -> FlowResult:
-    cost_model = cost_model or CostModel()
+def _finalize(design: Design) -> FlowResult:
     calc = design.calculator(placed=True)
-    if timing is None:
-        session = TimingSession(design.netlist, calc, design.clock_latencies())
-        timing = session.report(
-            design.target_period_ns, with_cell_slacks=False
-        )
+    session = TimingSession(design.netlist, calc, design.clock_latencies())
+    timing = session.report(design.target_period_ns, with_cell_slacks=False)
 
     activities = propagate_activities(design.netlist)
     clock_mw = design.clock_report.power_mw if design.clock_report else 0.0
@@ -225,7 +212,7 @@ def _finalize(
         congestion=design.place_session().congestion(),
     )
     footprint_mm2 = um2_to_mm2(design.floorplan.area_um2)
-    cost = cost_model.die_cost(footprint_mm2, design.tiers)
+    cost = CostModel().die_cost(footprint_mm2, design.tiers)
 
     effective = timing.effective_delay_ns
     pdp = power_delay_product_pj(power.total_mw, effective)

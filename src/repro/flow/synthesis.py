@@ -1,15 +1,14 @@
-"""Synthesis stand-in: netlist generation, initial sizing, max-frequency sweep.
+"""Synthesis stand-in: netlist generation and initial sizing.
 
 The paper synthesizes each RTL in the target technology "for better PPA"
 (Section IV-A2).  Our generators emit technology-bound netlists directly,
-so this module covers the rest of what synthesis does:
-
-- **initial sizing** with a wire-load model: drivers are sized so their
-  output load stays under a per-drive budget, then a few timing-driven
-  sizing rounds run against the fanout wire model (pre-placement);
-- **max-frequency search**: the binary sweep the paper applies to the
-  12-track 2-D implementation, accepting a period when WNS lands in the
-  "slightly negative" band (|WNS| <= ~5-7% of the period).
+so this module covers the rest of what synthesis does: **initial
+sizing** with a wire-load model -- drivers are sized so their output
+load stays under a per-drive budget, design-rule violations are
+buffered, then a few timing-driven sizing rounds run against the fanout
+wire model (pre-placement).  The max-frequency search the paper applies
+to the 12-track 2-D implementation lives in
+:func:`~repro.experiments.runner.find_target_period`.
 
 :func:`synthesize` is the synthesis stage every flow runs.  Inside a
 :func:`synthesis_store` block (the serial loop of one
@@ -51,6 +50,9 @@ LOAD_BUDGET_PER_DRIVE_FF = 6.0
 #: the 9-track "over-correction" (Section IV-B2): meeting design rules in
 #: a slow library at a fast target demands far more buffering.
 DRV_LOAD_BUDGET = 140.0
+
+#: Timing-driven sizing rounds against the fanout wire model.
+TIMING_ROUNDS = 6
 
 
 def max_drv_load_ff(lib: StdCellLibrary) -> float:
@@ -122,7 +124,7 @@ def fix_drv_violations(design: Design, *, passes: int = 2) -> int:
     return added
 
 
-def initial_sizing(design: Design, *, timing_rounds: int = 6) -> int:
+def initial_sizing(design: Design) -> int:
     """Size gates against the wire-load model; returns cells resized.
 
     Three synthesis-style passes: a load-driven sizing pass (every driver
@@ -132,7 +134,7 @@ def initial_sizing(design: Design, *, timing_rounds: int = 6) -> int:
     pass reads the target period.
     """
     resized = _load_sizing(design)
-    _timing_rounds(design, timing_rounds)
+    _timing_rounds(design)
     return resized
 
 
@@ -161,14 +163,14 @@ def _load_sizing(design: Design) -> int:
     return resized
 
 
-def _timing_rounds(design: Design, rounds: int = 6) -> None:
+def _timing_rounds(design: Design) -> None:
     """The period-dependent pass of :func:`initial_sizing`."""
     calc = DelayCalculator(
         design.netlist,
         FanoutWireModel(design.reference_library()),
         design.libraries_by_name(),
     )
-    optimize_timing(design, calc, max_iterations=rounds)
+    optimize_timing(design, calc, max_iterations=TIMING_ROUNDS)
 
 
 class SynthesisStore:

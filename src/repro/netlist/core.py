@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.errors import NetlistError
 from repro.liberty.cells import CellType
@@ -485,10 +485,3 @@ class Netlist:
             "macros": len(self.memory_macros()),
             "cell_area_um2": self.cell_area_um2(),
         }
-
-
-def iter_net_pins(netlist: Netlist, net: Net) -> Iterable[tuple[str, str]]:
-    """All (instance, pin) connections of a net including the driver."""
-    if net.driver is not None:
-        yield net.driver
-    yield from net.sinks

@@ -26,6 +26,9 @@ from repro.partition.fm import fm_bipartition
 
 __all__ = ["bin_fm_partition"]
 
+#: Alternating-direction sweeps over the bins.
+SWEEPS = 2
+
 
 def _bin_of(x: float, y: float, w: float, h: float, grid: int) -> tuple[int, int]:
     bx = min(grid - 1, max(0, int(x / w * grid)))
@@ -42,7 +45,6 @@ def bin_fm_partition(
     *,
     pinned: dict[str, int] | None = None,
     grid: int = 4,
-    sweeps: int = 2,
     balance_tolerance: float = 0.12,
     seed: int = 0,
 ) -> dict[str, int]:
@@ -63,7 +65,7 @@ def bin_fm_partition(
 
     Returns the assignment for every instance, including pinned ones.
     """
-    with span("fm_partition", grid=grid, sweeps=sweeps):
+    with span("fm_partition", grid=grid, sweeps=SWEEPS):
         return _bin_fm_partition(
             netlist,
             width_um,
@@ -72,7 +74,6 @@ def bin_fm_partition(
             area_side1,
             pinned=pinned,
             grid=grid,
-            sweeps=sweeps,
             balance_tolerance=balance_tolerance,
             seed=seed,
         )
@@ -87,7 +88,6 @@ def _bin_fm_partition(
     *,
     pinned: dict[str, int] | None = None,
     grid: int = 4,
-    sweeps: int = 2,
     balance_tolerance: float = 0.12,
     seed: int = 0,
 ) -> dict[str, int]:
@@ -201,7 +201,7 @@ def _bin_fm_partition(
                 nets_touching_bin[key].append(ni)
 
     bin_keys = sorted(bins)
-    for sweep in range(sweeps):
+    for sweep in range(SWEEPS):
         order = list(bin_keys)
         if sweep % 2 == 1:
             order.reverse()

@@ -23,6 +23,9 @@ from repro.errors import PartitionError
 
 __all__ = ["FMResult", "fm_bipartition"]
 
+#: Most FM passes one bipartition runs.
+MAX_PASSES = 6
+
 
 @dataclass
 class FMResult:
@@ -38,17 +41,6 @@ class FMResult:
         return self.assignment[cell]
 
 
-def _cut_size(nets: list[list[str]], side: dict[str, int]) -> int:
-    """Reference O(pins) cut count; the FM loop itself tracks the cut
-    incrementally and only uses this to seed the very first value."""
-    cut = 0
-    for net in nets:
-        sides = {side[c] for c in net}
-        if len(sides) > 1:
-            cut += 1
-    return cut
-
-
 def fm_bipartition(
     cells: list[str],
     nets: list[list[str]],
@@ -59,7 +51,6 @@ def fm_bipartition(
     fixed: set[str] | None = None,
     balance_tolerance: float = 0.10,
     balance_target: float = 0.5,
-    max_passes: int = 6,
 ) -> FMResult:
     """Refine ``initial`` into a balanced min-cut bipartition.
 
@@ -84,8 +75,8 @@ def fm_bipartition(
         bin-based partitioner uses this to correct accumulated global
         imbalance bin by bin.
 
-    Returns the best assignment found over up to ``max_passes`` passes,
-    stopping early when a pass yields no improvement.
+    Returns the best assignment found over up to :data:`MAX_PASSES`
+    passes, stopping early when a pass yields no improvement.
     """
     fixed = fixed or set()
     if not cells:
@@ -164,7 +155,7 @@ def fm_bipartition(
     best_cut = cut
     passes_done = 0
 
-    for _pass in range(max_passes):
+    for _pass in range(MAX_PASSES):
         passes_done += 1
         a0, a1 = side_areas(side)
         locked: set[str] = set(fixed)

@@ -94,7 +94,6 @@ def build_floorplan(
     tier_libs: dict[int, StdCellLibrary],
     utilization: float,
     *,
-    aspect: float = 1.0,
     demand_scale: float = 1.0,
 ) -> Floorplan:
     """Size the die and place macros.
@@ -144,7 +143,7 @@ def build_floorplan(
     if die_area <= 0:
         raise PlacementError("netlist has no standard cells")
 
-    height = sqrt(die_area / aspect)
+    height = sqrt(die_area)
     width = die_area / height
 
     def pack(h: float) -> tuple[list[tuple[float, float]], float]:

@@ -29,9 +29,9 @@ Three reuse layers
    accumulates in net order -- bitwise equal to the from-scratch loop.
 
 3. **Kill switch and telemetry.**  ``REPRO_PLACE=full`` disables all
-   reuse (the CI equivalence mode); ``REPRO_PLACE_THRESHOLD`` (default
-   0.35) is the disturbed-cell fraction past which the session falls
-   back to a full pass.  ``place_full_runs`` / ``place_incremental_runs``
+   reuse (the CI equivalence mode); ``full_fraction`` (default 0.35)
+   is the disturbed-cell fraction past which the session falls back to
+   a full pass.  ``place_full_runs`` / ``place_incremental_runs``
    / ``place_disturbed_fraction`` span metrics record what actually ran.
 
 Edits are reported through :meth:`Design.touch_placement` (cell moved,
@@ -119,18 +119,13 @@ class PlacementSession:
         tier_libs: dict[int, StdCellLibrary],
         *,
         bins: int = 16,
-        full_fraction: float | None = None,
+        full_fraction: float = DEFAULT_FULL_FRACTION,
         force_full: bool | None = None,
     ) -> None:
         self.netlist = netlist
         self.floorplan = floorplan
         self.tier_libs = dict(tier_libs)
         self.bins = bins
-        if full_fraction is None:
-            full_fraction = float(
-                os.environ.get("REPRO_PLACE_THRESHOLD", "")
-                or DEFAULT_FULL_FRACTION
-            )
         self.full_fraction = full_fraction
         self._force_full = force_full
         self.stats = PlaceSessionStats()

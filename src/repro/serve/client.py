@@ -45,6 +45,13 @@ from repro.serve.protocol import MAX_LINE_BYTES, encode_message, decode_line
 
 __all__ = ["ServeClient", "request"]
 
+#: Cap on the circuit breaker's doubling cooldown (seconds).
+BREAKER_MAX_COOLDOWN_S = 30.0
+
+#: Evictions :meth:`ServeClient.run` recovers by resubmitting before it
+#: gives up.
+MAX_RESUBMITS = 3
+
 
 def request(
     socket_path: str | Path,
@@ -117,19 +124,13 @@ class _CircuitBreaker:
     full reconnect window, so these are expensive).  At ``threshold``
     the breaker opens: requests fail immediately with the remaining
     cooldown in their context instead of hammering a crash-looping
-    daemon.  Each consecutive open doubles the cooldown up to a cap;
-    the first success closes everything.
+    daemon.  Each consecutive open doubles the cooldown up to
+    :data:`BREAKER_MAX_COOLDOWN_S`; the first success closes everything.
     """
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown_s: float = 1.0,
-        max_cooldown_s: float = 30.0,
-    ):
+    def __init__(self, threshold: int = 3, cooldown_s: float = 1.0):
         self.threshold = max(1, threshold)
         self.cooldown_s = max(0.05, cooldown_s)
-        self.max_cooldown_s = max_cooldown_s
         self.failures = 0
         self.opens = 0
         self.open_until = 0.0
@@ -151,7 +152,7 @@ class _CircuitBreaker:
         if self.failures >= self.threshold:
             self.opens += 1
             cooldown = min(
-                self.max_cooldown_s,
+                BREAKER_MAX_COOLDOWN_S,
                 self.cooldown_s * (2 ** (self.opens - 1)),
             )
             self.open_until = time.monotonic() + cooldown
@@ -333,7 +334,6 @@ class ServeClient:
         timeout_s: float = 600.0,
         poll_s: float = 0.2,
         max_backoff_s: float = 30.0,
-        max_resubmits: int = 3,
     ) -> dict:
         """Submit and wait, with the full overload-retry discipline.
 
@@ -341,10 +341,10 @@ class ServeClient:
         ``disk_pressure``) retry under capped jittered exponential
         backoff that never undercuts the daemon's ``retry_after`` hint.
         A result evicted by retention between completion and our read
-        is recovered by resubmitting the identical spec -- submits are
-        content-addressed and results cached, so the retry is
-        idempotent.  Any other rejection or failure raises/returns
-        exactly as :meth:`wait` would.
+        is recovered by resubmitting the identical spec, up to
+        :data:`MAX_RESUBMITS` times -- submits are content-addressed and
+        results cached, so the retry is idempotent.  Any other rejection
+        or failure raises/returns exactly as :meth:`wait` would.
         """
         stop_at = time.monotonic() + timeout_s
         rejections = 0
@@ -380,7 +380,7 @@ class ServeClient:
             )
             if view.get("code") == "evicted":
                 resubmits += 1
-                if resubmits > max_resubmits:
+                if resubmits > MAX_RESUBMITS:
                     raise ServeError(
                         f"job {submitted['job_id']} evicted"
                         f" {resubmits} time(s); giving up"

@@ -104,6 +104,10 @@ _log = get_logger("serve.supervisor")
 #: this often, and ``drain`` re-checks the pool at this interval.
 HOUSEKEEPING_S = 0.05
 
+#: Seconds a booting worker (spawn + imports) may go without its first
+#: heartbeat before the watchdog replaces it.
+BOOT_GRACE_S = 30.0
+
 
 # ----------------------------------------------------------------------
 # worker process side
@@ -452,7 +456,6 @@ class Supervisor:
         scale_up_pending: int = 2,
         scale_cooldown_s: float = 5.0,
         idle_retire_s: float = 30.0,
-        boot_grace_s: float = 30.0,
         forward_spans: bool = True,
     ):
         self.core = core
@@ -462,7 +465,6 @@ class Supervisor:
         self.scale_cooldown_s = max(0.0, scale_cooldown_s)
         self.idle_retire_s = max(0.0, idle_retire_s)
         self.heartbeat_s = heartbeat_s
-        self.boot_grace_s = boot_grace_s
         self.job_timeout_s = job_timeout_s
         self.restart_budget = restart_budget
         self.forward_spans = forward_spans
@@ -830,7 +832,7 @@ class Supervisor:
             beat = handle.last_beat_s()
             if beat == 0.0:
                 # Still booting (spawn + imports): grace, not staleness.
-                stale = now - handle.spawned_s > self.boot_grace_s
+                stale = now - handle.spawned_s > BOOT_GRACE_S
                 if note_age is not None:
                     note_age(handle.name, 0.0)
             else:

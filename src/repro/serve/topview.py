@@ -28,6 +28,9 @@ __all__ = ["TopModel"]
 #: Job states a job never leaves (mirrors repro.serve.queue).
 TERMINAL_STATES = ("done", "failed")
 
+#: Job rows one dashboard frame lists; the rest are summarized.
+MAX_JOBS_SHOWN = 20
+
 
 def _new_job(job_id: str) -> dict[str, Any]:
     return {
@@ -199,7 +202,7 @@ class TopModel:
             out[job["state"]] = out.get(job["state"], 0) + 1
         return out
 
-    def render(self, *, max_jobs: int = 20) -> str:
+    def render(self) -> str:
         """One dashboard frame as plain ASCII text."""
         counts = self.counts()
         summary = "  ".join(
@@ -238,7 +241,7 @@ class TopModel:
             self.jobs.values(),
             key=lambda j: (order.get(j["state"], 2), j["job_id"]),
         )
-        for job in ranked[:max_jobs]:
+        for job in ranked[:MAX_JOBS_SHOWN]:
             stage = "" if job["state"] in TERMINAL_STATES else job["stage"]
             if stage and not job["stage_open"]:
                 stage = f"({stage})"  # finished, next not yet open
@@ -249,6 +252,8 @@ class TopModel:
                 f" {job['attempts']:3d} {job['stages_done']:4d}"
                 f"  {stage}{flag}"
             )
-        if len(self.jobs) > max_jobs:
-            lines.append(f"... and {len(self.jobs) - max_jobs} more job(s)")
+        if len(self.jobs) > MAX_JOBS_SHOWN:
+            lines.append(
+                f"... and {len(self.jobs) - MAX_JOBS_SHOWN} more job(s)"
+            )
         return "\n".join(lines)

@@ -67,22 +67,23 @@ class NetParasitics:
     miv_count: int = 0
 
 
+#: Wire-load model: a net's length is this base plus a fixed length per
+#: sink beyond the first (um).
+FANOUT_BASE_LENGTH_UM = 4.0
+FANOUT_LENGTH_PER_SINK_UM = 6.0
+
+
 class FanoutWireModel:
     """Pre-placement wire-load model: length grows with fanout."""
 
-    def __init__(
-        self,
-        lib: StdCellLibrary,
-        base_length_um: float = 4.0,
-        per_fanout_um: float = 6.0,
-    ) -> None:
+    def __init__(self, lib: StdCellLibrary) -> None:
         self._lib = lib
-        self._base = base_length_um
-        self._per_fanout = per_fanout_um
 
     def extract(self, netlist: Netlist, net: Net) -> NetParasitics:
         """Estimate parasitics from fanout alone."""
-        length = self._base + self._per_fanout * max(0, net.fanout - 1)
+        length = FANOUT_BASE_LENGTH_UM + FANOUT_LENGTH_PER_SINK_UM * max(
+            0, net.fanout - 1
+        )
         wire_cap = length * self._lib.wire_c_ff_per_um
         pin_cap = sum(
             netlist.instances[i].cell.input_capacitance_ff(p)
@@ -224,7 +225,7 @@ class DelayCalculator:
         self._listeners: list[Callable[[str | None], None]] = []
         # NLDM lookups are pure functions of (arc, input slew, load), so
         # repeated evaluations -- the common case inside optimization
-        # loops, period sweeps, and backward propagation -- are memoized.
+        # loops and backward propagation -- are memoized.
         # Keys use id(arc); the arc objects are pinned in _arc_refs so an
         # id can never be recycled while its memo entries live.
         self._arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}

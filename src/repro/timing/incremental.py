@@ -17,12 +17,14 @@ does.  Three reuse layers compound:
    once from finalized fanin values, the result is bit-identical to a
    from-scratch propagation.
 
-2. **Period-sweep arrival reuse.**  Arrivals, slews, setup times and
+2. **Period-independent arrivals.**  Arrivals, slews, setup times and
    clock latencies do not depend on the clock period; only required
    times do.  The session caches the period-independent endpoint base
    (``StaEngine.endpoint_base``) and derives the slack dict per
-   candidate period in O(endpoints), so a period binary search costs
-   one forward propagation total instead of one per probe.
+   requested period in O(endpoints), so reports at several periods on
+   an unchanged netlist share one forward propagation.  The flows ask
+   each session for one period only: every probe of a target-period
+   search is a flow of its own.
 
 3. **Confined backward updates.**  Required times are recomputed only
    over the backward region reachable from changed seeds: invalidated
@@ -37,8 +39,8 @@ to the session.  One flow edit does not yet: load cloning
 (``flow.opt._try_clone``) leaves the cached parasitics of its driver's
 input nets without the clone's sink (see DESIGN.md).  A full
 ``calc.invalidate()`` marks the whole graph dirty.  When the dirty cone
-exceeds ``REPRO_STA_THRESHOLD`` (default 35%) of the combinational
-core, the session falls back to a full rebuild -- incrementality never
+exceeds ``full_fraction`` (default 35%) of the combinational core, the
+session falls back to a full rebuild -- incrementality never
 wins once most of the graph moved.  Setting ``REPRO_STA=full`` disables
 all reuse and rebuilds from scratch on every report; this is the
 equivalence kill switch CI uses, mirroring ``REPRO_CACHE=0``.
@@ -113,7 +115,7 @@ class TimingSession:
 
     Produces :class:`~repro.timing.sta.TimingReport` objects numerically
     identical to :func:`~repro.timing.sta.run_sta` on the same state,
-    while reusing arrivals across edits and period probes.
+    while reusing arrivals across edits and periods.
     """
 
     def __init__(
@@ -122,15 +124,11 @@ class TimingSession:
         calc: DelayCalculator,
         clock_latencies: dict[str, float] | None = None,
         *,
-        full_fraction: float | None = None,
+        full_fraction: float = DEFAULT_FULL_FRACTION,
     ) -> None:
         self.netlist = netlist
         self.calc = calc
         self.latencies = clock_latencies or {}
-        if full_fraction is None:
-            full_fraction = float(
-                os.environ.get("REPRO_STA_THRESHOLD", "") or DEFAULT_FULL_FRACTION
-            )
         self.full_fraction = full_fraction
         self.stats = SessionStats()
 

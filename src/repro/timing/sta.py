@@ -138,10 +138,6 @@ class TimingReport:
         """Target clock frequency of this run."""
         return 1.0 / self.period_ns
 
-    def timing_met(self, tolerance_fraction: float = 0.07) -> bool:
-        """The paper's closure criterion: |WNS| below ~5-7% of the period."""
-        return self.wns_ns >= -tolerance_fraction * self.period_ns
-
     def worst_endpoints(self, count: int) -> list[tuple[tuple[str, str], float]]:
         """The ``count`` worst endpoints, most negative slack first."""
         ranked = sorted(self.endpoint_slacks.items(), key=lambda kv: kv[1])

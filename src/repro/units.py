@@ -25,47 +25,10 @@ from __future__ import annotations
 #: Multiply a kOhm * fF product by this to obtain nanoseconds.
 RC_TO_NS = 1e-3
 
-#: Nanoseconds per picosecond.
-PS_TO_NS = 1e-3
-
-#: Micrometers per millimeter.
-MM_TO_UM = 1000.0
-
 #: Square micrometers per square millimeter.
 MM2_TO_UM2 = 1e6
-
-#: Square millimeters per square centimeter.
-CM2_TO_MM2 = 100.0
-
-#: Boltzmann constant times room temperature over electron charge (volts).
-#: Used by the subthreshold-leakage model.
-THERMAL_VOLTAGE = 0.02585
-
-
-def ghz_to_period_ns(frequency_ghz: float) -> float:
-    """Return the clock period in ns for a frequency in GHz."""
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return 1.0 / frequency_ghz
-
-
-def period_ns_to_ghz(period_ns: float) -> float:
-    """Return the clock frequency in GHz for a period in ns."""
-    if period_ns <= 0:
-        raise ValueError(f"period must be positive, got {period_ns}")
-    return 1.0 / period_ns
 
 
 def um2_to_mm2(area_um2: float) -> float:
     """Convert an area from square micrometers to square millimeters."""
     return area_um2 / MM2_TO_UM2
-
-
-def mm2_to_um2(area_mm2: float) -> float:
-    """Convert an area from square millimeters to square micrometers."""
-    return area_mm2 * MM2_TO_UM2
-
-
-def um_to_mm(length_um: float) -> float:
-    """Convert a length from micrometers to millimeters."""
-    return length_um / MM_TO_UM

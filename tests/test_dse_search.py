@@ -28,7 +28,6 @@ from repro.experiments.dse.search import (
     _objective_vector,
     load_report,
     period_grid,
-    resolve_spec,
 )
 from repro.experiments.dse.space import build_library
 from repro.experiments.telemetry import get_telemetry, reset_telemetry
@@ -111,7 +110,7 @@ def test_interrupted_run_resumes_to_identical_front(fresh_cache):
     full = explore(spec)
     assert len(full.rows) == 2
 
-    mkey = _manifest_key(resolve_spec(spec))
+    mkey = _manifest_key(spec)
     manifest = cache.load_manifest(mkey)
     dropped = sorted(manifest["rows"])[0]
     del manifest["rows"][dropped]
@@ -203,7 +202,7 @@ def test_suffix_reuse_serves_cached_flow_tail(fresh_cache, monkeypatch):
     )
 
     monkeypatch.delenv("REPRO_CHECK", raising=False)
-    spec = resolve_spec(tiny_spec())
+    spec = tiny_spec()
     cfg = DseConfig(8, 0.70, 0.25, 0.10)
     period = period_grid(spec.design, spec.period_steps)[-1]
     cold = _flow_at_period(cfg, spec, period)
@@ -328,7 +327,7 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
 ):
     """Every row is byte-identical whether flows seed from the
     in-process store, from the disk store (the in-process one emptied
-    after every config), or not at all (``REPRO_DSE_PREFIX=0``)."""
+    after every config), or not at all (``reuse_prefix=False``)."""
     from repro.experiments.dse import search
 
     spec = tiny_spec(lattice=LatticeSpec(
@@ -336,7 +335,7 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
         tier_caps=(0.25,), fm_tolerances=(0.10,),
     ))
 
-    def rows(tag: str, **kwargs) -> tuple[str, dict]:
+    def rows(tag: str, spec=spec, **kwargs) -> tuple[str, dict]:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / tag))
         reset_telemetry()
         report = explore(spec, **kwargs)
@@ -357,8 +356,7 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
     assert reads, "no flow seeded from the disk store"
     assert disk_tel.prefix_stages_reused == memory_tel.prefix_stages_reused
 
-    monkeypatch.setenv("REPRO_DSE_PREFIX", "0")
-    cold, cold_tel = rows("cold")
+    cold, cold_tel = rows("cold", replace(spec, reuse_prefix=False))
     assert cold_tel.prefix_stages_reused == 0
     assert memory == disk == cold
 
@@ -445,13 +443,13 @@ def test_pruning_skips_are_certified_and_counted(fresh_cache):
     """Synthetic rows: a candidate whose every in-range neighbor is far
     worse than a front member must be pruned, with the certificate
     recorded; one with any potentially-better neighbor must not."""
-    spec = resolve_spec(tiny_spec(
+    spec = tiny_spec(
         lattice=LatticeSpec(
             slow_tracks=(8,), slow_vdd=(0.66, 0.70, 0.90),
             tier_caps=(0.225, 0.25), fm_tolerances=(0.10,),
         ),
         prune_distance=1,
-    ))
+    )
     good = DseConfig(8, 0.70, 0.25, 0.10)
     bad = DseConfig(8, 0.90, 0.25, 0.10)
     rows = {
@@ -478,7 +476,7 @@ def test_pruning_skips_are_certified_and_counted(fresh_cache):
 
     # Widening the trust radius pulls `good`'s prediction into the
     # consensus bound: the pessimist's min un-certifies the same skip.
-    wide = resolve_spec(replace(spec, prune_distance=3))
+    wide = replace(spec, prune_distance=3)
     held = _maybe_prune(candidate, wide, rows, by_label, front)
     assert held is None
 
@@ -493,24 +491,11 @@ def test_period_grid_is_shared_and_deterministic():
         period_grid("aes", 1)
 
 
-def test_spec_env_resolution(monkeypatch):
-    monkeypatch.setenv("REPRO_DSE_PERIOD_STEPS", "7")
-    monkeypatch.setenv("REPRO_DSE_PRUNE", "off")
-    monkeypatch.setenv("REPRO_DSE_WARM", "0")
-    monkeypatch.setenv("REPRO_DSE_PRUNE_MARGIN", "0.4")
-    spec = resolve_spec(ExploreSpec(design="aes"))
-    assert spec.period_steps == 7
-    assert spec.prune is False
-    assert spec.warm_periods is False
-    assert spec.reuse_prefix is True
-    assert spec.prune_margin == (0.4, 0.4, 0.4, 0.4)
-    # Explicit values beat the environment.
-    pinned = resolve_spec(ExploreSpec(design="aes", period_steps=11, prune=True))
-    assert pinned.period_steps == 11 and pinned.prune is True
+def test_spec_env_resolution():
     # Perf toggles stay out of the manifest identity: flipping them
     # must not change which stored run a resume finds.
-    on = resolve_spec(ExploreSpec(design="aes", prune=True,
-                                  warm_periods=True, reuse_prefix=True))
-    off = resolve_spec(ExploreSpec(design="aes", prune=False,
-                                   warm_periods=False, reuse_prefix=False))
+    on = ExploreSpec(design="aes", prune=True,
+                     warm_periods=True, reuse_prefix=True)
+    off = ExploreSpec(design="aes", prune=False,
+                      warm_periods=False, reuse_prefix=False)
     assert on.key_fields() == off.key_fields()

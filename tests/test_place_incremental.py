@@ -243,12 +243,6 @@ class TestSessionBehaviour:
         assert session.stats.full_runs == 2
         assert session.stats.incremental_runs == 0
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLACE_THRESHOLD", "0.07")
-        nl, fp, libs = build_design(1)
-        session = PlacementSession(nl, fp, libs)
-        assert session.full_fraction == 0.07
-
     def test_hpwl_matches_metrics(self):
         from repro.obs.metrics import hpwl_um
 

@@ -82,12 +82,6 @@ class TestBasics:
         assert r.effective_delay_ns == pytest.approx(0.5 - r.wns_ns)
         assert r.frequency_ghz == pytest.approx(2.0)
 
-    def test_timing_met_band(self, pair):
-        nl = pipeline(pair[0], 2)
-        calc = make_calc(pair, nl)
-        r = run_sta(nl, calc, 1.0)
-        assert r.timing_met()
-
 
 class TestCriticalPath:
     def test_path_depth_matches_pipeline(self, pair):

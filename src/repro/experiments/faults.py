@@ -548,4 +548,7 @@ def maybe_corrupt_design(design, *, site: str, **context) -> list[str]:
             spec.op, where, detail,
         )
         applied.append(spec.op)
+    if applied:
+        # A corruption bypasses the invalidation contract.
+        design.drop_calculator()
     return applied

@@ -4,6 +4,12 @@ A :class:`Design` ties together everything a flow stage needs: the
 netlist, the per-tier libraries, the floorplan, the clock tree, and the
 wire model in effect.  Flow stages mutate the design in place and the
 finalizer reads every metric off it.
+
+The design also owns the flow's timing state: one placed
+:class:`~repro.timing.delaycalc.DelayCalculator` bound to the current
+floorplan (and, through ``TimingSession.shared``, one incremental
+timing session on it), which every stage from legalization to signoff
+reuses instead of re-extracting every net.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from repro.timing.delaycalc import (
     FanoutWireModel,
     PlacementWireModel,
 )
+from repro.timing.incremental import full_sta_forced
 
 __all__ = ["Design"]
 
@@ -43,6 +50,10 @@ class Design:
     )
     #: lazy placement session bound to the current floorplan
     _place_session: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: placed delay calculator: (floorplan it is bound to, calculator)
+    _calc: tuple[Floorplan | None, DelayCalculator] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -77,10 +88,41 @@ class Design:
             raise FlowError(f"design has no tier {tier}") from None
 
     def calculator(self, *, placed: bool) -> DelayCalculator:
-        """A delay calculator over the current netlist state."""
+        """A delay calculator over the current netlist state.
+
+        ``placed=False`` builds a fresh wire-load calculator.  The placed
+        calculator is the design's own: every call returns the same
+        object until the floorplan changes (a global re-place), an edit
+        outside the invalidation contract drops it
+        (:meth:`drop_calculator`), or signoff releases it.  Under
+        ``REPRO_STA=full`` every call builds a fresh one, so nothing is
+        reused across stages.
+        """
+        held = self.held_calculator() if placed else None
+        if held is not None and not full_sta_forced():
+            return held
         lib = self.reference_library()
         model = PlacementWireModel(lib) if placed else FanoutWireModel(lib)
-        return DelayCalculator(self.netlist, model, self.libraries_by_name())
+        calc = DelayCalculator(self.netlist, model, self.libraries_by_name())
+        if placed:
+            self._calc = (self.floorplan, calc)
+        return calc
+
+    def held_calculator(self) -> DelayCalculator | None:
+        """The placed calculator bound to the current floorplan, if any."""
+        held = self._calc
+        if held is None or held[0] is not self.floorplan:
+            return None
+        return held[1]
+
+    def drop_calculator(self) -> None:
+        """Forget the placed calculator (and the timing session on it).
+
+        For edits that bypass ``calc.invalidate`` -- level-shifter
+        insertion, tier assignment, integrity repairs, injected faults
+        -- and for signoff, after which nothing re-times the design.
+        """
+        self._calc = None
 
     def clock_latencies(self) -> dict[str, float] | None:
         """Per-sink clock insertion delays, or None before CTS.

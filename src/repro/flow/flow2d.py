@@ -64,7 +64,7 @@ def run_flow_2d(
         recover_area(design, calc)
         # Sizing changed cell widths; restore row legality.
         legalize_all_tiers(design)
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def cts(ctx: FlowContext) -> None:
         design = ctx.design
@@ -86,7 +86,7 @@ def run_flow_2d(
                         max_iterations=max(2, opt_iterations // 4))
         recover_area(design, calc)
         legalize_all_tiers(design)
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def signoff(ctx: FlowContext) -> None:
         ctx.result = finalize_design(ctx.design)

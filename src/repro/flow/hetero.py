@@ -34,11 +34,15 @@ from __future__ import annotations
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
 from repro.flow.levelshift import insert_level_shifters
-from repro.flow.opt import optimize_timing, recover_area
+from repro.flow.opt import TARGET_WNS_FRACTION, optimize_timing, recover_area
 from repro.flow.pin3d import FM_BALANCE_TOLERANCE, apply_partition
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.flow.report import FlowResult, finalize_design
-from repro.flow.stages import legalize_all_tiers, place_with_congestion_control
+from repro.flow.stages import (
+    legalize_all_tiers,
+    place_with_congestion_control,
+    relegalize,
+)
 from repro.flow.synthesis import synthesize
 from repro.liberty.library import StdCellLibrary
 from repro.obs import emit_metric, span
@@ -68,10 +72,10 @@ def _run_repartition(
     """Wire Algorithm 1 to real STA, remap, and undo callbacks."""
     calc = design.calculator(placed=True)
     latencies = design.clock_latencies()
-    # One incremental session spans the whole ECO loop: each batch of
-    # tier moves invalidates only the touched nets, so every analyze()
-    # call re-propagates just the moved cells' fanout cones.
-    session = TimingSession(design.netlist, calc, latencies)
+    # The design's incremental session spans the whole ECO loop: each
+    # batch of tier moves invalidates only the touched nets, so every
+    # analyze() call re-propagates just the moved cells' fanout cones.
+    session = TimingSession.shared(design.netlist, calc, latencies)
 
     def analyze():
         report = session.report(
@@ -126,18 +130,7 @@ def _run_repartition(
         # see real (legal) positions for the moved cells.  The placement
         # session re-packs only the rows the batch disturbed; timing is
         # then re-derived for the nets of every cell that actually moved.
-        place = design.place_session()
-        place.legalize_all()
-        moved = place.last_moved
-        if moved is None:
-            calc.invalidate()
-            return
-        for name in moved:
-            inst = design.netlist.instances.get(name)
-            if inst is None:
-                continue
-            for _pin, net in inst.connected_pins():
-                calc.invalidate(net)
+        relegalize(design)
 
     return repartition_eco(
         analyze, move_to_fast, undo, tier_areas, SLOW_TIER, config,
@@ -240,7 +233,7 @@ def run_flow_hetero_3d(
             pinned: dict[str, int] = {}
             if timing_partitioning:
                 calc = design.calculator(placed=True)
-                session = TimingSession(netlist, calc)
+                session = TimingSession.shared(netlist, calc)
                 pinned = timing_based_pinning(
                     netlist,
                     session=session,
@@ -338,7 +331,7 @@ def run_flow_hetero_3d(
         )
         recover_area(design, calc)
         legalize_all_tiers(design)
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def cts(ctx: FlowContext) -> None:
         # ---- heterogeneous clock tree ----------------------------------
@@ -362,12 +355,14 @@ def run_flow_hetero_3d(
             max_iterations=max(2, opt_iterations // 4),
             **({"max_fill": pre_eco_fill} if pre_eco_fill else {}),
         )
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def repartition_stage(ctx: FlowContext) -> None:
         # ---- ECO repartitioning (Algorithm 1) --------------------------
         design = ctx.design
-        config = RepartitionConfig(wns_target_ns=-0.02 * period_ns)
+        config = RepartitionConfig(
+            wns_target_ns=TARGET_WNS_FRACTION * period_ns
+        )
         eco = _run_repartition(design, config, fast_fill_cap=flow_fill)
         design.notes["eco_cells_moved"] = float(len(eco.cells_moved))
         design.notes["eco_batches_accepted"] = float(eco.batches_accepted)
@@ -385,7 +380,7 @@ def run_flow_hetero_3d(
                 max_iterations=max(4, opt_iterations // 3),
                 max_fill=flow_fill,
             )
-            calc.invalidate()
+            calc.invalidate_deferred()
 
     def final_shifters(ctx: FlowContext) -> None:
         # Optimization and ECO moves may have created fresh low-to-high

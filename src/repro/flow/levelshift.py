@@ -156,6 +156,9 @@ def insert_level_shifters(design: Design) -> LevelShifterReport:
         inserted += 1
         area += ls_cell.area_um2
 
+    if violating:
+        # The rewiring above reaches no delay calculator.
+        design.drop_calculator()
     return LevelShifterReport(
         crossings_checked=checked,
         violating_nets=violating,

@@ -179,15 +179,19 @@ def _try_clone(
     clone.tier = inst.tier
     if inst.is_placed:
         clone.x_um, clone.y_um = inst.x_um, inst.y_um
+    # The nets the clone joins as a sink are invalidated only where the
+    # stage ends (DelayCalculator.defer_invalidation).
     for pin in inst.cell.input_pins:
         src = inst.net_of(pin)
         if src is not None:
             netlist.connect(src, clone_name, pin)
+            calc.defer_invalidation(src)
     clock_pin = inst.cell.clock_pin
     if clock_pin is not None:
         src = inst.net_of(clock_pin)
         if src is not None:
             netlist.connect(src, clone_name, clock_pin)
+            calc.defer_invalidation(src)
     new_net = netlist.add_net(netlist.unique_name(f"{out_net_name}_cl"))
     netlist.connect(new_net.name, clone_name, out_pin)
     moved = net.sinks[len(net.sinks) // 2 :]

@@ -44,9 +44,14 @@ FM_BALANCE_TOLERANCE = 0.12
 
 
 def apply_partition(design: Design, assignment: dict[str, int]) -> None:
-    """Move every instance to its assigned tier (remapping if needed)."""
+    """Move every instance to its assigned tier (remapping if needed).
+
+    Tier moves and remaps reach no delay calculator, so the design's
+    calculator is dropped.
+    """
     for name, tier in assignment.items():
         design.remap_instance_to_tier(name, tier)
+    design.drop_calculator()
 
 
 def run_flow_pin3d(
@@ -128,7 +133,7 @@ def run_flow_pin3d(
         optimize_timing(design, calc, max_iterations=opt_iterations)
         recover_area(design, calc)
         legalize_all_tiers(design)
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def cts(ctx: FlowContext) -> None:
         design = ctx.design
@@ -148,7 +153,7 @@ def run_flow_pin3d(
                         max_iterations=max(2, opt_iterations // 4))
         recover_area(design, calc)
         legalize_all_tiers(design)
-        calc.invalidate()
+        calc.invalidate_deferred()
 
     def signoff(ctx: FlowContext) -> None:
         ctx.result = finalize_design(ctx.design)

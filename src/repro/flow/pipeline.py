@@ -10,18 +10,22 @@ it to :func:`execute_flow`, which runs, per stage:
    next step catches it),
 3. the stage's postcondition contract checks
    (:func:`repro.integrity.contracts.enforce`, policy from ``--check``/
-   ``$REPRO_CHECK``),
+   ``$REPRO_CHECK``), plus the ``parasitics`` check of the design's
+   delay calculator at every boundary,
 4. the checksummed checkpoint write (``--checkpoint-dir``) -- after the
    checks, so checkpoints only ever hold validated state.
 
 ``--from-stage`` resumes: the driver loads the newest valid checkpoint
 *before* the named stage (falling back past corrupt files) and skips
-the stages already covered.  Stage boundaries are aligned with the
-points where the monolithic flows fully invalidated their delay
-calculator, so a resumed flow is byte-identical to an uninterrupted
-one.  A caller still holding the design a run stopped with
-(``until_stage``) can instead pass it back as ``design`` and continue
-in memory, without any checkpoint file.
+the stages already covered.  An uninterrupted flow carries one delay
+calculator and its timing session from stage to stage; a resumed one
+starts a fresh calculator at its first timed stage.  The two agree
+byte for byte because every boundary leaves the calculator exact: each
+cached net equals a fresh extraction (the ``parasitics`` check), since
+edits invalidate the nets they touch and each stage ends by
+invalidating the nets load cloning deferred.  A caller still holding
+the design a run stopped with (``until_stage``) can instead pass it
+back as ``design`` and continue in memory, without any checkpoint file.
 """
 
 from __future__ import annotations
@@ -143,8 +147,8 @@ def execute_flow(
         count("flow_stages_run")
         _maybe_corrupt(ctx, stage.name)
         if ctx.design is not None:
-            enforce(ctx.design, stage=stage.name, checks=stage.checks,
-                    mode=mode)
+            enforce(ctx.design, stage=stage.name,
+                    checks=(*stage.checks, "parasitics"), mode=mode)
             if checkpoint_dir is not None:
                 write_checkpoint(checkpoint_dir, index, stage.name, ctx.design)
         if stage.name == until_stage:

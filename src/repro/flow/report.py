@@ -179,6 +179,8 @@ def finalize_design(design: Design) -> FlowResult:
         raise ValueError("design must be floorplanned before finalization")
     with span("signoff", design=design.name, config=design.config):
         result = _finalize(design)
+        # Nothing re-times a signed-off design: release its timing state.
+        design.drop_calculator()
         emit_metric("wns_ns", result.wns_ns)
         emit_metric("tns_ns", result.tns_ns)
         emit_metric("total_power_mw", result.total_power_mw)
@@ -189,7 +191,9 @@ def finalize_design(design: Design) -> FlowResult:
 
 def _finalize(design: Design) -> FlowResult:
     calc = design.calculator(placed=True)
-    session = TimingSession(design.netlist, calc, design.clock_latencies())
+    session = TimingSession.shared(
+        design.netlist, calc, design.clock_latencies()
+    )
     timing = session.report(design.target_period_ns, with_cell_slacks=False)
 
     activities = propagate_activities(design.netlist)

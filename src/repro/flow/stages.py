@@ -20,7 +20,7 @@ from repro.place.legalizer import LegalizeStats
 from repro.place.quadratic import global_place
 from repro.route.congestion import analyze_congestion
 
-__all__ = ["place_with_congestion_control", "legalize_all_tiers"]
+__all__ = ["place_with_congestion_control", "legalize_all_tiers", "relegalize"]
 
 #: Peak bin utilization above which the floorplan is declared unroutable.
 CONGESTION_LIMIT = 1.00
@@ -103,17 +103,39 @@ def place_with_congestion_control(
     return utilization
 
 
+def relegalize(design: Design) -> dict[int, LegalizeStats]:
+    """Legalize every tier and invalidate the moved cells' nets.
+
+    The design's calculator keeps every other net's parasitics: a cell
+    the pass did not move has the same pins at the same place.
+    """
+    session = design.place_session()
+    stats = session.legalize_all()
+    calc = design.held_calculator()
+    if calc is not None:
+        instances = design.netlist.instances
+        for name in session.last_moved:
+            inst = instances.get(name)  # a dirtied cell may be gone
+            if inst is None:
+                continue
+            for _pin, net_name in inst.connected_pins():
+                calc.invalidate(net_name)
+    return stats
+
+
 def legalize_all_tiers(design: Design) -> dict[int, LegalizeStats]:
     """Legalize every tier against its own library's rows.
 
     Routed through the design's :class:`PlacementSession`, so calls after
     small edit batches re-pack only the disturbed rows (byte-identical to
-    a full pass -- ``REPRO_PLACE=full`` forces the old behavior).
+    a full pass -- ``REPRO_PLACE=full`` forces the old behavior), and
+    through :func:`relegalize`, so timing stays warm for every cell the
+    pass left in place.
     """
     if design.floorplan is None:
         raise PlacementError("floorplan missing; place before legalizing")
     with span("legalization", design=design.name):
-        stats = design.place_session().legalize_all()
+        stats = relegalize(design)
         for tier in design.tier_libs:
             emit_metric("tier_cells", stats[tier].cells, tier=tier)
             emit_metric(

@@ -51,6 +51,10 @@ LOAD_BUDGET_PER_DRIVE_FF = 6.0
 #: a slow library at a fast target demands far more buffering.
 DRV_LOAD_BUDGET = 140.0
 
+#: Buffering passes of :func:`fix_drv_violations`; a second pass fixes
+#: what the repeaters of the first still overload.
+DRV_FIX_PASSES = 2
+
 #: Timing-driven sizing rounds against the fanout wire model.
 TIMING_ROUNDS = 6
 
@@ -68,7 +72,7 @@ def max_drv_load_ff(lib: StdCellLibrary) -> float:
     return DRV_LOAD_BUDGET / max(r_kohm, 1e-6)
 
 
-def fix_drv_violations(design: Design, *, passes: int = 2) -> int:
+def fix_drv_violations(design: Design) -> int:
     """Buffer nets whose load exceeds the library max-cap rule.
 
     Sinks of an over-loaded net are split behind BUF x4 repeaters until
@@ -81,7 +85,7 @@ def fix_drv_violations(design: Design, *, passes: int = 2) -> int:
     netlist = design.netlist
     libs = design.libraries_by_name()
     added = 0
-    for _ in range(passes):
+    for _ in range(DRV_FIX_PASSES):
         pass_added = 0
         for net_name in list(netlist.nets):
             net = netlist.nets[net_name]

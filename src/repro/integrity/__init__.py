@@ -6,7 +6,8 @@ its own intermediate state.  This package wraps every stage of the
 
 - :mod:`repro.integrity.invariants` -- the checkers (netlist
   connectivity, placement legality, tier consistency incl. the paper's
-  level-shifter and critical-area rules, timing sanity) returning
+  level-shifter and critical-area rules, timing sanity, exact cached
+  parasitics) returning
   :class:`InvariantViolation` records;
 - :mod:`repro.integrity.contracts` -- the ``off``/``warn``/``repair``/
   ``strict`` enforcement policy behind ``--check`` / ``$REPRO_CHECK``,
@@ -39,6 +40,7 @@ from repro.integrity.invariants import (
     InvariantViolation,
     check_connectivity,
     check_design,
+    check_parasitics,
     check_placement,
     check_result,
     check_tier_balance,
@@ -54,6 +56,7 @@ __all__ = [
     "InvariantViolation",
     "check_connectivity",
     "check_design",
+    "check_parasitics",
     "check_placement",
     "check_result",
     "check_tier_balance",

@@ -13,7 +13,8 @@ happens to a violation is policy, selected by ``--check`` /
     ``invariant_violation`` span events; the flow continues.
 ``repair``
     Registered repair hooks run first -- re-legalize overlapping tiers,
-    strip dangling nets, insert missing level shifters -- each recorded
+    strip dangling nets, insert missing level shifters, drop a stale
+    delay calculator -- each recorded
     as an ``integrity_repair`` span event and ``integrity_repairs`` QoR
     metric; anything still broken afterwards escalates to strict.
 ``strict``
@@ -112,6 +113,7 @@ def integrity_counts() -> dict:
 # ----------------------------------------------------------------------
 def _repair_connectivity(design: Design) -> str:
     """Strip dangling nets (no driver, no sinks, not a port)."""
+    design.drop_calculator()
     netlist = design.netlist
     dangling = [
         net.name
@@ -133,6 +135,7 @@ def _repair_placement(design: Design) -> str:
     """
     from repro.flow.stages import legalize_all_tiers
 
+    design.drop_calculator()
     if design.floorplan is not None:
         design.place_session().invalidate_all()
     stats = legalize_all_tiers(design)
@@ -151,11 +154,18 @@ def _repair_tiers(design: Design) -> str:
     return f"inserted {report.shifters_inserted} level shifters"
 
 
+def _repair_parasitics(design: Design) -> str:
+    """Drop the delay calculator; the next one extracts every net fresh."""
+    design.drop_calculator()
+    return "dropped the stale delay calculator"
+
+
 #: check name -> hook; checks without a hook cannot be auto-repaired.
 REPAIRS = {
     "connectivity": _repair_connectivity,
     "placement": _repair_placement,
     "tiers": _repair_tiers,
+    "parasitics": _repair_parasitics,
 }
 
 

@@ -6,7 +6,7 @@ and returns *every* violation it finds as a typed
 raises on the first problem -- these feed the warn/repair/strict policy
 of :mod:`repro.integrity.contracts`, so completeness matters).
 
-The four families mirror what the flow can actually break:
+The families mirror what the flow can actually break:
 
 ``connectivity``
     The netlist hypergraph: dangling nets, undriven nets, floating input
@@ -27,6 +27,11 @@ The four families mirror what the flow can actually break:
 ``timing``
     Sanity of the timing graph: no combinational loops, and STA
     completes with finite worst/total slack.
+``parasitics``
+    The invalidation contract: every net the design's placed delay
+    calculator holds parasitics for equals a fresh extraction, bit for
+    bit.  The flow driver runs it at every stage boundary; it is a
+    no-op while the design holds no calculator.
 
 ``check_result`` validates a finished :class:`FlowResult` (the ``repro
 check`` command accepts saved results as well as checkpoints).
@@ -45,6 +50,7 @@ __all__ = [
     "InvariantViolation",
     "check_connectivity",
     "check_design",
+    "check_parasitics",
     "check_placement",
     "check_result",
     "check_tier_balance",
@@ -315,7 +321,9 @@ def check_timing(design: Design) -> list[InvariantViolation]:
 
     placed = all(i.is_placed for i in design.netlist.instances.values())
     try:
-        session = TimingSession(
+        # A placed design is checked on its own calculator and session,
+        # so a boundary adds no second invalidation listener.
+        session = TimingSession.shared(
             design.netlist,
             design.calculator(placed=placed and design.floorplan is not None),
             design.clock_latencies(),
@@ -337,6 +345,41 @@ def check_timing(design: Design) -> list[InvariantViolation]:
     return out
 
 
+# ----------------------------------------------------------------------
+# parasitics
+# ----------------------------------------------------------------------
+def check_parasitics(design: Design) -> list[InvariantViolation]:
+    """Every cached net of the design's calculator is exact.
+
+    An edit that changes a net's pins, positions, tiers or pin caps
+    without invalidating the net leaves its cached parasitics stale,
+    and every later timing query reads them.
+    """
+    from repro.timing.delaycalc import PlacementWireModel
+
+    calc = design.held_calculator()
+    if calc is None:
+        return []
+    netlist = design.netlist
+    model = PlacementWireModel(design.reference_library())
+    out: list[InvariantViolation] = []
+    for net_name, cached in calc.cached_parasitics().items():
+        net = netlist.nets.get(net_name)
+        if net is None:
+            out.append(InvariantViolation(
+                "parasitics", "removed-net", net_name,
+                "parasitics cached for a net the netlist no longer has",
+                repairable=True,
+            ))
+        elif cached != model.extract(netlist, net):
+            out.append(InvariantViolation(
+                "parasitics", "stale-net", net_name,
+                "cached parasitics differ from a fresh extraction",
+                repairable=True,
+            ))
+    return out
+
+
 #: Checker registry, in the order boundaries run them.
 CHECKS = {
     "connectivity": check_connectivity,
@@ -344,6 +387,7 @@ CHECKS = {
     "tiers": check_tiers,
     "tier_balance": check_tier_balance,
     "timing": check_timing,
+    "parasitics": check_parasitics,
 }
 
 

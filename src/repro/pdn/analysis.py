@@ -25,7 +25,7 @@ from repro.power.activity import propagate_activities
 
 __all__ = ["TierPdnReport", "PdnReport", "analyze_pdn"]
 
-#: Default IR-drop budget as a fraction of the tier supply (signoff rule).
+#: IR-drop budget as a fraction of the tier supply (signoff rule).
 DROP_BUDGET_FRACTION = 0.05
 
 
@@ -44,9 +44,9 @@ class TierPdnReport:
         """Worst drop relative to this tier's supply."""
         return self.worst_drop_mv / (self.vdd_v * 1000.0)
 
-    def meets_budget(self, fraction: float = DROP_BUDGET_FRACTION) -> bool:
+    def meets_budget(self) -> bool:
         """True when the worst drop stays inside the signoff budget."""
-        return self.worst_drop_fraction <= fraction
+        return self.worst_drop_fraction <= DROP_BUDGET_FRACTION
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class PdnReport:
         """The tier with the largest relative drop."""
         return max(self.tiers.values(), key=lambda t: t.worst_drop_fraction)
 
-    def meets_budget(self, fraction: float = DROP_BUDGET_FRACTION) -> bool:
+    def meets_budget(self) -> bool:
         """True when every tier meets the signoff budget."""
-        return all(t.meets_budget(fraction) for t in self.tiers.values())
+        return all(t.meets_budget() for t in self.tiers.values())
 
 
 def _current_maps(design: Design, bins: int) -> dict[int, np.ndarray]:

@@ -129,9 +129,9 @@ class PlacementSession:
         self.full_fraction = full_fraction
         self._force_full = force_full
         self.stats = PlaceSessionStats()
-        #: Cells moved by the most recent ``legalize_all``; ``None`` means
-        #: "unknown / possibly all" (a full pass ran).
-        self.last_moved: set[str] | None = None
+        #: Cells whose position the most recent ``legalize_all`` changed,
+        #: plus, after an incremental pass, the cells dirtied before it.
+        self.last_moved: set[str] = set()
         # --- legalization state ---
         self._legal_cold = True
         self._dirty_cells: set[str] = set()
@@ -164,7 +164,7 @@ class PlacementSession:
         self._dirty_cells.clear()
         self._analysis_dirty_cells.clear()
         self._analysis_dirty_nets.clear()
-        self.last_moved = None
+        self.last_moved = set()
 
     def _full_mode(self) -> bool:
         if self._force_full is not None:
@@ -205,6 +205,10 @@ class PlacementSession:
 
     def _legalize_full(self) -> dict[int, LegalizeStats]:
         self.stats.full_runs += 1
+        instances = self.netlist.instances
+        before = {
+            name: (inst.x_um, inst.y_um) for name, inst in instances.items()
+        }
         stats: dict[int, LegalizeStats] = {}
         for tier, lib in self.tier_libs.items():
             stats[tier] = legalize(self.netlist, self.floorplan, lib, tier)
@@ -215,7 +219,11 @@ class PlacementSession:
             }
         self._legal_cold = False
         self._dirty_cells.clear()
-        self.last_moved = None
+        self.last_moved = {
+            name
+            for name, inst in instances.items()
+            if before[name] != (inst.x_um, inst.y_um)
+        }
         # A full pass may have moved anything: analysis must resync fully.
         self._analysis_cold = True
         return stats
@@ -282,11 +290,16 @@ class PlacementSession:
             if not group:
                 continue
             y, segs = rows[r]
+            before = [(inst.x_um, inst.y_um) for inst in group]
             t, w = _legalize_row(y, segs, group, tier)
             total_disp += t
             max_disp = max(max_disp, w)
             self.stats.rows_repacked += 1
-            moved.update(inst.name for inst in group)
+            moved.update(
+                inst.name
+                for inst, pos in zip(group, before)
+                if (inst.x_um, inst.y_um) != pos
+            )
         self.stats.rows_total += sum(1 for g in row_groups if g)
 
         self._assign[tier] = new_assign

@@ -230,6 +230,8 @@ class DelayCalculator:
         # id can never be recycled while its memo entries live.
         self._arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}
         self._arc_refs: dict[int, TimingArc] = {}
+        # Nets whose invalidation waits for invalidate_deferred().
+        self._deferred: set[str] = set()
         # The TimingSession successive passes over this calculator share
         # (see TimingSession.shared).
         self.session = None
@@ -253,6 +255,26 @@ class DelayCalculator:
             self._cache.pop(net_name, None)
         for listener in self._listeners:
             listener(net_name)
+
+    def defer_invalidation(self, net_name: str) -> None:
+        """Invalidate one net at the next :meth:`invalidate_deferred`.
+
+        Load cloning joins its driver's input nets without invalidating
+        them; the flows invalidate those nets where each stage ends, so
+        they stay exactly as stale as they were when every stage built
+        a calculator of its own (see DESIGN.md, invalidation contract).
+        """
+        self._deferred.add(net_name)
+
+    def invalidate_deferred(self) -> None:
+        """Invalidate every net :meth:`defer_invalidation` recorded."""
+        deferred, self._deferred = self._deferred, set()
+        for net_name in deferred:
+            self.invalidate(net_name)
+
+    def cached_parasitics(self) -> dict[str, NetParasitics]:
+        """The cached parasitics by net name (a live view; do not edit)."""
+        return self._cache
 
     def net_parasitics(self, net: Net) -> NetParasitics:
         """Extract (and cache) parasitics for one net."""

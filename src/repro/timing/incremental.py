@@ -33,17 +33,25 @@ does.  Three reuse layers compound:
    order of each net's driver with a pull-based min that enumerates the
    same candidate set as the full push-based pass, hence equal values.
 
+The flows keep one session per design for the whole flow: the
+design's placed calculator (``Design.calculator``) carries it through
+:meth:`TimingSession.shared` from stage to stage, and a CTS latency map
+reaches it through :meth:`TimingSession.set_clock_latencies`.
+
 **Invalidation contract**: netlist edits must invalidate every touched
 net through the :class:`~repro.timing.delaycalc.DelayCalculator` bound
-to the session.  One flow edit does not yet: load cloning
+to the session; legalization invalidates the nets of the cells it
+moved.  One flow edit does not yet: load cloning
 (``flow.opt._try_clone``) leaves the cached parasitics of its driver's
-input nets without the clone's sink (see DESIGN.md).  A full
+input nets without the clone's sink until the stage ends
+(``DelayCalculator.defer_invalidation``; see DESIGN.md).  A full
 ``calc.invalidate()`` marks the whole graph dirty.  When the dirty cone
 exceeds ``full_fraction`` (default 35%) of the combinational core, the
 session falls back to a full rebuild -- incrementality never
 wins once most of the graph moved.  Setting ``REPRO_STA=full`` disables
-all reuse and rebuilds from scratch on every report; this is the
-equivalence kill switch CI uses, mirroring ``REPRO_CACHE=0``.
+all reuse -- a fresh calculator per stage and a full rebuild on every
+report; this is the equivalence kill switch CI uses, mirroring
+``REPRO_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -168,11 +176,12 @@ class TimingSession:
     ) -> "TimingSession":
         """The session bound to ``calc``, created on first use.
 
-        Passes that analyse one calculator in turn -- the optimizer,
-        then area recovery -- continue from its arrivals instead of
-        each rebuilding from scratch, and the calculator carries one
-        invalidation listener instead of one per pass.  A different
-        latency map (CTS ran in between) forces a rebuild.
+        Passes that analyse one calculator in turn -- every timed stage
+        of a flow on the design's calculator -- continue from its
+        arrivals instead of each rebuilding from scratch, and the
+        calculator carries one invalidation listener instead of one per
+        pass.  A different latency map (CTS ran in between) forces a
+        rebuild.
         """
         session = calc.session
         if session is None or session.netlist is not netlist:

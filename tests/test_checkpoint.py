@@ -19,6 +19,15 @@ from repro.liberty.presets import make_library_pair, make_twelve_track_library
 
 SCALE = 0.12
 
+#: A period tight enough that the optimizer clones drivers in the
+#: small aes flows below.
+CLONING_PERIOD_NS = 0.45
+
+
+def clone_count(design) -> int:
+    """Instances load cloning added (``<driver>_cl_<n>``)."""
+    return sum("_cl_" in name for name in design.netlist.instances)
+
 
 @pytest.fixture(scope="module")
 def finished():
@@ -131,12 +140,17 @@ class TestResume:
     def test_in_memory_continuation_at_every_boundary(self, tmp_path):
         """Stopping a hetero flow after any stage and continuing from
         the design it returned gives the cold run's result -- and so
-        does resuming the next stage from the checkpoint files."""
+        does resuming the next stage from the checkpoint files.  The
+        period makes the optimizer clone, so the nets load cloning
+        leaves stale must be settled at every boundary: the in-memory
+        design carries its calculator on, a disk resume starts fresh."""
         lib12, lib9 = make_library_pair()
-        kw = dict(period_ns=1.0, scale=0.08, seed=1, opt_iterations=2)
-        _, cold = run_flow_hetero_3d(
+        kw = dict(period_ns=CLONING_PERIOD_NS, scale=0.08, seed=1,
+                  opt_iterations=2, check="strict")
+        design, cold = run_flow_hetero_3d(
             "aes", lib12, lib9, checkpoint_dir=str(tmp_path), **kw
         )
+        assert clone_count(design) > 0
         expected = json.dumps(cold.to_dict(), sort_keys=True)
         names = [p.stem[3:] for p in sorted(tmp_path.glob("*.json"))]
         assert names[-1] == "signoff" and len(names) > 5
@@ -155,6 +169,23 @@ class TestResume:
             for result in (memory, disk):
                 assert (json.dumps(result.to_dict(), sort_keys=True)
                         == expected), stop
+
+    def test_2d_resume_at_every_boundary(self, tmp_path):
+        """A cold 2-D run times every stage on one calculator; resuming
+        at any stage from its checkpoint builds a fresh design and
+        calculator, and must reproduce the cold result byte for byte."""
+        lib = make_twelve_track_library()
+        kw = dict(period_ns=CLONING_PERIOD_NS, scale=SCALE, seed=4,
+                  checkpoint_dir=str(tmp_path), check="strict")
+        design, cold = run_flow_2d("aes", lib, **kw)
+        assert clone_count(design) > 0
+        expected = json.dumps(cold.to_dict(), sort_keys=True)
+        names = [p.stem[3:] for p in sorted(tmp_path.glob("*.json"))]
+        assert names[-1] == "signoff"
+        for resume in names[1:]:
+            _, resumed = run_flow_2d("aes", lib, from_stage=resume, **kw)
+            assert (json.dumps(resumed.to_dict(), sort_keys=True)
+                    == expected), resume
 
     def test_in_memory_design_needs_from_stage(self):
         lib12, lib9 = make_library_pair()

@@ -102,3 +102,46 @@ class TestRemap:
             design.remap_instance_to_tier(name, 1)
         design.netlist.validate()
         design.netlist.topological_order()
+
+
+class TestCalculator:
+    def floorplanned(self, pair):
+        from repro.place.floorplan import build_floorplan
+
+        design = hetero_design(pair, scale=0.1)
+        design.floorplan = build_floorplan(
+            design.netlist, design.tier_libs, 0.7
+        )
+        return design
+
+    def test_placed_calculator_is_the_designs_own(self, pair):
+        design = self.floorplanned(pair)
+        calc = design.calculator(placed=True)
+        assert design.calculator(placed=True) is calc
+        assert design.held_calculator() is calc
+        assert (design.calculator(placed=False)
+                is not design.calculator(placed=False))
+
+    def test_new_floorplan_or_drop_starts_a_fresh_one(self, pair):
+        from repro.place.floorplan import build_floorplan
+
+        design = self.floorplanned(pair)
+        calc = design.calculator(placed=True)
+        design.floorplan = build_floorplan(
+            design.netlist, design.tier_libs, 0.6
+        )
+        assert design.held_calculator() is None
+        second = design.calculator(placed=True)
+        assert second is not calc
+        design.drop_calculator()
+        assert design.held_calculator() is None
+        assert design.calculator(placed=True) is not second
+
+    def test_full_sta_kill_switch_reuses_nothing(self, pair, monkeypatch):
+        monkeypatch.setenv("REPRO_STA", "full")
+        design = self.floorplanned(pair)
+        first = design.calculator(placed=True)
+        second = design.calculator(placed=True)
+        assert second is not first
+        # edits still reach the calculator handed out last
+        assert design.held_calculator() is second

@@ -11,6 +11,7 @@ from repro.integrity import (
     CheckMode,
     check_connectivity,
     check_design,
+    check_parasitics,
     check_placement,
     check_result,
     check_tiers,
@@ -122,6 +123,38 @@ class TestInvariants:
             design.netlist.disconnect(inst.name, "A")
             design.netlist.connect(old_net, inst.name, "A")
 
+    def test_cell_moved_without_invalidation_flagged(self, finished):
+        design, _ = finished
+        calc = design.calculator(placed=True)
+        inst = next(
+            i for i in sorted(design.netlist.instances.values(),
+                              key=lambda i: i.name)
+            if not i.cell.is_macro and i.net_of(i.cell.output_pin)
+        )
+        nets = {net for _pin, net in inst.connected_pins()}
+        for net in sorted(nets):
+            calc.net_parasitics(design.netlist.nets[net])
+        assert check_parasitics(design) == []
+        old = inst.x_um
+        inst.x_um += 5.0
+        try:
+            found = check_parasitics(design)
+            assert found and {v.subject for v in found} <= nets
+            assert all(v.code == "stale-net" and v.repairable
+                       for v in found)
+            for net in nets:
+                calc.invalidate(net)
+            assert check_parasitics(design) == []
+        finally:
+            inst.x_um = old
+            for net in nets:
+                calc.invalidate(net)
+
+    def test_parasitics_check_needs_a_held_calculator(self, finished):
+        design, _ = finished
+        design.drop_calculator()
+        assert check_parasitics(design) == []
+
     def test_check_result_clean_and_poisoned(self, finished):
         _, result = finished
         assert check_result(result) == []
@@ -188,7 +221,8 @@ class TestEnforce:
 
     def test_checks_registry_names(self):
         assert set(CHECKS) == {
-            "connectivity", "placement", "tiers", "tier_balance", "timing"
+            "connectivity", "placement", "tiers", "tier_balance", "timing",
+            "parasitics",
         }
 
 

@@ -266,6 +266,36 @@ class TestSessionBehaviour:
         got = session.congestion(bins=4)
         assert np.array_equal(got.demand, ref.demand)
 
+    def test_last_moved_is_what_each_pass_moved(self):
+        nl, fp, libs = build_design(1)
+        session = PlacementSession(nl, fp, libs)
+        before = {n: (i.x_um, i.y_um) for n, i in nl.instances.items()}
+        session.legalize_all()
+        assert session.stats.full_runs == 1
+        moved = {
+            n for n, i in nl.instances.items()
+            if before[n] != (i.x_um, i.y_um)
+        }
+        assert moved and session.last_moved == moved
+        # a full pass over a legal placement moves nothing
+        session.invalidate_all()
+        session.legalize_all()
+        assert session.stats.full_runs == 2
+        assert session.last_moved == set()
+        # an incremental pass: the shifted cells plus the dirtied one
+        inst = _comb_instances(nl)[0]
+        bigger = LIBS[inst.cell.library_name].upsize(inst.cell)
+        nl.rebind(inst.name, bigger)
+        session.dirty_cell(inst.name)
+        before = {n: (i.x_um, i.y_um) for n, i in nl.instances.items()}
+        session.legalize_all()
+        assert session.stats.incremental_runs == 1
+        shifted = {
+            n for n, i in nl.instances.items()
+            if before[n] != (i.x_um, i.y_um)
+        }
+        assert session.last_moved == shifted | {inst.name}
+
     def test_stats_runs_property(self):
         stats = PlaceSessionStats(full_runs=2, incremental_runs=3)
         assert stats.runs == 5

@@ -10,9 +10,16 @@ default ``~/.cache/repro``), so a second benchmark session warm-starts in
 seconds without running a single flow; set ``REPRO_JOBS=N`` to fan a cold
 run out over N worker processes.  A telemetry block (flows run, cache
 hits/misses, per-cell wall times) is printed at the end of the session.
+
+The speedup guards record their measurements with :func:`record_bench`
+under ``bench-results/`` at the checkout root, which git ignores, so a
+test run rewrites no tracked file.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +31,26 @@ from repro.experiments.telemetry import get_telemetry
 def matrix():
     """The full evaluation matrix (cached for the whole benchmark run)."""
     return run_matrix(scale=default_scale(), seed=1)
+
+
+#: Where :func:`record_bench` writes; listed in ``.gitignore``.
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench-results"
+
+
+def record_bench(name: str, section: str, payload: dict, **shared) -> None:
+    """Merge ``payload`` as ``section`` of ``BENCH_DIR / name``, with the
+    ``shared`` entries at its top level."""
+    path = BENCH_DIR / name
+    data: dict = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            data = {}
+    data[section] = payload
+    data.update(shared)
+    BENCH_DIR.mkdir(exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def emit(title: str, text: str) -> None:

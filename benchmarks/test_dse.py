@@ -13,19 +13,17 @@ The guards are the PR's acceptance bar: >= 3x fewer flow-stage
 executions, >= 2x wall clock, and a byte-identical Pareto front --
 the optimizations are pure cost removal, never an answer change.
 
-Measurements land in ``BENCH_dse.json`` at the repo root.  Runs under
-``benchmarks/`` only, never in the tier-1 suite.
+Measurements land in ``bench-results/BENCH_dse.json`` (gitignored).
+Runs under ``benchmarks/`` only, never in the tier-1 suite.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.experiments.dse import ExploreSpec, LatticeSpec, explore
 from repro.experiments.telemetry import get_telemetry, reset_telemetry
@@ -43,8 +41,6 @@ LATTICE = LatticeSpec(
 
 MIN_STAGE_RATIO = 3.0
 MIN_WALL_RATIO = 2.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_dse.json"
 
 
 def _spec(**overrides) -> ExploreSpec:
@@ -78,25 +74,6 @@ def _run(**overrides):
     return report, get_telemetry().snapshot(), wall
 
 
-def _update_bench(section: str, payload: dict) -> None:
-    data: dict = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    data["sweep"] = {
-        "design": "aes",
-        "scale": SCALE,
-        "seed": SEED,
-        "configs": LATTICE.size,
-        "period_steps": PERIOD_STEPS,
-        "opt_iterations": OPT_ITERATIONS,
-    }
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def test_dse_explorer_speedup():
     naive_report, naive_tel, naive_wall = _run(
         prune=False, reuse_prefix=False, warm_periods=False,
@@ -116,7 +93,8 @@ def test_dse_explorer_speedup():
     )
     identical = naive_report.front_json() == opt_report.front_json()
 
-    _update_bench(
+    record_bench(
+        "BENCH_dse.json",
         "explorer",
         {
             "naive": {
@@ -140,6 +118,14 @@ def test_dse_explorer_speedup():
             "probe_ratio": round(probe_ratio, 2),
             "front_size": len(opt_report.front_ids),
             "front_byte_identical": identical,
+        },
+        sweep={
+            "design": "aes",
+            "scale": SCALE,
+            "seed": SEED,
+            "configs": LATTICE.size,
+            "period_steps": PERIOD_STEPS,
+            "opt_iterations": OPT_ITERATIONS,
         },
     )
     emit(

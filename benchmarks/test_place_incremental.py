@@ -9,19 +9,17 @@ run per move.  A touched cell dirties a handful of rows and nets while
 the full side repacks every row and replays every net, so the
 incremental side must win by at least 2x.
 
-Measurements land in ``BENCH_place.json`` at the repo root.
+Measurements land in ``bench-results/BENCH_place.json`` (gitignored).
 
 Runs under ``benchmarks/`` only, never in the tier-1 suite.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.liberty.presets import make_library_pair
 from repro.netlist.generators import generate_netlist
@@ -33,8 +31,6 @@ SCALE = 0.3
 SEED = 3
 OPT_ROUNDS = 30
 MIN_OPT_SPEEDUP = 2.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_place.json"
 
 _LIB12, _LIB9 = make_library_pair()
 _LIBS = {_LIB12.name: _LIB12, _LIB9.name: _LIB9}
@@ -96,15 +92,8 @@ def _opt_loop(force_full: bool) -> tuple[float, PlacementSession]:
 
 
 def _update_bench(section: str, payload: dict) -> None:
-    data: dict = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    data["netlist"] = {"name": "aes", "scale": SCALE, "seed": SEED}
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record_bench("BENCH_place.json", section, payload,
+                 netlist={"name": "aes", "scale": SCALE, "seed": SEED})
 
 
 def test_opt_loop_speedup():

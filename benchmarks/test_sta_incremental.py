@@ -12,7 +12,7 @@ per query, through identical code paths):
   (STA only).  Arrivals are period-independent, so the session propagates
   once and each probe is O(endpoints); the guard is 3x.
 
-Both record their measurements in ``BENCH_sta.json`` at the repo root
+Both record their measurements in ``bench-results/BENCH_sta.json``
 (speedups, wall times, re-propagated node fraction).
 
 Runs under ``benchmarks/`` only, never in the tier-1 suite.
@@ -20,12 +20,10 @@ Runs under ``benchmarks/`` only, never in the tier-1 suite.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.liberty.presets import make_library_pair
 from repro.netlist.generators import generate_netlist
@@ -38,8 +36,6 @@ OPT_ROUNDS = 30
 SWEEP_PROBES = 12
 MIN_OPT_SPEEDUP = 2.0
 MIN_SWEEP_SPEEDUP = 3.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sta.json"
 
 _LIB12, _LIB9 = make_library_pair()
 _LIBS = {_LIB12.name: _LIB12, _LIB9.name: _LIB9}
@@ -116,15 +112,8 @@ def _sweep(force_full: bool) -> float:
 
 
 def _update_bench(section: str, payload: dict) -> None:
-    data: dict = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    data["netlist"] = {"name": "aes", "scale": SCALE, "seed": SEED}
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record_bench("BENCH_sta.json", section, payload,
+                 netlist={"name": "aes", "scale": SCALE, "seed": SEED})
 
 
 def test_opt_loop_speedup():

@@ -41,6 +41,15 @@ compounding cost reducers:
    in-memory design; no per-flow checkpoint is written.  Exact by
    construction; counted in ``telemetry.suffix_flows_reused``.
 
+   Partitioning itself is shared too: :func:`explore` enters a
+   :func:`~repro.flow.hetero.partition_store`, which keeps the
+   pseudo-3-D cell slacks per prefix state, the pinned set per state
+   and tier cap, and the bin-FM tier assignment per state, pinned set,
+   slow-side cell-area vector and FM tolerance.  Configs that differ
+   only in the slow die's supply share all three; the timing report
+   runs once per prefix state.  Exact by construction, since each
+   entry is keyed by exactly what its step reads.
+
 3. **Dominance pruning.**  Before evaluating a config, its objective
    vector is lower-bounded from every evaluated lattice neighbor in
    range: each predicts the candidate as its own vector relaxed by the
@@ -62,12 +71,13 @@ flow runs and a byte-identical final front.
 :class:`ExploreSpec` switches each layer off for one run (``prune``,
 ``reuse_prefix``, ``warm_periods``; ``repro explore
 --no-prune/--no-reuse/--no-warm``) without changing any row.  Tail
-reuse belongs to the prefix layer and is also off whenever
-``$REPRO_CHECK`` enables stage-boundary checks, the one consumer of the
-notes the fingerprint masks.  ``ExploreSpec.prune_distance`` is the
-consensus radius of pruning: every evaluated config within this many
-lattice steps contributes a prediction to the componentwise-min bound
-(default 1).  Because the bound is a minimum, widening the radius only
+and partition reuse belong to the prefix layer; tail reuse is also off
+whenever ``$REPRO_CHECK`` enables stage-boundary checks, the one
+consumer of the notes the fingerprint masks.
+``ExploreSpec.prune_distance`` is the consensus radius of pruning:
+every evaluated config within this many lattice steps contributes a
+prediction to the componentwise-min bound (default 1).  Because the
+bound is a minimum, widening the radius only
 *loosens* it -- extra neighbors can veto a skip, never enable one -- so
 larger values trade pruning yield for extra safety near metric cliffs.
 """
@@ -107,7 +117,12 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.telemetry import count, get_telemetry, timed_stage
 from repro.flow.design import Design
-from repro.flow.hetero import FAST_TIER, SLOW_TIER, run_flow_hetero_3d
+from repro.flow.hetero import (
+    FAST_TIER,
+    SLOW_TIER,
+    partition_store,
+    run_flow_hetero_3d,
+)
 from repro.flow.report import FlowResult
 from repro.integrity.contracts import CheckMode, current_mode
 from repro.integrity.checkpoint import (
@@ -925,10 +940,17 @@ def explore(
             from repro.serve.supervisor import BatchPool
 
             pool = BatchPool(min(jobs, max(1, len(pending))), policy)
+        # The partition store is on exactly when _flow_at_period runs
+        # flows through _flow_reusing; pool workers run without it.
+        partitions = (
+            partition_store()
+            if spec.reuse_prefix and cache.cache_enabled()
+            else nullcontext()
+        )
 
         with span(
             "dse", design=spec.design, configs=len(configs), jobs=jobs
-        ), pool or nullcontext():
+        ), pool or nullcontext(), partitions:
             while pending:
                 wave: list[DseConfig] = []
                 hints: dict[str, int | None] = {}

@@ -27,9 +27,18 @@ The flow runs as :class:`~repro.flow.pipeline.Stage` objects under
 shifters, and ``repartition`` only when the ECO loop is enabled, so the
 stage list (and the checkpoint sequence) is deterministic for a given
 set of flow arguments.
+
+Inside a :func:`partition_store` block (one design-space exploration)
+the partitioning stage serves its three steps from a
+:class:`PartitionStore` instead of recomputing them for every config;
+outside one it always runs cold.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator
 
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
@@ -58,10 +67,101 @@ from repro.place.quadratic import global_place
 from repro.place.legalizer import row_capacity_um2
 from repro.timing.incremental import TimingSession
 
-__all__ = ["run_flow_hetero_3d"]
+__all__ = ["PartitionStore", "partition_store", "run_flow_hetero_3d"]
 
 FAST_TIER = 0  # bottom die, 12-track at 0.90 V
 SLOW_TIER = 1  # top die, 9-track at 0.81 V
+
+
+class PartitionStore:
+    """Partitioning-stage results keyed by exactly what each step reads.
+
+    The stage runs three steps on the pseudo-3-D state: a timing report
+    for every cell's worst slack, timing-based pinning, then bin-based
+    FM.  That state is a function of ``(design, fast library, scale,
+    seed, period, utilization)`` alone -- the *state key*, the fields
+    of the explorer's prefix key -- because every standard cell is
+    still bound to the fast library (``rebind_tier_library`` refuses a
+    prefix state that is not).  Each step's result is stored under the
+    state key plus exactly the further inputs that step reads:
+
+    - the cell slacks: nothing further;
+    - the pinned set: the tier cap;
+    - the tier assignment: the pinned set, the slow-side cell-area
+      vector, compared by content (so every supply voltage of one
+      track height shares an entry), and the FM tolerance.  It is
+      stored as one byte per instance, in netlist order.
+
+    Keys carry ``id(fast library)``; the store pins each library so an
+    id cannot be reused while its entries live.
+    """
+
+    def __init__(self) -> None:
+        self._libs: dict[int, StdCellLibrary] = {}
+        self._entries: dict[tuple, object] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._libs.clear()
+        self._entries.clear()
+
+    def bind(
+        self,
+        design_name: str,
+        fast_lib: StdCellLibrary,
+        scale: float,
+        seed: int,
+        period_ns: float,
+        utilization: float,
+    ) -> Callable[[tuple, Callable[[], object]], object]:
+        """The memo of one pseudo-3-D state: ``memo(step, compute)``
+        returns the entry under the state key plus ``step``, computing
+        and storing it on a miss."""
+        self._libs[id(fast_lib)] = fast_lib
+        state = (design_name, id(fast_lib), scale, seed, period_ns,
+                 utilization)
+
+        def memo(step: tuple, compute: Callable[[], object]) -> object:
+            key = state + step
+            value = self._entries.get(key)
+            if value is None:
+                value = self._entries[key] = compute()
+            return value
+
+        return memo
+
+
+def _compute(_step: tuple, compute: Callable[[], object]) -> object:
+    """The memo outside a :func:`partition_store` block: always cold."""
+    return compute()
+
+
+#: The store the partitioning stage serves from; set only inside
+#: :func:`partition_store`.
+_STORE: ContextVar[PartitionStore | None] = ContextVar(
+    "partition_store", default=None
+)
+
+
+@contextmanager
+def partition_store() -> Iterator[PartitionStore]:
+    """Serve the partitioning stage from a fresh store for the block's
+    duration.  The store is emptied when the block exits.
+
+    Sound only for flows whose pseudo-3-D state is the one their
+    arguments produce -- a flow run from synthesis, or resumed from a
+    prefix state of the same arguments -- never for a ``design`` a
+    caller edited in between.
+    """
+    store = PartitionStore()
+    token = _STORE.set(store)
+    try:
+        yield store
+    finally:
+        _STORE.reset(token)
+        store.clear()
 
 
 def _run_repartition(
@@ -229,23 +329,34 @@ def run_flow_hetero_3d(
         design = ctx.design
         netlist = design.netlist
         pseudo_fp = design.floorplan
+        store = _STORE.get()
+        memo = _compute if store is None else store.bind(
+            design_name, fast_lib, scale, seed, period_ns, utilization
+        )
         with span("partitioning", design=design_name):
             pinned: dict[str, int] = {}
             if timing_partitioning:
-                calc = design.calculator(placed=True)
-                session = TimingSession.shared(netlist, calc)
-                pinned = timing_based_pinning(
-                    netlist,
-                    session=session,
-                    period_ns=period_ns,
-                    fast_tier=FAST_TIER,
-                    area_cap_fraction=pinning_area_cap,
-                    # Cells within 30% of the period of criticality
-                    # compete for the fast die; padding the fast tier
-                    # with mid-slack cells would only waste the area the
-                    # ECO loop later needs.
-                    slack_threshold_ns=0.30 * period_ns,
-                )
+                def cell_slacks() -> dict[str, float]:
+                    calc = design.calculator(placed=True)
+                    session = TimingSession.shared(netlist, calc)
+                    return session.report(
+                        period_ns, with_cell_slacks=True
+                    ).cell_slack
+
+                def pin() -> dict[str, int]:
+                    return timing_based_pinning(
+                        netlist,
+                        memo(("slacks",), cell_slacks),
+                        fast_tier=FAST_TIER,
+                        area_cap_fraction=pinning_area_cap,
+                        # Cells within 30% of the period of criticality
+                        # compete for the fast die; padding the fast
+                        # tier with mid-slack cells would only waste the
+                        # area the ECO loop later needs.
+                        slack_threshold_ns=0.30 * period_ns,
+                    )
+
+                pinned = memo(("pins", pinning_area_cap), pin)
                 design.notes["pinned_cells"] = float(len(pinned))
                 std_area = netlist.cell_area_um2(
                     lambda i: not i.cell.is_macro
@@ -276,17 +387,26 @@ def run_flow_hetero_3d(
                 )
                 for name, inst in netlist.instances.items()
             }
-            assignment = bin_fm_partition(
-                netlist,
-                pseudo_fp.width_um,
-                pseudo_fp.height_um,
-                areas_fast,
-                areas_slow,
-                pinned=pinned,
-                balance_tolerance=balance_tolerance,
-                seed=seed,
+
+            def assign() -> bytes:
+                assignment = bin_fm_partition(
+                    netlist,
+                    pseudo_fp.width_um,
+                    pseudo_fp.height_um,
+                    areas_fast,
+                    areas_slow,
+                    pinned=pinned,
+                    balance_tolerance=balance_tolerance,
+                )
+                return bytes(assignment[name] for name in netlist.instances)
+
+            tiers = memo(
+                ("tiers", frozenset(pinned.items()),
+                 tuple(areas_slow.values()), balance_tolerance),
+                assign,
             )
-            apply_partition(design, assignment)  # remaps top tier to 9T
+            # remaps the top tier to the slow library
+            apply_partition(design, dict(zip(netlist.instances, tiers)))
             design.notes["fm_balance_tolerance"] = balance_tolerance
             emit_metric("cut_nets", len(netlist.cut_nets()))
 

@@ -103,7 +103,6 @@ def run_flow_pin3d(
                 areas,
                 areas,
                 balance_tolerance=FM_BALANCE_TOLERANCE,
-                seed=seed,
             )
             apply_partition(design, assignment)
             design.notes["fm_balance_tolerance"] = FM_BALANCE_TOLERANCE

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.errors import PartitionError
 from repro.netlist.core import Netlist
 from repro.obs import span
@@ -46,7 +44,6 @@ def bin_fm_partition(
     pinned: dict[str, int] | None = None,
     grid: int = 4,
     balance_tolerance: float = 0.12,
-    seed: int = 0,
 ) -> dict[str, int]:
     """Assign every instance a tier (0=bottom, 1=top).
 
@@ -75,7 +72,6 @@ def bin_fm_partition(
             pinned=pinned,
             grid=grid,
             balance_tolerance=balance_tolerance,
-            seed=seed,
         )
 
 
@@ -89,12 +85,10 @@ def _bin_fm_partition(
     pinned: dict[str, int] | None = None,
     grid: int = 4,
     balance_tolerance: float = 0.12,
-    seed: int = 0,
 ) -> dict[str, int]:
     pinned = dict(pinned or {})
     area_side0 = dict(area_side0)
     area_side1 = dict(area_side1)
-    rng = np.random.default_rng(seed)
 
     # Macros stay on the bottom tier unless the caller pinned them.
     for macro in netlist.memory_macros():
@@ -274,5 +268,4 @@ def _bin_fm_partition(
     # Macro-blocker pseudo cells were bookkeeping only.
     for name in blocker_names:
         assignment.pop(name, None)
-    _ = rng  # determinism knob reserved for tie-breaking extensions
     return assignment

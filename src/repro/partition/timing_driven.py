@@ -17,24 +17,17 @@ pseudo-3-D/3-D placement correspondence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import PartitionError
 from repro.netlist.core import Netlist
 from repro.obs import emit_metric, span
-
-if TYPE_CHECKING:
-    from repro.timing.incremental import TimingSession
 
 __all__ = ["timing_based_pinning"]
 
 
 def timing_based_pinning(
     netlist: Netlist,
-    cell_slack: dict[str, float] | None = None,
+    cell_slack: dict[str, float],
     *,
-    session: "TimingSession | None" = None,
-    period_ns: float | None = None,
     fast_tier: int = 0,
     area_cap_fraction: float = 0.25,
     slack_threshold_ns: float | None = None,
@@ -45,8 +38,6 @@ def timing_based_pinning(
     ----------
     cell_slack:
         Worst slack through each instance (from STA with cell slacks).
-        May be omitted when a ``session`` and ``period_ns`` are given, in
-        which case the slacks come from an incremental timing report.
     fast_tier:
         The tier holding the fast library (0/bottom in the paper).
     area_cap_fraction:
@@ -61,12 +52,6 @@ def timing_based_pinning(
     """
     if not 0.0 < area_cap_fraction <= 0.5:
         raise PartitionError("area cap must be in (0, 0.5]")
-    if cell_slack is None:
-        if session is None or period_ns is None:
-            raise PartitionError(
-                "timing_based_pinning needs cell_slack or a session + period"
-            )
-        cell_slack = session.report(period_ns, with_cell_slacks=True).cell_slack
 
     with span("timing_pinning", fast_tier=fast_tier):
         candidates = [

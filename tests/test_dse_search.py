@@ -9,6 +9,7 @@ ever skips configs a front member provably dominates.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,6 +360,136 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
     cold, cold_tel = rows("cold", replace(spec, reuse_prefix=False))
     assert cold_tel.prefix_stages_reused == 0
     assert memory == disk == cold
+
+
+#: Two track heights, two supplies and two caps: every step of the
+#: partition store's key sees a pair of configs that differ in it.  (No
+#: 30% cap: with or without the store, one tight-period partition of
+#: this tiny design then fails the strict tier-balance check.)
+PARTITION_LATTICE = LatticeSpec(
+    slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
+    tier_caps=(0.20, 0.275), fm_tolerances=(0.10,),
+)
+
+
+@pytest.mark.parametrize("design,check", [
+    ("aes", None),
+    ("cpu", None),  # memory macros on the slow tier
+    ("aes", "strict"),
+])
+def test_partition_store_changes_no_flow_result(
+    fresh_cache, monkeypatch, design, check
+):
+    """Rows, and the result of every flow the searches ran, are
+    byte-identical with and without the partition store."""
+    from repro.experiments.dse import search
+
+    if check is None:
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CHECK", check)
+    spec = tiny_spec(design=design, lattice=PARTITION_LATTICE)
+    real_flow = search._flow_at_period
+
+    def run(tag: str) -> tuple[str, dict]:
+        flows = {}
+
+        def recording(cfg, explore_spec, period_ns):
+            result = real_flow(cfg, explore_spec, period_ns)
+            flows[cfg.label, period_ns] = result.to_dict()
+            return result
+
+        monkeypatch.setattr(search, "_flow_at_period", recording)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / tag))
+        report = explore(spec)
+        assert report.ok
+        return json.dumps(report.rows, sort_keys=True), flows
+
+    stored = run("store")
+    monkeypatch.setattr(search, "partition_store", nullcontext)
+    assert run("cold") == stored
+
+
+def _partition_spans(spec: ExploreSpec) -> tuple[int, int, int, int]:
+    """``(flows, distinct periods, pinning reports, FM partitions)`` of
+    one traced cold sweep."""
+    from repro.obs import (
+        disable_tracing,
+        enable_tracing,
+        find_spans,
+        reset_trace,
+        trace_roots,
+    )
+
+    reset_trace()
+    enable_tracing()
+    try:
+        assert explore(spec).ok
+    finally:
+        disable_tracing()
+    roots = trace_roots()
+    reset_trace()
+    flows = find_spans("dse_flow", roots)
+    stages = find_spans("partitioning", roots)
+    return (
+        len(flows),
+        len({flow.attrs["period_ns"] for flow in flows}),
+        len(find_spans("sta", stages)),
+        len(find_spans("fm_partition", stages)),
+    )
+
+
+def test_partition_store_times_each_period_once(fresh_cache, monkeypatch):
+    """With the store, a sweep runs one pinning report per period it
+    evaluates and fewer FM partitions than flows; with
+    ``reuse_prefix=False`` every flow pays for both."""
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    spec = tiny_spec(lattice=PARTITION_LATTICE)
+    flows, periods, reports, partitions = _partition_spans(spec)
+    assert reports == periods < flows
+    assert partitions < flows
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_cache / "no-reuse"))
+    flows, periods, reports, partitions = _partition_spans(
+        replace(spec, reuse_prefix=False)
+    )
+    assert reports == partitions == flows
+
+
+def test_partition_store_hit_equals_cold_stage():
+    """Post-partition states served from the store equal cold stages.
+    A config differing only in ``slow_vdd`` is a hit on every step (the
+    slow-side area vector is compared by content); one differing in the
+    tier cap or the track height computes its own pinning or FM."""
+    from repro.flow.hetero import partition_store, run_flow_hetero_3d
+    from repro.integrity.checkpoint import design_to_dict
+
+    fast = build_library(12, None)
+    # A tight period, where the two caps pin different sets.
+    period = period_grid("aes", 5)[1]
+
+    def partitioned(slow_tracks, slow_vdd, cap) -> dict:
+        design, _ = run_flow_hetero_3d(
+            "aes", fast, build_library(slow_tracks, slow_vdd),
+            period_ns=period, scale=0.08, opt_iterations=2,
+            pinning_area_cap=cap, until_stage="partitioning",
+        )
+        return design_to_dict(design)
+
+    configs = [(8, 0.70, 0.20), (8, 0.90, 0.20), (8, 0.70, 0.275),
+               (9, 0.70, 0.20)]
+    cold = [partitioned(*cfg) for cfg in configs]
+    assert cold[0]["notes"]["pinned_cells"] != cold[2]["notes"]["pinned_cells"]
+    with partition_store() as store:
+        stored = [partitioned(*configs[0])]
+        entries = len(store)  # slacks, pins, tiers
+        stored.append(partitioned(*configs[1]))
+        assert len(store) == entries == 3
+        stored += [partitioned(*cfg) for cfg in configs[2:]]
+        assert len(store) == 6  # a pins + tiers pair, then a tiers entry
+    assert len(store) == 0
+    for cold_state, stored_state in zip(cold, stored):
+        assert stored_state == cold_state
 
 
 def test_parallel_sweep_matches_serial_front(fresh_cache, monkeypatch):

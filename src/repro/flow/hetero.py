@@ -408,7 +408,7 @@ def run_flow_hetero_3d(
             # remaps the top tier to the slow library
             apply_partition(design, dict(zip(netlist.instances, tiers)))
             design.notes["fm_balance_tolerance"] = balance_tolerance
-            emit_metric("cut_nets", len(netlist.cut_nets()))
+            emit_metric("cut_nets", lambda: len(netlist.cut_nets()))
 
     def placement_3d(ctx: FlowContext) -> None:
         # ---- footprint shrink to maintain utilization ------------------

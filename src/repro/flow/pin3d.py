@@ -106,7 +106,7 @@ def run_flow_pin3d(
             )
             apply_partition(design, assignment)
             design.notes["fm_balance_tolerance"] = FM_BALANCE_TOLERANCE
-            emit_metric("cut_nets", len(netlist.cut_nets()))
+            emit_metric("cut_nets", lambda: len(netlist.cut_nets()))
 
     def placement_3d(ctx: FlowContext) -> None:
         # Re-floorplan from real per-tier demand (the macro tier may need

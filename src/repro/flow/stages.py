@@ -97,7 +97,7 @@ def place_with_congestion_control(
             )
         emit_metric("utilization", utilization)
         emit_metric("peak_congestion", last_peak)
-        emit_metric("hpwl_mm", hpwl_um(design.netlist) / 1000.0)
+        emit_metric("hpwl_mm", lambda: hpwl_um(design.netlist) / 1000.0)
     design.notes["peak_congestion_at_floorplan"] = last_peak
     design.notes["utilization_used"] = utilization
     return utilization
@@ -140,7 +140,7 @@ def legalize_all_tiers(design: Design) -> dict[int, LegalizeStats]:
             emit_metric("tier_cells", stats[tier].cells, tier=tier)
             emit_metric(
                 "tier_area_um2",
-                design.netlist.tier_area_um2(tier),
+                lambda: design.netlist.tier_area_um2(tier),
                 tier=tier,
             )
             emit_metric(

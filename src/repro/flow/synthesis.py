@@ -307,5 +307,5 @@ def synthesize(
                 _timing_rounds(design)
                 store.put(key, design)
         emit_metric("cells", len(design.netlist.instances))
-        emit_metric("cell_area_um2", design.netlist.cell_area_um2())
+        emit_metric("cell_area_um2", design.netlist.cell_area_um2)
     return design

@@ -16,7 +16,7 @@ documentation stay in sync with the reproduction targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "METRIC_DEFS",
@@ -183,7 +183,7 @@ class MetricPoint:
 
 def emit_metric(
     name: str,
-    value: float,
+    value: float | Callable[[], float],
     *,
     tier: int | None = None,
     unit: str | None = None,
@@ -193,13 +193,16 @@ def emit_metric(
 
     A no-op (returning ``None``) when tracing is disabled or no span is
     open, so stages can emit unconditionally at zero cost in production
-    runs.
+    runs.  A value that walks the netlist is passed as a zero-argument
+    callable, which runs only when a span records the point.
     """
     from repro.obs import trace
 
     sp = trace.current_span()
     if sp is None:
         return None
+    if callable(value):
+        value = value()
     spec = METRIC_DEFS.get(name)
     point = MetricPoint(
         name=name,

@@ -23,10 +23,10 @@ Three reuse layers
    results are *byte-identical* to a full pass, which CI enforces.
 
 2. **Incremental analysis.**  Per-net HPWL values and per-net congestion
-   L-route strips are cached; an edit recomputes only the nets touching
-   dirty cells.  The congestion grid is rebuilt by replaying all cached
-   strips through one unbuffered ``np.add.at`` bulk kernel, which
-   accumulates in net order -- bitwise equal to the from-scratch loop.
+   L-route strip records are cached; an edit recomputes only the nets
+   touching dirty cells.  The congestion grid is rebuilt by replaying
+   every cached record in net order into one flat list of floats --
+   the same additions in the same order as the from-scratch map.
 
 3. **Kill switch and telemetry.**  ``REPRO_PLACE=full`` disables all
    reuse (the CI equivalence mode); ``full_fraction`` (default 0.35)

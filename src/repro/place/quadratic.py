@@ -13,7 +13,9 @@ The placer follows the classic two-phase analytic recipe:
    cells at the die center, so cells are recursively split into
    capacity-proportional halves along alternating axes and mapped into
    matching subregions, preserving relative order (and thus most of the
-   quadratic solution's neighborhood structure).
+   quadratic solution's neighborhood structure).  Spreading and the
+   final clip into the core run on plain floats; numpy and scipy serve
+   only the sparse solve.
 
 This is deliberately a wirelength-faithful placer rather than a
 state-of-the-art one: every paper conclusion that depends on placement
@@ -23,7 +25,9 @@ it a bit more, memory nets shorten in 3-D) only needs relative fidelity.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
@@ -31,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from repro.errors import PlacementError
 from repro.netlist.core import Netlist
-from repro.place.floorplan import Floorplan, port_positions
+from repro.place.floorplan import MACRO_HALO, Floorplan, port_positions
 
 __all__ = ["global_place"]
 
@@ -158,38 +162,36 @@ def _assemble(
     return matrix, bx, by
 
 
-def _free_area(
-    region: tuple[float, float, float, float],
-    blockages: list[tuple[float, float, float, float]],
-) -> float:
-    """Region area minus macro blockage overlap (blockages never overlap
-    each other in the same plane, so plain subtraction is exact)."""
-    x0, y0, x1, y1 = region
-    area = max(0.0, x1 - x0) * max(0.0, y1 - y0)
-    for bx0, by0, bx1, by1 in blockages:
-        ox = max(0.0, min(x1, bx1) - max(x0, bx0))
-        oy = max(0.0, min(y1, by1) - max(y0, by0))
-        area -= ox * oy
-    return max(area, 0.0)
-
-
 def _split_coordinate(
     region: tuple[float, float, float, float],
     vertical: bool,
     frac: float,
     blockages: list[tuple[float, float, float, float]],
 ) -> float:
-    """Coordinate dividing the region's *free* capacity at ``frac``."""
-    x0, y0, x1, y1 = region
-    lo, hi = (y0, y1) if vertical else (x0, x1)
-    total = _free_area(region, blockages)
+    """Coordinate dividing the region's *free* capacity at ``frac``: area
+    minus macro blockage overlap (blockages never overlap each other in
+    the same plane, so plain subtraction is exact)."""
+    a = int(vertical)  # the cut sets an x (0) or a y (1) coordinate
+    start, hi = region[a], region[a + 2]
+    c0, c1 = region[1 - a], region[3 - a]
+    holes = [
+        (max(0.0, min(c1, b[3 - a]) - max(c0, b[1 - a])), max(start, b[a]), b[a + 2])
+        for b in blockages
+    ]
+    across = max(0.0, c1 - c0)
+    total = across * max(0.0, hi - start)
+    for width, h0, h1 in holes:
+        total -= width * max(0.0, min(hi, h1) - h0)
+    lo = start
     if total <= 0:
         return lo + frac * (hi - lo)
     target = frac * total
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        sub = (x0, y0, x1, mid) if vertical else (x0, y0, mid, y1)
-        if _free_area(sub, blockages) < target:
+        free = across * max(0.0, mid - start)
+        for width, h0, h1 in holes:
+            free -= width * max(0.0, min(mid, h1) - h0)
+        if max(free, 0.0) < target:
             lo = mid
         else:
             hi = mid
@@ -197,27 +199,24 @@ def _split_coordinate(
 
 
 def _spread(
-    names: list[str],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    areas: np.ndarray,
+    xs: list[float],
+    ys: list[float],
+    areas: list[float],
     region: tuple[float, float, float, float],
     vertical: bool,
-    out_x: np.ndarray,
-    out_y: np.ndarray,
-    order: np.ndarray,
+    out_x: list[float],
+    out_y: list[float],
+    order: list[int],
     blockages: list[tuple[float, float, float, float]],
 ) -> None:
     """Recursively bisect ``order`` (indices) into free-capacity halves."""
     x0, y0, x1, y1 = region
-    if len(order) == 0:
-        return
     if len(order) <= _LEAF_CELLS:
         # Spread leaves evenly along the longer axis of the region,
         # preserving their relative order along that axis.
         along_x = (x1 - x0) >= (y1 - y0)
         axis = xs if along_x else ys
-        leaf = order[np.argsort(axis[order], kind="stable")]
+        leaf = sorted(order, key=axis.__getitem__)
         for k, idx in enumerate(leaf):
             t = (k + 1) / (len(leaf) + 1)
             if along_x:
@@ -228,22 +227,22 @@ def _spread(
                 out_y[idx] = y0 + t * (y1 - y0)
         return
     coord = ys if vertical else xs
-    ranked = order[np.argsort(coord[order], kind="stable")]
-    cum = np.cumsum(areas[ranked])
-    half = cum[-1] / 2.0
-    split = int(np.searchsorted(cum, half)) + 1
+    ranked = sorted(order, key=coord.__getitem__)
+    cum = list(accumulate(map(areas.__getitem__, ranked)))
+    split = bisect_left(cum, cum[-1] / 2.0) + 1
     split = min(max(split, 1), len(ranked) - 1)
     frac = cum[split - 1] / cum[-1]
+    first, second = ranked[:split], ranked[split:]
     if vertical:
         ym = _split_coordinate(region, True, frac, blockages)
         ym = min(max(ym, y0 + 1e-6), y1 - 1e-6)
-        _spread(names, xs, ys, areas, (x0, y0, x1, ym), False, out_x, out_y, ranked[:split], blockages)
-        _spread(names, xs, ys, areas, (x0, ym, x1, y1), False, out_x, out_y, ranked[split:], blockages)
+        _spread(xs, ys, areas, (x0, y0, x1, ym), False, out_x, out_y, first, blockages)
+        _spread(xs, ys, areas, (x0, ym, x1, y1), False, out_x, out_y, second, blockages)
     else:
         xm = _split_coordinate(region, False, frac, blockages)
         xm = min(max(xm, x0 + 1e-6), x1 - 1e-6)
-        _spread(names, xs, ys, areas, (x0, y0, xm, y1), True, out_x, out_y, ranked[:split], blockages)
-        _spread(names, xs, ys, areas, (xm, y0, x1, y1), True, out_x, out_y, ranked[split:], blockages)
+        _spread(xs, ys, areas, (x0, y0, xm, y1), True, out_x, out_y, first, blockages)
+        _spread(xs, ys, areas, (xm, y0, x1, y1), True, out_x, out_y, second, blockages)
 
 
 def global_place(
@@ -267,19 +266,12 @@ def global_place(
     xs = solver.solve(bx)
     ys = solver.solve(by)
 
-    areas = np.array(
-        [
-            netlist.instances[name].area_um2 * area_scale
-            for name in problem.movable
-        ]
-    )
-    out_x = np.empty_like(xs)
-    out_y = np.empty_like(ys)
-    region = (0.0, 0.0, floorplan.width_um, floorplan.height_um)
-    order = np.arange(len(problem.movable))
+    instances = netlist.instances
+    areas = [instances[name].area_um2 * area_scale for name in problem.movable]
+    out_x = [0.0] * len(areas)
+    out_y = [0.0] * len(areas)
+    width, height = floorplan.width_um, floorplan.height_um
     # Macro halos (union over tiers) are capacity holes for spreading.
-    from repro.place.floorplan import MACRO_HALO
-
     seen: set[tuple[float, float]] = set()
     blockages: list[tuple[float, float, float, float]] = []
     for m in floorplan.macros:
@@ -296,15 +288,12 @@ def global_place(
             )
         )
     _spread(
-        problem.movable, xs, ys, areas, region, False, out_x, out_y, order,
-        blockages,
+        xs.tolist(), ys.tolist(), areas, (0.0, 0.0, width, height), False,
+        out_x, out_y, list(range(len(areas))), blockages,
     )
 
-    for i, name in enumerate(problem.movable):
-        inst = netlist.instances[name]
-        inst.x_um = float(
-            np.clip(out_x[i] - inst.cell.width_um / 2, region[0], region[2] - inst.cell.width_um)
-        )
-        inst.y_um = float(
-            np.clip(out_y[i] - inst.cell.height_um / 2, 0.0, region[3] - inst.cell.height_um)
-        )
+    for name, x, y in zip(problem.movable, out_x, out_y):
+        inst = instances[name]
+        w, h = inst.cell.width_um, inst.cell.height_um
+        inst.x_um = min(max(x - w / 2, 0.0), width - w)
+        inst.y_um = min(max(y - h / 2, 0.0), height - h)

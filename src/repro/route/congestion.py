@@ -10,6 +10,9 @@ The single number the flows consume is :attr:`CongestionMap.peak_demand`
 unroutable at the current floorplan and must lower utilization -- the
 mechanism that forces the wire-dominated LDPC to 64% density in Table VI
 while cell-dominated designs close at ~86%.
+
+Each net reduces to one strip record of plain floats, replayed in net
+order into a flat list of bins; the placement session caches the records.
 """
 
 from __future__ import annotations
@@ -92,13 +95,14 @@ def _net_strips(
     bins: int,
     bin_w: float,
     bin_h: float,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One net's L-route demand as (flat bin indices, demand values).
+) -> tuple[int, int, int, int, int, float, float] | None:
+    """One net's L-route demand as ``(dy0, bx0, bx1, by0, by1, h, v)``.
 
     Model each net as an L-route: the horizontal span runs along the
-    driver's row of bins, the vertical span along the far column.
-    Spreading demand over the whole bbox *area* would dilute exactly
-    the long global nets that create congestion (LDPC's defining
+    driver's row ``dy0`` of bins (columns ``bx0..bx1``, ``h`` each), the
+    vertical span along the far column ``bx1`` (rows ``by0..by1``, ``v``
+    each).  Spreading demand over the whole bbox *area* would dilute
+    exactly the long global nets that create congestion (LDPC's defining
     feature); an L concentrates it the way a global router does.
     Driverless (port-driven) nets anchor at the pad-ring coordinate of
     the port, so edge demand is not folded onto the first sink.
@@ -119,47 +123,41 @@ def _net_strips(
         return None
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    hpwl = (xmax - xmin) + (ymax - ymin)
     length = hpwl * steiner_correction(len(net.sinks))
     if length <= 0:
         return None
     last = bins - 1
-    bx0 = int(min(max(min(xs) / bin_w, 0), last))
-    bx1 = int(min(max(max(xs) / bin_w, 0), last))
-    by0 = int(min(max(min(ys) / bin_h, 0), last))
-    by1 = int(min(max(max(ys) / bin_h, 0), last))
-    nx = bx1 - bx0 + 1
-    ny = by1 - by0 + 1
+    bx0 = int(min(max(xmin / bin_w, 0), last))
+    bx1 = int(min(max(xmax / bin_w, 0), last))
+    by0 = int(min(max(ymin / bin_h, 0), last))
+    by1 = int(min(max(ymax / bin_h, 0), last))
     correction = length / max(hpwl, 1e-9)
     dy0 = int(min(max(points[0][1] / bin_h, by0), by1))
-    h_len = (max(xs) - min(xs)) * correction
-    v_len = (max(ys) - min(ys)) * correction
-    idx = np.concatenate(
-        (
-            dy0 * bins + np.arange(bx0, bx1 + 1),
-            np.arange(by0, by1 + 1) * bins + bx1,
-        )
-    )
-    val = np.concatenate(
-        (np.full(nx, h_len / nx), np.full(ny, v_len / ny))
-    )
-    return idx, val
+    h = (xmax - xmin) * correction / (bx1 - bx0 + 1)
+    v = (ymax - ymin) * correction / (by1 - by0 + 1)
+    return dy0, bx0, bx1, by0, by1, h, v
 
 
 def _accumulate(strips, bins: int) -> np.ndarray:
     """Replay per-net strips into a (bins, bins) demand grid.
 
-    One unbuffered ``np.add.at`` over the concatenated index/value
-    streams accumulates each bin's addends in net order -- bitwise
-    identical to adding every net's strips with scalar ``+=`` in a loop.
+    Each bin's addends arrive in net order, horizontal run before
+    vertical run, through scalar ``+=`` on a flat list of floats.
     """
-    items = [s for s in strips if s is not None]
-    demand = np.zeros(bins * bins)
-    if items:
-        idx = np.concatenate([i for i, _v in items])
-        val = np.concatenate([v for _i, v in items])
-        np.add.at(demand, idx, val)
-    return demand.reshape(bins, bins)
+    demand = [0.0] * (bins * bins)
+    for strip in strips:
+        if strip is None:
+            continue
+        dy0, bx0, bx1, by0, by1, h, v = strip
+        row = dy0 * bins
+        for k in range(row + bx0, row + bx1 + 1):
+            demand[k] += h
+        for k in range(by0 * bins + bx1, by1 * bins + bx1 + 1, bins):
+            demand[k] += v
+    return np.array(demand).reshape(bins, bins)
 
 
 def _bin_capacity(bin_w: float, bin_h: float, tiers: int) -> float:

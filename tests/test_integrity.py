@@ -247,3 +247,23 @@ class TestPoolCounts:
         clear_memory_caches()
         reset_registry()
         assert checked == {1: 43, 2: 43}
+
+
+class TestTierBalance:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=IntegrityError,
+        reason="hetero partitioning at a 30% tier cap splits aes's std-cell "
+        "area 388 / 237 um2 (0.242 imbalance, limit 0.180); the fix belongs "
+        "to the audit of partition/timing_driven.py and bin-FM against "
+        "Section III-A1 (ROADMAP item 2), and it changes explore's front",
+    )
+    def test_thirty_percent_cap_keeps_tiers_balanced(self):
+        from repro.experiments.dse.space import LatticeSpec, build_library
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        run_flow_hetero_3d(
+            "aes", LatticeSpec().fast_library(), build_library(8, 0.90),
+            period_ns=0.440056, scale=0.08, seed=0, pinning_area_cap=0.30,
+            fm_tolerance=0.10, opt_iterations=4, check="strict",
+        )

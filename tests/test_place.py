@@ -297,37 +297,29 @@ class TestSpreadLeaf:
     def test_tall_region_spreads_along_y(self):
         """Leaves in a tall thin region must fan out vertically (they used
         to stack along x regardless of the region shape)."""
-        import numpy as np
-
         from repro.place.quadratic import _spread
 
-        xs = np.array([0.5, 0.5, 0.5])
-        ys = np.array([3.0, 1.0, 2.0])
-        out_x = np.zeros(3)
-        out_y = np.zeros(3)
+        out_x = [0.0] * 3
+        out_y = [0.0] * 3
         _spread(
-            ["a", "b", "c"], xs, ys, np.ones(3), (0.0, 0.0, 1.0, 10.0),
-            False, out_x, out_y, np.arange(3), [],
+            [0.5, 0.5, 0.5], [3.0, 1.0, 2.0], [1.0] * 3,
+            (0.0, 0.0, 1.0, 10.0), False, out_x, out_y, [0, 1, 2], [],
         )
-        assert np.allclose(out_x, 0.5)
-        assert len(set(out_y.tolist())) == 3
+        assert out_x == [0.5] * 3
+        assert len(set(out_y)) == 3
         # relative y order is preserved: b (y=1) < c (y=2) < a (y=3)
         assert out_y[1] < out_y[2] < out_y[0]
 
     def test_wide_region_spreads_along_x(self):
-        import numpy as np
-
         from repro.place.quadratic import _spread
 
-        xs = np.array([1.0, 5.0])
-        ys = np.array([0.5, 0.5])
-        out_x = np.zeros(2)
-        out_y = np.zeros(2)
+        out_x = [0.0] * 2
+        out_y = [0.0] * 2
         _spread(
-            ["a", "b"], xs, ys, np.ones(2), (0.0, 0.0, 10.0, 1.0),
-            False, out_x, out_y, np.arange(2), [],
+            [1.0, 5.0], [0.5, 0.5], [1.0] * 2, (0.0, 0.0, 10.0, 1.0),
+            False, out_x, out_y, [0, 1], [],
         )
-        assert np.allclose(out_y, 0.5)
+        assert out_y == [0.5] * 2
         assert out_x[0] < out_x[1]
 
 

@@ -196,6 +196,19 @@ class TestMetrics:
         assert sp.metrics[1].table == "nowhere"
         assert sp.metrics[2].unit == ""
 
+    def test_callable_value_runs_only_when_recorded(self, tracing_on):
+        calls = []
+
+        def walk() -> float:
+            calls.append(None)
+            return 3.5
+
+        assert emit_metric("hpwl_mm", walk) is None  # no span open
+        with span("s") as sp:
+            emit_metric("hpwl_mm", walk)
+        assert len(calls) == 1
+        assert sp.metrics[0].value == 3.5
+
     def test_tier_scoped_label(self):
         point = MetricPoint(name="tier_cells", value=42, unit="count", tier=1)
         assert point.label() == "tier_cells[t1]=42"

@@ -10,12 +10,12 @@ compounding cost reducers:
    therefore computed once per *prefix key* (a content hash of exactly
    those fields) and re-slotted into every later config's flow via
    :func:`~repro.integrity.checkpoint.rebind_tier_library`.  Within one
-   process it lives in memory: :class:`_PrefixStore` keeps one pickled
-   payload of the deepest prefix stage per key, and each flow resumes
-   from the design rebuilt from it.  The first computation of a key
-   also writes both prefix stages as checkpoints under
-   ``<cache>/dse_prefix/<key>/``; only processes without that memory
-   read them (pool workers, later runs).  Reuse is counted in
+   :func:`explore` call it lives in the stage memo
+   (:mod:`repro.flow.memo`): one pickled payload of the deepest prefix
+   stage per key, from which each flow resumes.  The first computation
+   of a key also writes both prefix stages as checkpoints under
+   ``<cache>/dse_prefix/<key>/``, read when the memo has no entry
+   (pool workers, later runs).  Reuse is counted in
    ``telemetry.prefix_stages_reused``; a fully warm sweep re-executes
    zero prefix stages.
 
@@ -41,14 +41,12 @@ compounding cost reducers:
    in-memory design; no per-flow checkpoint is written.  Exact by
    construction; counted in ``telemetry.suffix_flows_reused``.
 
-   Partitioning itself is shared too: :func:`explore` enters a
-   :func:`~repro.flow.hetero.partition_store`, which keeps the
-   pseudo-3-D cell slacks per prefix state, the pinned set per state
-   and tier cap, and the bin-FM tier assignment per state, pinned set,
-   slow-side cell-area vector and FM tolerance.  Configs that differ
-   only in the slow die's supply share all three; the timing report
-   runs once per prefix state.  Exact by construction, since each
-   entry is keyed by exactly what its step reads.
+   Synthesis and partitioning are shared through the same memo
+   (:mod:`repro.flow.memo`): one netlist generation per sweep, and the
+   pseudo-3-D cell slacks, the pinned set and the bin-FM tier
+   assignment each keyed by exactly what their step reads.  Configs
+   that differ only in the slow die's supply share all three
+   partitioning steps; the timing report runs once per prefix state.
 
 3. **Dominance pruning.**  Before evaluating a config, its objective
    vector is lower-bounded from every evaluated lattice neighbor in
@@ -117,12 +115,8 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.telemetry import count, get_telemetry, timed_stage
 from repro.flow.design import Design
-from repro.flow.hetero import (
-    FAST_TIER,
-    SLOW_TIER,
-    partition_store,
-    run_flow_hetero_3d,
-)
+from repro.flow.hetero import FAST_TIER, SLOW_TIER, run_flow_hetero_3d
+from repro.flow.memo import current_memo, stage_memo
 from repro.flow.report import FlowResult
 from repro.integrity.contracts import CheckMode, current_mode
 from repro.integrity.checkpoint import (
@@ -401,81 +395,61 @@ def _read_prefix(store: Path) -> tuple[int, bytes] | None:
     return None
 
 
-class _PrefixStore:
-    """Shared prefix states: in memory for this process, on disk for
-    the others.
+def _seed_prefix(key: str, tier_libs: dict) -> tuple[int, Design | None]:
+    """``(stages_reused, design)``: the deepest stored prefix state of
+    ``key`` -- from the stage memo, else from its checkpoints --
+    re-slotted for this config's slow library, or ``(0, None)``.  An
+    unusable entry degrades to a cold start, never to a design bound to
+    the wrong cells."""
+    memo = current_memo()
+    mkey = ("dse_prefix", key)
+    entry = memo.get(mkey) if memo is not None else None
+    if entry is None:
+        entry = _read_prefix(_prefix_root() / key)
+    if entry is None:
+        return 0, None
+    index, blob = entry
+    try:
+        payload = rebind_tier_library(
+            pickle.loads(blob), SLOW_TIER, tier_libs[SLOW_TIER]
+        )
+        design = design_from_dict(payload, tier_libs)
+    except CheckpointError as exc:
+        _log.warning(
+            "dse prefix %s/%s unusable (%s); running the prefix cold",
+            key[:12], PREFIX_STAGES[index], exc,
+        )
+        if memo is not None:
+            memo.pop(mkey, None)
+        return 0, None
+    if memo is not None:
+        memo.put(mkey, entry)
+    return index + 1, design
 
-    Memory holds one pickled design payload per prefix key -- its
-    deepest prefix stage -- and seeds every flow of this process.  The
-    ``<cache>/dse_prefix/<key>/`` checkpoint files are written once per
-    key and stage, for the processes that cannot see this memory (pool
-    workers, later runs), and read only when memory has no entry.
-    Scoped like the cache it fronts: a different cache directory starts
-    it empty, and callers bypass it under ``REPRO_CACHE=0``.
+
+def _publish_prefix(key: str, index: int, design: Design) -> None:
+    """Record the state after prefix stage ``index``.
+
+    The checkpoint file is written only when absent; concurrent
+    publishers of one key write byte-identical content (the flow is
+    deterministic) under per-process temp names, so last-wins is safe.
+    Best-effort like every cache write.  The deepest stage also goes
+    into the stage memo.
     """
-
-    def __init__(self) -> None:
-        self._root: Path | None = None
-        self._entries: dict[str, tuple[int, bytes]] = {}
-
-    def _scoped(self) -> tuple[Path, dict[str, tuple[int, bytes]]]:
-        root = _prefix_root()
-        if root != self._root:
-            self._root, self._entries = root, {}
-        return root, self._entries
-
-    def clear(self) -> None:
-        """Forget the in-memory entries (the disk store stays)."""
-        self._entries = {}
-
-    def seed(self, key: str, tier_libs: dict) -> tuple[int, Design | None]:
-        """``(stages_reused, design)``: the deepest stored prefix state
-        of ``key``, re-slotted for this config's slow library, or
-        ``(0, None)``.  An unusable entry degrades to a cold start,
-        never to a design bound to the wrong cells."""
-        root, entries = self._scoped()
-        entry = entries.get(key) or _read_prefix(root / key)
-        if entry is None:
-            return 0, None
-        index, blob = entry
+    root = _prefix_root() / key
+    stage = PREFIX_STAGES[index]
+    if not checkpoint_path(root, index, stage).exists():
         try:
-            payload = rebind_tier_library(
-                pickle.loads(blob), SLOW_TIER, tier_libs[SLOW_TIER]
-            )
-            design = design_from_dict(payload, tier_libs)
-        except CheckpointError as exc:
-            _log.warning(
-                "dse prefix %s/%s unusable (%s); running the prefix cold",
-                key[:12], PREFIX_STAGES[index], exc,
-            )
-            entries.pop(key, None)
-            return 0, None
-        entries[key] = entry
-        return index + 1, design
-
-    def publish(self, key: str, index: int, design: Design) -> None:
-        """Record the state after prefix stage ``index``.
-
-        The checkpoint file is written only when absent; concurrent
-        publishers of one key write byte-identical content (the flow is
-        deterministic) under per-process temp names, so last-wins is
-        safe.  Best-effort like every cache write.
-        """
-        root, entries = self._scoped()
-        stage = PREFIX_STAGES[index]
-        if not checkpoint_path(root / key, index, stage).exists():
-            try:
-                write_checkpoint(root / key, index, stage, design)
-            except OSError as exc:
-                _log.warning("dse prefix publish failed for %s: %s", key, exc)
-        if index == len(PREFIX_STAGES) - 1:
-            entries[key] = (
-                index,
-                pickle.dumps(design_to_dict(design), pickle.HIGHEST_PROTOCOL),
-            )
-
-
-_PREFIXES = _PrefixStore()
+            write_checkpoint(root, index, stage, design)
+        except OSError as exc:
+            _log.warning("dse prefix publish failed for %s: %s", key, exc)
+    memo = current_memo()
+    if memo is not None and index == len(PREFIX_STAGES) - 1:
+        memo.put(
+            ("dse_prefix", key),
+            (index,
+             pickle.dumps(design_to_dict(design), pickle.HIGHEST_PROTOCOL)),
+        )
 
 
 def _flow_at_period(
@@ -522,7 +496,7 @@ def _flow_at_period(
 def _flow_reusing(
     flow, spec: ExploreSpec, period_ns: float, tier_libs: dict, meta: dict
 ) -> FlowResult:
-    """Run one flow through the prefix store and the suffix cache.
+    """Run one flow through the shared prefix states and the suffix cache.
 
     The design stays in memory from stage to stage: the flow stops
     after each prefix stage it has to compute (to publish it) and after
@@ -531,12 +505,12 @@ def _flow_reusing(
     """
     pkey = _prefix_cache_key(spec, period_ns)
     with span("dse_prefix_seed"):
-        seeded, design = _PREFIXES.seed(pkey, tier_libs)
+        seeded, design = _seed_prefix(pkey, tier_libs)
     for index in range(seeded, len(PREFIX_STAGES)):
         stage = PREFIX_STAGES[index]
         design, _ = flow(design=design, from_stage=stage, until_stage=stage)
         with span("dse_prefix_publish", stage=stage):
-            _PREFIXES.publish(pkey, index, design)
+            _publish_prefix(pkey, index, design)
 
     # Suffix reuse is sound only while the stage-boundary checks are
     # off: they are the one consumer of the notes the fingerprint masks
@@ -940,17 +914,18 @@ def explore(
             from repro.serve.supervisor import BatchPool
 
             pool = BatchPool(min(jobs, max(1, len(pending))), policy)
-        # The partition store is on exactly when _flow_at_period runs
-        # flows through _flow_reusing; pool workers run without it.
-        partitions = (
-            partition_store()
+        # The memo is on exactly when _flow_at_period runs flows
+        # through _flow_reusing.  Pool workers fork inside the block and
+        # keep their copy of it for the pool's life.
+        memo = (
+            stage_memo()
             if spec.reuse_prefix and cache.cache_enabled()
             else nullcontext()
         )
 
         with span(
             "dse", design=spec.design, configs=len(configs), jobs=jobs
-        ), pool or nullcontext(), partitions:
+        ), pool or nullcontext(), memo:
             while pending:
                 wave: list[DseConfig] = []
                 hints: dict[str, int | None] = {}

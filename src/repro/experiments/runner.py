@@ -55,7 +55,7 @@ from repro.experiments.resilience import (
 from repro.experiments.telemetry import count, record_cell, timed_stage
 from repro.flow.design import Design
 from repro.flow.report import FlowResult
-from repro.flow.synthesis import synthesis_store
+from repro.flow.memo import stage_memo
 from repro.log import get_logger
 from repro.netlist.generators import DESIGN_NAMES
 from repro.obs import add_span_event, emit_metric, span
@@ -520,13 +520,9 @@ def run_matrix(
                 ):
                     pass
                 else:
-                    # Pool workers fork from this process, so only the
-                    # serial loop holds a synthesis store.
-                    with synthesis_store():
-                        _run_matrix_serial(
-                            matrix, designs, config_names, policy,
-                            manifest_key,
-                        )
+                    _run_matrix_serial(
+                        matrix, designs, config_names, policy, manifest_key
+                    )
         finally:
             _store_run_manifest(
                 manifest_key, matrix, designs, config_names,
@@ -550,50 +546,59 @@ def _run_matrix_serial(
     policy: RetryPolicy,
     manifest_key: str,
 ) -> None:
-    """The serial path: one cell at a time, retry/quarantine aware."""
+    """The serial path: one cell at a time, retry/quarantine aware.
+
+    Each design row shares synthesis and partitioning through a stage
+    memo of its own, so one design's entries live at a time.
+    """
     for design_name in designs:
-        period = matrix.target_periods.get(design_name)
-        if period is None:
-            period, failure = call_with_retry(
-                lambda name=design_name: find_target_period(
-                    name, scale=matrix.scale, seed=matrix.seed
-                ),
-                policy=policy, stage="period_search", design=design_name,
-            )
-            if failure is not None:
-                matrix.record_period_failure(design_name, failure)
-                if not policy.keep_going:
-                    return  # run_matrix re-raises from matrix.failed_periods
-                continue
-            matrix.target_periods[design_name] = period
-            _store_run_manifest(
-                manifest_key, matrix, designs, config_names, complete=False
-            )
-        for config_name in config_names:
-            key = (design_name, config_name)
-            if key in matrix.results:
-                continue
-            value, failure = call_with_retry(
-                lambda d=design_name, c=config_name, p=period: (
-                    run_configuration(
-                        d, c, period_ns=p, scale=matrix.scale, seed=matrix.seed
-                    )
-                ),
-                policy=policy, stage="flow",
-                design=design_name, config=config_name,
-            )
-            if failure is not None:
-                matrix.record_cell_failure(key, failure)
-                if not policy.keep_going:
-                    return
-                continue
-            design, result = value
-            matrix.results[key] = result
-            if design is not None:
-                matrix.designs[key] = design
-            _store_run_manifest(
-                manifest_key, matrix, designs, config_names, complete=False
-            )
+        with stage_memo():
+            period = matrix.target_periods.get(design_name)
+            if period is None:
+                period, failure = call_with_retry(
+                    lambda name=design_name: find_target_period(
+                        name, scale=matrix.scale, seed=matrix.seed
+                    ),
+                    policy=policy, stage="period_search", design=design_name,
+                )
+                if failure is not None:
+                    matrix.record_period_failure(design_name, failure)
+                    if not policy.keep_going:
+                        # run_matrix re-raises from matrix.failed_periods
+                        return
+                    continue
+                matrix.target_periods[design_name] = period
+                _store_run_manifest(
+                    manifest_key, matrix, designs, config_names,
+                    complete=False,
+                )
+            for config_name in config_names:
+                key = (design_name, config_name)
+                if key in matrix.results:
+                    continue
+                value, failure = call_with_retry(
+                    lambda d=design_name, c=config_name, p=period: (
+                        run_configuration(
+                            d, c, period_ns=p, scale=matrix.scale,
+                            seed=matrix.seed,
+                        )
+                    ),
+                    policy=policy, stage="flow",
+                    design=design_name, config=config_name,
+                )
+                if failure is not None:
+                    matrix.record_cell_failure(key, failure)
+                    if not policy.keep_going:
+                        return
+                    continue
+                design, result = value
+                matrix.results[key] = result
+                if design is not None:
+                    matrix.designs[key] = design
+                _store_run_manifest(
+                    manifest_key, matrix, designs, config_names,
+                    complete=False,
+                )
 
 
 def _run_matrix_pool(

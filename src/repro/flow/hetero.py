@@ -28,21 +28,35 @@ shifters, and ``repartition`` only when the ECO loop is enabled, so the
 stage list (and the checkpoint sequence) is deterministic for a given
 set of flow arguments.
 
-Inside a :func:`partition_store` block (one design-space exploration)
-the partitioning stage serves its three steps from a
-:class:`PartitionStore` instead of recomputing them for every config;
-outside one it always runs cold.
+Inside a :func:`~repro.flow.memo.stage_memo` block the partitioning
+stage serves its three steps from the memo instead of recomputing them
+for every flow; outside one it always runs cold.  Each step is keyed by
+the pseudo-3-D *state key* ``(design, fast library, scale, seed,
+period, utilization)`` -- every standard cell of that state is still
+bound to the fast library (``rebind_tier_library`` refuses a prefix
+state that is not) -- plus exactly the further inputs it reads:
+
+- the cell slacks: nothing further;
+- the pinned set: the tier cap;
+- the tier assignment: the pinned set, the slow-side cell-area vector,
+  compared by content (so every supply voltage of one track height
+  shares an entry), and the FM tolerance.  It is stored as one byte per
+  instance, in netlist order.
+
+That is sound only for flows whose pseudo-3-D state is the one their
+arguments produce -- a flow run from synthesis, or resumed from a
+prefix state of the same arguments -- never for a ``design`` a caller
+edited in between.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
 from repro.flow.levelshift import insert_level_shifters
+from repro.flow.memo import memoized
 from repro.flow.opt import TARGET_WNS_FRACTION, optimize_timing, recover_area
 from repro.flow.pin3d import FM_BALANCE_TOLERANCE, apply_partition
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
@@ -67,101 +81,10 @@ from repro.place.quadratic import global_place
 from repro.place.legalizer import row_capacity_um2
 from repro.timing.incremental import TimingSession
 
-__all__ = ["PartitionStore", "partition_store", "run_flow_hetero_3d"]
+__all__ = ["run_flow_hetero_3d"]
 
 FAST_TIER = 0  # bottom die, 12-track at 0.90 V
 SLOW_TIER = 1  # top die, 9-track at 0.81 V
-
-
-class PartitionStore:
-    """Partitioning-stage results keyed by exactly what each step reads.
-
-    The stage runs three steps on the pseudo-3-D state: a timing report
-    for every cell's worst slack, timing-based pinning, then bin-based
-    FM.  That state is a function of ``(design, fast library, scale,
-    seed, period, utilization)`` alone -- the *state key*, the fields
-    of the explorer's prefix key -- because every standard cell is
-    still bound to the fast library (``rebind_tier_library`` refuses a
-    prefix state that is not).  Each step's result is stored under the
-    state key plus exactly the further inputs that step reads:
-
-    - the cell slacks: nothing further;
-    - the pinned set: the tier cap;
-    - the tier assignment: the pinned set, the slow-side cell-area
-      vector, compared by content (so every supply voltage of one
-      track height shares an entry), and the FM tolerance.  It is
-      stored as one byte per instance, in netlist order.
-
-    Keys carry ``id(fast library)``; the store pins each library so an
-    id cannot be reused while its entries live.
-    """
-
-    def __init__(self) -> None:
-        self._libs: dict[int, StdCellLibrary] = {}
-        self._entries: dict[tuple, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._libs.clear()
-        self._entries.clear()
-
-    def bind(
-        self,
-        design_name: str,
-        fast_lib: StdCellLibrary,
-        scale: float,
-        seed: int,
-        period_ns: float,
-        utilization: float,
-    ) -> Callable[[tuple, Callable[[], object]], object]:
-        """The memo of one pseudo-3-D state: ``memo(step, compute)``
-        returns the entry under the state key plus ``step``, computing
-        and storing it on a miss."""
-        self._libs[id(fast_lib)] = fast_lib
-        state = (design_name, id(fast_lib), scale, seed, period_ns,
-                 utilization)
-
-        def memo(step: tuple, compute: Callable[[], object]) -> object:
-            key = state + step
-            value = self._entries.get(key)
-            if value is None:
-                value = self._entries[key] = compute()
-            return value
-
-        return memo
-
-
-def _compute(_step: tuple, compute: Callable[[], object]) -> object:
-    """The memo outside a :func:`partition_store` block: always cold."""
-    return compute()
-
-
-#: The store the partitioning stage serves from; set only inside
-#: :func:`partition_store`.
-_STORE: ContextVar[PartitionStore | None] = ContextVar(
-    "partition_store", default=None
-)
-
-
-@contextmanager
-def partition_store() -> Iterator[PartitionStore]:
-    """Serve the partitioning stage from a fresh store for the block's
-    duration.  The store is emptied when the block exits.
-
-    Sound only for flows whose pseudo-3-D state is the one their
-    arguments produce -- a flow run from synthesis, or resumed from a
-    prefix state of the same arguments -- never for a ``design`` a
-    caller edited in between.
-    """
-    store = PartitionStore()
-    token = _STORE.set(store)
-    try:
-        yield store
-    finally:
-        _STORE.reset(token)
-        store.clear()
 
 
 def _run_repartition(
@@ -329,10 +252,12 @@ def run_flow_hetero_3d(
         design = ctx.design
         netlist = design.netlist
         pseudo_fp = design.floorplan
-        store = _STORE.get()
-        memo = _compute if store is None else store.bind(
-            design_name, fast_lib, scale, seed, period_ns, utilization
-        )
+        state = (design_name, id(fast_lib), scale, seed, period_ns,
+                 utilization)
+
+        def memo(step: tuple, compute: Callable[[], object]) -> object:
+            return memoized(state + step, compute, fast_lib)
+
         with span("partitioning", design=design_name):
             pinned: dict[str, int] = {}
             if timing_partitioning:

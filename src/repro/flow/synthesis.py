@@ -11,20 +11,16 @@ to the 12-track 2-D implementation lives in
 :func:`~repro.experiments.runner.find_target_period`.
 
 :func:`synthesize` is the synthesis stage every flow runs.  Inside a
-:func:`synthesis_store` block (the serial loop of one
-:func:`~repro.experiments.runner.run_matrix` call) it serves sized
-netlists from a :class:`SynthesisStore` instead of regenerating them;
-outside one it always runs cold.
+:func:`~repro.flow.memo.stage_memo` block it serves sized netlists from
+the memo instead of regenerating them; outside one it always runs cold.
 """
 
 from __future__ import annotations
 
 import pickle
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
 
 from repro.flow.design import Design
+from repro.flow.memo import current_memo
 from repro.flow.opt import optimize_timing
 from repro.integrity.checkpoint import design_from_dict, design_to_dict
 from repro.liberty.library import StdCellLibrary
@@ -33,13 +29,7 @@ from repro.netlist.generators import generate_netlist
 from repro.obs import emit_metric, span
 from repro.timing.delaycalc import DelayCalculator, FanoutWireModel
 
-__all__ = [
-    "SynthesisStore",
-    "fix_drv_violations",
-    "initial_sizing",
-    "synthesis_store",
-    "synthesize",
-]
+__all__ = ["fix_drv_violations", "initial_sizing", "synthesize"]
 
 #: Load budget per unit drive (fF): a x1 gate should not see more.
 LOAD_BUDGET_PER_DRIVE_FF = 6.0
@@ -177,80 +167,21 @@ def _timing_rounds(design: Design) -> None:
     optimize_timing(design, calc, max_iterations=TIMING_ROUNDS)
 
 
-class SynthesisStore:
-    """Sized netlists keyed by exactly what synthesis reads.
-
-    Synthesis reads the design name, the tier-0 library, the scale and
-    seed, and -- in its timing rounds only -- the period.  An entry per
-    ``(design, library, scale, seed)`` holds the netlist after
-    generation, load sizing and DRV buffering; an entry per full key
-    holds the finished netlist.  Entries are pickled
-    :func:`~repro.integrity.checkpoint.design_to_dict` payloads, whose
-    round trip is byte-exact, and every hit builds a fresh netlist.
-
-    Entries of one design only: the matrix runs each design's period
-    search and cells back to back, so the first key of another design
-    drops the previous design's entries.
-    """
-
-    def __init__(self) -> None:
-        self._design: str | None = None
-        # key -> (pinned library, pickled payload); keys carry id(lib).
-        self._entries: dict[tuple, tuple[StdCellLibrary, bytes]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._design = None
-        self._entries.clear()
-
-    def get(self, key: tuple) -> Netlist | None:
-        """A fresh copy of the netlist stored under ``key``, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        lib, blob = entry
-        return design_from_dict(pickle.loads(blob), {0: lib}).netlist
-
-    def put(self, key: tuple, design: Design) -> None:
-        """Snapshot ``design``'s netlist under ``key``."""
-        if key[0] != self._design:
-            self.clear()
-            self._design = key[0]
-        lib = design.reference_library()
-        view = Design(
-            name=design.name,
-            config=design.config,
-            netlist=design.netlist,
-            tier_libs={0: lib},
-        )
-        self._entries[key] = (
-            lib,
-            pickle.dumps(design_to_dict(view), protocol=pickle.HIGHEST_PROTOCOL),
-        )
+def _freeze(design: Design) -> bytes:
+    """A memo entry: the pickled payload of ``design``'s tier-0 view,
+    whose round trip is byte-exact."""
+    view = Design(
+        name=design.name,
+        config=design.config,
+        netlist=design.netlist,
+        tier_libs={0: design.reference_library()},
+    )
+    return pickle.dumps(design_to_dict(view), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-#: The store :func:`synthesize` serves from; set only inside
-#: :func:`synthesis_store`, so code outside such a block runs cold.
-_STORE: ContextVar[SynthesisStore | None] = ContextVar(
-    "synthesis_store", default=None
-)
-
-
-@contextmanager
-def synthesis_store() -> Iterator[SynthesisStore]:
-    """Serve :func:`synthesize` from a fresh store for the block's duration.
-
-    The store is emptied when the block exits.
-    """
-    store = SynthesisStore()
-    token = _STORE.set(store)
-    try:
-        yield store
-    finally:
-        _STORE.reset(token)
-        store.clear()
+def _thaw(blob: bytes, lib: StdCellLibrary) -> Netlist:
+    """A fresh netlist from a :func:`_freeze` entry."""
+    return design_from_dict(pickle.loads(blob), {0: lib}).netlist
 
 
 def synthesize(
@@ -269,7 +200,7 @@ def synthesize(
     with every cell on tier 0.  Nothing else of ``tier_libs`` is read:
     a single-library netlist triggers no input-boundary derate, so a
     hetero design synthesizes exactly like the 12-track 2-D one.  That
-    is what makes the store's key (which has no config in it) exact.
+    is what makes the memo's key (which has no config in it) exact.
     """
     lib = tier_libs[0]
 
@@ -284,28 +215,25 @@ def synthesize(
         )
 
     with span("synthesis", design=design_name, library=lib.name):
-        store = _STORE.get()
-        if store is None:
+        memo = current_memo()
+        if memo is None:
             design = fresh(generate_netlist(design_name, lib, scale=scale,
                                             seed=seed))
             initial_sizing(design)
         else:
             base_key = (design_name, id(lib), scale, seed)
             key = base_key + (period_ns,)
-            netlist = store.get(key)
-            if netlist is not None:
-                design = fresh(netlist)
+            blob = memo.get(key) or memo.get(base_key)
+            if blob is None:
+                design = fresh(generate_netlist(design_name, lib,
+                                                scale=scale, seed=seed))
+                _load_sizing(design)
+                memo.put(base_key, _freeze(design), lib)
             else:
-                netlist = store.get(base_key)
-                if netlist is not None:
-                    design = fresh(netlist)
-                else:
-                    design = fresh(generate_netlist(design_name, lib,
-                                                    scale=scale, seed=seed))
-                    _load_sizing(design)
-                    store.put(base_key, design)
+                design = fresh(_thaw(blob, lib))
+            if key not in memo:
                 _timing_rounds(design)
-                store.put(key, design)
+                memo.put(key, _freeze(design), lib)
         emit_metric("cells", len(design.netlist.instances))
         emit_metric("cell_area_um2", design.netlist.cell_area_um2)
     return design

@@ -274,16 +274,6 @@ class _Builder:
             outputs.append(self.add_gate(CellFunction.BUF, [src], block=block))
         return outputs[:n_outputs]
 
-    def tie_off(self, nets: list[str], *, block: str) -> None:
-        """Terminate dangling nets into single-FF sinks so nothing floats.
-
-        Generated clouds leave interior nets with no sinks; that is fine
-        (they model don't-care logic cones), but the *final* outputs of a
-        block must reach a register so they participate in timing.
-        """
-        for net in nets:
-            self.add_ff(net, block=block)
-
 
 def _make_base(name: str, lib: StdCellLibrary, n_inputs: int) -> tuple[Netlist, list[str]]:
     """Create the netlist shell: clock plus primary data inputs."""

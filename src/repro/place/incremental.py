@@ -22,11 +22,12 @@ Three reuse layers
    legal and packing is idempotent, so skipping them changes nothing --
    results are *byte-identical* to a full pass, which CI enforces.
 
-2. **Incremental analysis.**  Per-net HPWL values and per-net congestion
-   L-route strip records are cached; an edit recomputes only the nets
-   touching dirty cells.  The congestion grid is rebuilt by replaying
-   every cached record in net order into one flat list of floats --
-   the same additions in the same order as the from-scratch map.
+2. **Incremental analysis.**  Per-net congestion L-route strip records
+   are cached, and so are per-net HPWL values once :meth:`hpwl_um` is
+   first asked for; an edit recomputes only the nets touching dirty
+   cells.  The congestion grid is rebuilt by replaying every cached
+   record in net order into one flat list of floats -- the same
+   additions in the same order as the from-scratch map.
 
 3. **Kill switch and telemetry.**  ``REPRO_PLACE=full`` disables all
    reuse (the CI equivalence mode); ``full_fraction`` (default 0.35)
@@ -141,7 +142,8 @@ class PlacementSession:
         self._analysis_cold = True
         self._analysis_dirty_cells: set[str] = set()
         self._analysis_dirty_nets: set[str] = set()
-        self._hpwl_cache: dict[str, float] = {}
+        #: Per-net HPWL, filled by the first hpwl_um() after a cold sync.
+        self._hpwl_cache: dict[str, float] | None = None
         self._strips: dict[str, tuple | None] = {}
         self._pads: dict[str, tuple[float, float]] | None = None
 
@@ -329,12 +331,15 @@ class PlacementSession:
         self, name: str, bin_w: float, bin_h: float
     ) -> None:
         net = self.netlist.nets.get(name)
+        hpwl = self._hpwl_cache
         if net is None:
-            self._hpwl_cache.pop(name, None)
+            if hpwl is not None:
+                hpwl.pop(name, None)
             self._strips.pop(name, None)
             return
         instances = self.netlist.instances
-        self._hpwl_cache[name] = net_hpwl_um(net, instances)
+        if hpwl is not None:
+            hpwl[name] = net_hpwl_um(net, instances)
         self._strips[name] = _net_strips(
             net, instances, self._pad_ring(), self.bins, bin_w, bin_h
         )
@@ -346,10 +351,7 @@ class PlacementSession:
             self.stats.full_runs += 1
             instances = self.netlist.instances
             pads = self._pad_ring()
-            self._hpwl_cache = {
-                name: net_hpwl_um(net, instances)
-                for name, net in nets.items()
-            }
+            self._hpwl_cache = None
             self._strips = {
                 name: _net_strips(net, instances, pads, self.bins, bin_w, bin_h)
                 for name, net in nets.items()
@@ -375,8 +377,7 @@ class PlacementSession:
             # Nets added or removed without notification: reconcile.
             for name in list(self._strips):
                 if name not in nets:
-                    self._strips.pop(name, None)
-                    self._hpwl_cache.pop(name, None)
+                    self._refresh_net(name, bin_w, bin_h)
             for name in nets:
                 if name not in self._strips:
                     self._refresh_net(name, bin_w, bin_h)
@@ -393,6 +394,12 @@ class PlacementSession:
             return full_hpwl(self.netlist)
         self._sync_analysis()
         cache = self._hpwl_cache
+        if cache is None:
+            instances = self.netlist.instances
+            cache = self._hpwl_cache = {
+                name: net_hpwl_um(net, instances)
+                for name, net in self.netlist.nets.items()
+            }
         total = 0.0
         for name in self.netlist.nets:
             total += cache[name]

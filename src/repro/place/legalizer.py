@@ -58,11 +58,6 @@ class LegalizeStats:
     total_displacement_um: float
     max_displacement_um: float
 
-    @property
-    def mean_displacement_um(self) -> float:
-        """Average displacement per legalized cell."""
-        return self.total_displacement_um / self.cells if self.cells else 0.0
-
 
 def _subtract(
     segments: list[tuple[float, float]], x0: float, x1: float

@@ -163,10 +163,6 @@ class Journal:
         """The sequence number the *next* appended record will carry."""
         return self._seq
 
-    @property
-    def is_open(self) -> bool:
-        return self._fh is not None
-
     def open(self) -> list[dict]:
         """Replay the existing file, truncate any torn tail, open to append.
 

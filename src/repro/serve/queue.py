@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ServeError
 from repro.log import get_logger
@@ -282,9 +282,6 @@ class JobQueue:
     # ------------------------------------------------------------------
     # retention
     # ------------------------------------------------------------------
-    def terminal_count(self) -> int:
-        return len(self._terminal)
-
     def evict_candidates(
         self,
         retain_jobs: int,

@@ -326,10 +326,11 @@ def test_cold_explore_writes_only_shared_prefix_checkpoints(
 def test_rows_identical_whichever_layer_seeds_the_prefix(
     fresh_cache, monkeypatch
 ):
-    """Every row is byte-identical whether flows seed from the
-    in-process store, from the disk store (the in-process one emptied
-    after every config), or not at all (``reuse_prefix=False``)."""
+    """Every row is byte-identical whether flows seed from the stage
+    memo, from the disk store (the memo emptied after every config), or
+    not at all (``reuse_prefix=False``)."""
     from repro.experiments.dse import search
+    from repro.flow.memo import current_memo
 
     spec = tiny_spec(lattice=LatticeSpec(
         slow_tracks=(8,), slow_vdd=(0.70, 0.81, 0.90),
@@ -352,7 +353,7 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
         lambda path: reads.append(path) or real_read(path),
     )
     disk, disk_tel = rows(
-        "disk", progress=lambda _line: search._PREFIXES.clear()
+        "disk", progress=lambda _line: current_memo().clear()
     )
     assert reads, "no flow seeded from the disk store"
     assert disk_tel.prefix_stages_reused == memory_tel.prefix_stages_reused
@@ -363,9 +364,9 @@ def test_rows_identical_whichever_layer_seeds_the_prefix(
 
 
 #: Two track heights, two supplies and two caps: every step of the
-#: partition store's key sees a pair of configs that differ in it.  (No
-#: 30% cap: with or without the store, one tight-period partition of
-#: this tiny design then fails the strict tier-balance check.)
+#: partitioning keys sees a pair of configs that differ in it.  (No 30%
+#: cap: with or without the memo, one tight-period partition of this
+#: tiny design then fails the strict tier-balance check.)
 PARTITION_LATTICE = LatticeSpec(
     slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
     tier_caps=(0.20, 0.275), fm_tolerances=(0.10,),
@@ -381,7 +382,7 @@ def test_partition_store_changes_no_flow_result(
     fresh_cache, monkeypatch, design, check
 ):
     """Rows, and the result of every flow the searches ran, are
-    byte-identical with and without the partition store."""
+    byte-identical with and without the stage memo."""
     from repro.experiments.dse import search
 
     if check is None:
@@ -406,7 +407,7 @@ def test_partition_store_changes_no_flow_result(
         return json.dumps(report.rows, sort_keys=True), flows
 
     stored = run("store")
-    monkeypatch.setattr(search, "partition_store", nullcontext)
+    monkeypatch.setattr(search, "stage_memo", nullcontext)
     assert run("cold") == stored
 
 
@@ -440,7 +441,7 @@ def _partition_spans(spec: ExploreSpec) -> tuple[int, int, int, int]:
 
 
 def test_partition_store_times_each_period_once(fresh_cache, monkeypatch):
-    """With the store, a sweep runs one pinning report per period it
+    """With the memo, a sweep runs one pinning report per period it
     evaluates and fewer FM partitions than flows; with
     ``reuse_prefix=False`` every flow pays for both."""
     monkeypatch.delenv("REPRO_CHECK", raising=False)
@@ -457,11 +458,12 @@ def test_partition_store_times_each_period_once(fresh_cache, monkeypatch):
 
 
 def test_partition_store_hit_equals_cold_stage():
-    """Post-partition states served from the store equal cold stages.
+    """Post-partition states served from the memo equal cold stages.
     A config differing only in ``slow_vdd`` is a hit on every step (the
     slow-side area vector is compared by content); one differing in the
     tier cap or the track height computes its own pinning or FM."""
-    from repro.flow.hetero import partition_store, run_flow_hetero_3d
+    from repro.flow.hetero import run_flow_hetero_3d
+    from repro.flow.memo import stage_memo
     from repro.integrity.checkpoint import design_to_dict
 
     fast = build_library(12, None)
@@ -480,14 +482,15 @@ def test_partition_store_hit_equals_cold_stage():
                (9, 0.70, 0.20)]
     cold = [partitioned(*cfg) for cfg in configs]
     assert cold[0]["notes"]["pinned_cells"] != cold[2]["notes"]["pinned_cells"]
-    with partition_store() as store:
+    with stage_memo() as memo:
         stored = [partitioned(*configs[0])]
-        entries = len(store)  # slacks, pins, tiers
+        # two synthesis entries, then slacks, pins and tiers
+        entries = len(memo)
         stored.append(partitioned(*configs[1]))
-        assert len(store) == entries == 3
+        assert len(memo) == entries == 5
         stored += [partitioned(*cfg) for cfg in configs[2:]]
-        assert len(store) == 6  # a pins + tiers pair, then a tiers entry
-    assert len(store) == 0
+        assert len(memo) == 8  # a pins + tiers pair, then a tiers entry
+    assert len(memo) == 0 and not memo.pinned
     for cold_state, stored_state in zip(cold, stored):
         assert stored_state == cold_state
 
@@ -507,6 +510,33 @@ def test_parallel_sweep_matches_serial_front(fresh_cache, monkeypatch):
     assert parallel.ok and len(parallel.rows) == 4
     assert get_telemetry().prefix_stages_reused > 0
     assert parallel.front_json() == serial.front_json()
+
+
+def test_pool_workers_evaluate_under_the_memo(fresh_cache, monkeypatch):
+    """``explore(jobs=2)``'s workers fork inside its stage memo block,
+    so every config a worker evaluates runs under a memo."""
+    import os
+
+    from repro.experiments.dse import search
+    from repro.flow.memo import current_memo
+
+    log = fresh_cache / "evaluations.log"
+    real = search.evaluate_config
+
+    def spying(cfg, spec, hint_index=None):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {current_memo() is not None}\n")
+        return real(cfg, spec, hint_index)
+
+    monkeypatch.setattr(search, "evaluate_config", spying)
+    spec = tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
+        tier_caps=(0.25,), fm_tolerances=(0.10,),
+    ))
+    assert explore(spec, jobs=2).ok
+    evaluations = [line.split() for line in log.read_text().splitlines()]
+    in_workers = [held for pid, held in evaluations if int(pid) != os.getpid()]
+    assert in_workers and set(in_workers) == {"True"}
 
 
 def test_parallel_sweep_survives_a_worker_crash(fresh_cache, monkeypatch):

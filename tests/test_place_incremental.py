@@ -254,6 +254,44 @@ class TestSessionBehaviour:
         session.invalidate_all()
         assert session.hpwl_um() == hpwl_um(nl)
 
+    def test_hpwl_is_computed_only_when_asked(self, monkeypatch):
+        """A session answering only congestion() evaluates no net HPWL;
+        the first hpwl_um() fills the cache, which edits keep exact."""
+        from repro.obs.metrics import hpwl_um
+        from repro.place import incremental
+
+        calls = []
+        real = incremental.net_hpwl_um
+        monkeypatch.setattr(
+            incremental, "net_hpwl_um",
+            lambda net, insts: calls.append(net.name) or real(net, insts),
+        )
+        nl, fp, libs = build_design(2)
+        session = PlacementSession(nl, fp, libs)
+        session.legalize_all()
+        session.congestion()
+        for edit, pick in ((edit_nudge, 5), (edit_buffer, 77)):
+            for name in edit(nl, pick):
+                session.dirty_cell(name)
+            session.legalize_all()
+            session.congestion()
+        assert calls == []
+
+        assert session.hpwl_um() == hpwl_um(nl)
+        assert len(calls) == len(nl.nets)
+        for edit, pick in ((edit_clone, 9), (edit_tier_move, 31)):
+            for name in edit(nl, pick):
+                session.dirty_cell(name)
+            session.legalize_all()
+            assert session.hpwl_um() == hpwl_um(nl)
+        # A cold resync drops the cache; only hpwl_um() refills it.
+        calls.clear()
+        edit_nudge(nl, 301)
+        session.invalidate_all()
+        session.congestion()
+        assert calls == []
+        assert session.hpwl_um() == hpwl_um(nl)
+
     def test_congestion_nondefault_bins_delegates(self):
         from repro.route.congestion import analyze_congestion
 

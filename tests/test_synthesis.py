@@ -1,14 +1,16 @@
 """Tests for synthesis stand-in (repro.flow.synthesis)."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.experiments.configs import configurations
 from repro.flow.design import Design
+from repro.flow.memo import StageMemo, current_memo, stage_memo
 from repro.flow.synthesis import (
     fix_drv_violations,
     initial_sizing,
     max_drv_load_ff,
-    synthesis_store,
     synthesize,
 )
 from repro.integrity.checkpoint import design_to_dict
@@ -92,7 +94,8 @@ class TestInitialSizing:
 
 
 class TestSynthesisStore:
-    """synthesize() inside a store equals cold synthesis, byte for byte."""
+    """synthesize() inside a stage memo equals cold synthesis, byte for
+    byte."""
 
     PERIOD = 0.7
 
@@ -114,31 +117,54 @@ class TestSynthesisStore:
             utilization=0.8,
         )
 
+    @staticmethod
+    def _record_memos(monkeypatch):
+        """Every memo run_matrix opens, with the keys stored in it."""
+        from repro.experiments import runner
+
+        memos: list[tuple[StageMemo, list]] = []
+        real_memo = runner.stage_memo
+        real_put = StageMemo.put
+
+        @contextmanager
+        def recording():
+            with real_memo() as memo:
+                memos.append((memo, []))
+                yield memo
+
+        def put(memo, key, value, *pins):
+            next(keys for m, keys in memos if m is memo).append(key)
+            real_put(memo, key, value, *pins)
+
+        monkeypatch.setattr(runner, "stage_memo", recording)
+        monkeypatch.setattr(StageMemo, "put", put)
+        return memos
+
     def test_hits_equal_cold_synthesis(self, pair):
         configs = self._configs(pair)
         cold = {
             config: design_to_dict(self._synth(config, libs, self.PERIOD))
             for config, libs in configs.items()
         }
-        with synthesis_store() as store:
+        with stage_memo() as memo:
             for config, libs in configs.items():
                 assert design_to_dict(
                     self._synth(config, libs, self.PERIOD)
                 ) == cold[config]
             # one period-independent and one finished entry per library
-            assert len(store) == 4
+            assert len(memo) == 4
 
     def test_base_entry_serves_another_period(self, pair):
         libs = self._configs(pair)["3D_HET"]
         cold = design_to_dict(self._synth("3D_HET", libs, 0.45))
-        with synthesis_store():
+        with stage_memo():
             self._synth("2D_12T", {0: pair[0]}, self.PERIOD)
             warm = self._synth("3D_HET", libs, 0.45)
         assert design_to_dict(warm) == cold
 
     def test_every_hit_is_a_fresh_netlist(self, pair):
         libs = {0: pair[0]}
-        with synthesis_store():
+        with stage_memo():
             first = self._synth("2D_12T", libs, self.PERIOD)
             expected = design_to_dict(first)
             victim = next(iter(first.netlist.instances))
@@ -149,42 +175,44 @@ class TestSynthesisStore:
         assert design_to_dict(second) == expected
         assert design_to_dict(third) == expected
 
-    def test_store_keeps_one_design(self, pair):
-        libs = {0: pair[0]}
-        with synthesis_store() as store:
-            self._synth("2D_12T", libs, self.PERIOD)
-            assert len(store) == 2
-            synthesize("ldpc", "2D_12T", libs, period_ns=self.PERIOD,
-                       scale=0.1, seed=4, utilization=0.8)
-            assert len(store) == 2
+    def test_store_keeps_one_design(self, tmp_path, monkeypatch):
+        """The matrix memo never holds two designs' entries: each design
+        row opens its own."""
+        from repro.experiments import runner
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        memos = self._record_memos(monkeypatch)
+        runner.run_matrix(
+            designs=("aes", "ldpc"), config_names=("2D_12T",),
+            scale=0.1, seed=4, jobs=1,
+            target_periods={"aes": self.PERIOD, "ldpc": 1.2},
+        )
+        assert [{key[0] for key in keys} for _memo, keys in memos] == [
+            {"aes"}, {"ldpc"},
+        ]
 
     def test_matrix_scopes_and_empties_its_store(self, pair, monkeypatch):
         from repro.experiments import runner
         from repro.flow import synthesis
 
-        stores = []
+        memos = self._record_memos(monkeypatch)
         hits = []
-
-        class RecordingStore(synthesis.SynthesisStore):
-            def __init__(self):
-                super().__init__()
-                stores.append(self)
-
-            def get(self, key):
-                netlist = super().get(key)
-                hits.append(netlist is not None)
-                return netlist
-
-        monkeypatch.setattr(synthesis, "SynthesisStore", RecordingStore)
+        real_thaw = synthesis._thaw
+        monkeypatch.setattr(
+            synthesis, "_thaw",
+            lambda blob, lib: hits.append(lib) or real_thaw(blob, lib),
+        )
         matrix = runner.run_matrix(
             designs=("aes",),
             config_names=("2D_12T", "3D_12T", "3D_HET"),
             scale=0.15, seed=4, jobs=1,
             target_periods={"aes": self.PERIOD},
         )
-        assert len(stores) == 1 and len(stores[0]) == 0
-        assert synthesis._STORE.get() is None
-        assert hits.count(True) == 2  # 3D_12T and 3D_HET reuse 2D_12T
+        assert len(memos) == 1
+        memo, _keys = memos[0]
+        assert len(memo) == 0 and not memo.pinned
+        assert current_memo() is None
+        assert len(hits) == 2  # 3D_12T and 3D_HET reuse 2D_12T
         # Outside run_matrix nothing is stored: every flow runs cold.
         configs = configurations()
         for config in ("2D_12T", "3D_12T", "3D_HET"):
@@ -192,17 +220,16 @@ class TestSynthesisStore:
                 "aes", period_ns=self.PERIOD, scale=0.15, seed=4
             )
             assert cold.to_dict() == matrix.result("aes", config).to_dict()
-        assert len(stores) == 1
+        assert len(memos) == 1 and len(hits) == 2
 
     def test_pool_path_holds_no_store(self, monkeypatch):
-        """Pool workers fork from the caller, so they must not see a store."""
+        """Pool workers fork from the caller, so they must not see a memo."""
         from repro.experiments import runner
-        from repro.flow import synthesis
 
         seen = []
 
         def fake_pool(matrix, **_kwargs):
-            seen.append(synthesis._STORE.get())
+            seen.append(current_memo())
             return True
 
         monkeypatch.setattr(runner, "_run_matrix_pool", fake_pool)

@@ -434,22 +434,24 @@ def _publish_prefix(key: str, index: int, design: Design) -> None:
     publishers of one key write byte-identical content (the flow is
     deterministic) under per-process temp names, so last-wins is safe.
     Best-effort like every cache write.  The deepest stage also goes
-    into the stage memo.
+    into the stage memo; both are serialized from one payload.
     """
     root = _prefix_root() / key
     stage = PREFIX_STAGES[index]
-    if not checkpoint_path(root, index, stage).exists():
+    write = not checkpoint_path(root, index, stage).exists()
+    memo = current_memo()
+    deepest = memo is not None and index == len(PREFIX_STAGES) - 1
+    if not (write or deepest):
+        return
+    payload = design_to_dict(design)
+    if write:
         try:
-            write_checkpoint(root, index, stage, design)
+            write_checkpoint(root, index, stage, design, payload=payload)
         except OSError as exc:
             _log.warning("dse prefix publish failed for %s: %s", key, exc)
-    memo = current_memo()
-    if memo is not None and index == len(PREFIX_STAGES) - 1:
-        memo.put(
-            ("dse_prefix", key),
-            (index,
-             pickle.dumps(design_to_dict(design), pickle.HIGHEST_PROTOCOL)),
-        )
+    if deepest:
+        memo.put(("dse_prefix", key),
+                 (index, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)))
 
 
 def _flow_at_period(

@@ -55,6 +55,12 @@ TRANSIENT_ERRORS = (OSError, EOFError, MemoryError, TimeoutError)
 
 _log = get_logger("resilience")
 
+#: Growth of the retry delay per attempt.
+BACKOFF_FACTOR = 2.0
+
+#: Cap on the retry delay (s).
+MAX_BACKOFF_S = 4.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -69,8 +75,6 @@ class RetryPolicy:
 
     max_retries: int = 2
     backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 4.0
     timeout_s: float | None = None
     keep_going: bool = False
 
@@ -78,9 +82,7 @@ class RetryPolicy:
         """Capped exponential delay before retry ``attempt`` (0-based)."""
         if self.backoff_s <= 0:
             return 0.0
-        return min(
-            self.backoff_s * self.backoff_factor**attempt, self.max_backoff_s
-        )
+        return min(self.backoff_s * BACKOFF_FACTOR**attempt, MAX_BACKOFF_S)
 
     def with_overrides(
         self,

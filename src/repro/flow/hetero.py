@@ -21,8 +21,9 @@ Each enhancement can be disabled independently, which is how the Table V
 ablation (Pin-3D vs Hetero-Pin-3D on the same heterogeneous stack) is
 produced.
 
-The flow runs as :class:`~repro.flow.pipeline.Stage` objects under
-:func:`~repro.flow.pipeline.execute_flow`; the ``level_shift`` /
+The flow is the shared stages of :mod:`repro.flow.stages` around the
+stages only it runs (partitioning, level shifting, repartitioning), run
+by :func:`~repro.flow.pipeline.execute_flow`; the ``level_shift`` /
 ``final_shifters`` stages only exist when the library pair needs
 shifters, and ``repartition`` only when the ECO loop is enabled, so the
 stage list (and the checkpoint sequence) is deterministic for a given
@@ -53,20 +54,30 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
+from repro.cts.tree import TierPolicy
 from repro.flow.design import Design
 from repro.flow.levelshift import insert_level_shifters
 from repro.flow.memo import memoized
-from repro.flow.opt import TARGET_WNS_FRACTION, optimize_timing, recover_area
+from repro.flow.opt import (
+    MAX_UTILIZATION,
+    TARGET_WNS_FRACTION,
+    optimize_timing,
+    recover_area,
+)
 from repro.flow.pin3d import FM_BALANCE_TOLERANCE, apply_partition
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
-from repro.flow.report import FlowResult, finalize_design
+from repro.flow.report import FlowResult
 from repro.flow.stages import (
+    cts_stage,
+    legalization_stage,
     legalize_all_tiers,
-    place_with_congestion_control,
+    placement_3d_stage,
+    placement_stage,
     relegalize,
+    signoff_stage,
+    sizing_stage,
+    synthesis_stage,
 )
-from repro.flow.synthesis import synthesize
 from repro.liberty.library import StdCellLibrary
 from repro.obs import emit_metric, span
 from repro.partition.bins import bin_fm_partition
@@ -76,8 +87,6 @@ from repro.partition.repartition import (
     repartition_eco,
 )
 from repro.partition.timing_driven import timing_based_pinning
-from repro.place.floorplan import build_floorplan
-from repro.place.quadratic import global_place
 from repro.place.legalizer import row_capacity_um2
 from repro.timing.incremental import TimingSession
 
@@ -199,7 +208,7 @@ def run_flow_hetero_3d(
     unless ``allow_level_shifters`` is set, in which case every illegal
     low-to-high crossing gets a level shifter -- the costly alternative
     Section III-B argues against, kept here so the tradeoff is measurable
-    (see ``benchmarks/test_level_shifter_study.py``).
+    (see ``benchmarks/test_extension_studies.py::test_level_shifter_study``).
 
     ``until_stage`` stops after the named stage (checkpoint written,
     no signoff report) -- the returned result is ``None`` and the flow
@@ -224,29 +233,8 @@ def run_flow_hetero_3d(
     # additional headroom for them.
     flow_fill = 0.93 if voltage_ok else 0.84
     pre_eco_fill = min(0.86, flow_fill) if repartition else (
-        None if voltage_ok else flow_fill
+        MAX_UTILIZATION if voltage_ok else flow_fill
     )
-
-    def synthesis(ctx: FlowContext) -> None:
-        ctx.design = synthesize(
-            design_name, "3D_HET", {FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
-            period_ns=period_ns, scale=scale, seed=seed,
-            utilization=utilization,
-        )
-        # Memory macros are corner-independent ("the same size in both
-        # technology variants"), so their tier is a free choice;
-        # alternating them over the two dies keeps the per-tier blockage
-        # balanced and leaves the fast die room for the critical logic
-        # that timing-based partitioning pins there.
-        for i, macro in enumerate(sorted(ctx.design.netlist.memory_macros(),
-                                         key=lambda m: m.name)):
-            macro.tier = (i + SLOW_TIER) % 2
-
-    def pseudo_place(ctx: FlowContext) -> None:
-        # ---- pseudo-3-D stage (single technology: the fast library) ----
-        place_with_congestion_control(
-            ctx.design, demand_scale=0.5, area_scale=0.5
-        )
 
     def partitioning(ctx: FlowContext) -> None:
         design = ctx.design
@@ -335,72 +323,11 @@ def run_flow_hetero_3d(
             design.notes["fm_balance_tolerance"] = balance_tolerance
             emit_metric("cut_nets", lambda: len(netlist.cut_nets()))
 
-    def placement_3d(ctx: FlowContext) -> None:
-        # ---- footprint shrink to maintain utilization ------------------
-        # Per-tier demand now sizes the die: both tiers sit at the target
-        # utilization, and the footprint shrinks relative to homogeneous
-        # 3-D.
-        design = ctx.design
-        fp_util = design.notes.get("utilization_used", utilization)
-        if not voltage_ok:
-            # Reserve room for the level shifters (one per violating
-            # crossing plus the ones later ECO moves will need).
-            fp_util = fp_util * 0.85
-        with span("placement", design=design_name, phase="3d"):
-            new_fp = build_floorplan(
-                design.netlist,
-                design.tier_libs,
-                fp_util,
-            )
-            design.floorplan = new_fp
-            global_place(design.netlist, new_fp)
-
-    def legalization(ctx: FlowContext) -> None:
-        legalize_all_tiers(ctx.design)
-
     def level_shift(ctx: FlowContext) -> None:
         design = ctx.design
         ls_report = insert_level_shifters(design)
         design.notes["level_shifters"] = float(ls_report.shifters_inserted)
         legalize_all_tiers(design)
-
-    def optimize(ctx: FlowContext) -> None:
-        # ---- 3-D optimization ------------------------------------------
-        design = ctx.design
-        calc = design.calculator(placed=True)
-        optimize_timing(
-            design,
-            calc,
-            max_iterations=opt_iterations,
-            **({"max_fill": pre_eco_fill} if pre_eco_fill else {}),
-        )
-        recover_area(design, calc)
-        legalize_all_tiers(design)
-        calc.invalidate_deferred()
-
-    def cts(ctx: FlowContext) -> None:
-        # ---- heterogeneous clock tree ----------------------------------
-        design = ctx.design
-        policy = TierPolicy.PREFER_SLOW if hetero_cts else TierPolicy.MAJORITY
-        synth = ClockTreeSynthesizer(
-            design.netlist,
-            design.tier_libs,
-            policy,
-            frequency_ghz=design.frequency_ghz,
-            slow_tier=SLOW_TIER,
-        )
-        design.clock_report = synth.run()
-
-    def postcts(ctx: FlowContext) -> None:
-        design = ctx.design
-        calc = design.calculator(placed=True)
-        optimize_timing(
-            design,
-            calc,
-            max_iterations=max(2, opt_iterations // 4),
-            **({"max_fill": pre_eco_fill} if pre_eco_fill else {}),
-        )
-        calc.invalidate_deferred()
 
     def repartition_stage(ctx: FlowContext) -> None:
         # ---- ECO repartitioning (Algorithm 1) --------------------------
@@ -425,7 +352,6 @@ def run_flow_hetero_3d(
                 max_iterations=max(4, opt_iterations // 3),
                 max_fill=flow_fill,
             )
-            calc.invalidate_deferred()
 
     def final_shifters(ctx: FlowContext) -> None:
         # Optimization and ECO moves may have created fresh low-to-high
@@ -436,34 +362,38 @@ def run_flow_hetero_3d(
             design.notes.get("level_shifters", 0.0) + extra.shifters_inserted
         )
 
-    def final_legalize(ctx: FlowContext) -> None:
-        legalize_all_tiers(ctx.design)
-
-    def signoff(ctx: FlowContext) -> None:
-        ctx.result = finalize_design(ctx.design)
-
     # The shifter rule is only enforced where shifters are guaranteed
     # present: optimization/CTS/ECO may legitimately create unshifted
     # crossings that ``final_shifters`` cleans up, so "tiers" stays out
     # of those boundaries in the shifter flow.
     stages = [
-        Stage("synthesis", synthesis, ("connectivity", "timing")),
-        Stage("pseudo_place", pseudo_place, ("connectivity",)),
+        # Memory macros are corner-independent, so their tier is free;
+        # starting them on the slow die leaves the fast one room for the
+        # critical logic that timing-based partitioning pins there.
+        synthesis_stage(
+            design_name, "3D_HET", {FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
+            period_ns=period_ns, scale=scale, seed=seed,
+            utilization=utilization, first_macro_tier=SLOW_TIER,
+        ),
+        placement_stage(pseudo_3d=True),  # in the fast library only
         Stage("partitioning", partitioning,
               ("connectivity", "tiers", "tier_balance")),
-        Stage("placement_3d", placement_3d, ("connectivity", "tiers")),
-        Stage("legalization", legalization,
-              ("connectivity", "placement", "tiers")),
+        # Footprint shrink: per-tier demand sizes the die, with room
+        # reserved for level shifters (crossings now and after the ECO).
+        placement_3d_stage(utilization_scale=1.0 if voltage_ok else 0.85),
+        legalization_stage(),
     ]
     if not voltage_ok:
         stages.append(Stage("level_shift", level_shift,
                             ("connectivity", "placement", "tiers")))
     stages += [
-        Stage("optimize", optimize, ("connectivity", "placement", "timing")),
-        Stage("cts", cts, ("connectivity", "timing")),
+        sizing_stage("optimize", opt_iterations, max_fill=pre_eco_fill),
+        cts_stage(TierPolicy.PREFER_SLOW if hetero_cts
+                  else TierPolicy.MAJORITY),
         # No legalization after the post-CTS sizing pass (ECO runs next),
         # so placement legality is not a contract here.
-        Stage("postcts", postcts, ("connectivity", "timing")),
+        sizing_stage("postcts", max(2, opt_iterations // 4),
+                     max_fill=pre_eco_fill, recover=False),
     ]
     if repartition:
         stages.append(Stage("repartition", repartition_stage,
@@ -471,19 +401,10 @@ def run_flow_hetero_3d(
     if not voltage_ok:
         stages.append(Stage("final_shifters", final_shifters,
                             ("connectivity",)))
-    stages += [
-        Stage("final_legalize", final_legalize,
-              ("connectivity", "placement", "tiers")),
-        Stage("signoff", signoff,
-              ("connectivity", "placement", "tiers", "timing")),
-    ]
+    stages += [legalization_stage("final_legalize"), signoff_stage()]
     ctx = execute_flow(
-        stages,
-        check=check,
-        checkpoint_dir=checkpoint_dir,
-        from_stage=from_stage,
-        until_stage=until_stage,
-        tier_libs={FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
-        design=design,
+        stages, check=check, checkpoint_dir=checkpoint_dir,
+        from_stage=from_stage, until_stage=until_stage,
+        tier_libs={FAST_TIER: fast_lib, SLOW_TIER: slow_lib}, design=design,
     )
     return ctx.design, ctx.result

@@ -180,7 +180,7 @@ def _try_clone(
     if inst.is_placed:
         clone.x_um, clone.y_um = inst.x_um, inst.y_um
     # The nets the clone joins as a sink are invalidated only where the
-    # stage ends (DelayCalculator.defer_invalidation).
+    # stage ends, by the flow driver (DelayCalculator.defer_invalidation).
     for pin in inst.cell.input_pins:
         src = inst.net_of(pin)
         if src is not None:

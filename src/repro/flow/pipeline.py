@@ -1,18 +1,20 @@
 """The staged flow driver: contracts, checkpoints, and stage resume.
 
 Every ``run_flow_*`` entry point builds an ordered list of
-:class:`Stage` objects (name, body, postcondition check set) and hands
-it to :func:`execute_flow`, which runs, per stage:
+:class:`Stage` objects (name, body, postcondition check set), mostly
+the shared stages of :mod:`repro.flow.stages`, and hands it to
+:func:`execute_flow`, which runs, per stage:
 
-1. the stage body (mutating ``ctx.design`` exactly as the monolithic
-   flows used to),
-2. the ``corrupt_design`` fault hook (CI corrupts here to prove the
+1. the stage body (mutating ``ctx.design``),
+2. the flush of the invalidations the stage deferred on the design's
+   held delay calculator (``DelayCalculator.invalidate_deferred``),
+3. the ``corrupt_design`` fault hook (CI corrupts here to prove the
    next step catches it),
-3. the stage's postcondition contract checks
+4. the stage's postcondition contract checks
    (:func:`repro.integrity.contracts.enforce`, policy from ``--check``/
    ``$REPRO_CHECK``), plus the ``parasitics`` check of the design's
    delay calculator at every boundary,
-4. the checksummed checkpoint write (``--checkpoint-dir``) -- after the
+5. the checksummed checkpoint write (``--checkpoint-dir``) -- after the
    checks, so checkpoints only ever hold validated state.
 
 ``--from-stage`` resumes: the driver loads the newest valid checkpoint
@@ -22,15 +24,16 @@ calculator and its timing session from stage to stage; a resumed one
 starts a fresh calculator at its first timed stage.  The two agree
 byte for byte because every boundary leaves the calculator exact: each
 cached net equals a fresh extraction (the ``parasitics`` check), since
-edits invalidate the nets they touch and each stage ends by
-invalidating the nets load cloning deferred.  A caller still holding
-the design a run stopped with (``until_stage``) can instead pass it
-back as ``design`` and continue in memory, without any checkpoint file.
+edits invalidate the nets they touch and the flow driver invalidates
+the nets load cloning deferred right after each stage body.  A caller
+still holding the design a run stopped with (``until_stage``) can
+instead pass it back as ``design`` and continue in memory, without any
+checkpoint file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import FlowError
@@ -51,7 +54,6 @@ class FlowContext:
 
     design: Design | None = None
     result: FlowResult | None = None
-    notes: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,6 @@ class Stage:
     name: str
     fn: Callable[[FlowContext], None]
     checks: tuple[str, ...] = ()
-
-
-def _maybe_corrupt(ctx: FlowContext, stage: str) -> None:
-    from repro.experiments.faults import maybe_corrupt_design
-
-    if ctx.design is not None:
-        maybe_corrupt_design(ctx.design, site=stage, stage=stage)
 
 
 def execute_flow(
@@ -137,20 +132,24 @@ def execute_flow(
                         "%r instead", names[target - 1], names[start - 1],
                     )
 
-    # Imported lazily (like the fault hook) to keep flow -> experiments
-    # a runtime-only edge.
+    # Imported lazily to keep flow -> experiments a runtime-only edge.
+    from repro.experiments.faults import maybe_corrupt_design
     from repro.experiments.telemetry import count
 
     for index in range(start, len(stages)):
         stage = stages[index]
         stage.fn(ctx)
         count("flow_stages_run")
-        _maybe_corrupt(ctx, stage.name)
-        if ctx.design is not None:
-            enforce(ctx.design, stage=stage.name,
+        design = ctx.design
+        if design is not None:
+            calc = design.held_calculator()
+            if calc is not None:
+                calc.invalidate_deferred()
+            maybe_corrupt_design(design, site=stage.name, stage=stage.name)
+            enforce(design, stage=stage.name,
                     checks=(*stage.checks, "parasitics"), mode=mode)
             if checkpoint_dir is not None:
-                write_checkpoint(checkpoint_dir, index, stage.name, ctx.design)
+                write_checkpoint(checkpoint_dir, index, stage.name, design)
         if stage.name == until_stage:
             break
     return ctx

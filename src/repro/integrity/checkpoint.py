@@ -353,12 +353,16 @@ def checkpoint_path(directory: str | Path, index: int, stage: str) -> Path:
 
 
 def write_checkpoint(
-    directory: str | Path, index: int, stage: str, design: Design
+    directory: str | Path, index: int, stage: str, design: Design,
+    *, payload: dict | None = None,
 ) -> Path:
-    """Serialize the design after ``stage`` (atomic write + checksum)."""
+    """Serialize the design after ``stage`` (atomic write + checksum);
+    a caller already holding ``design_to_dict(design)`` passes it as
+    ``payload``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = design_to_dict(design)
+    if payload is None:
+        payload = design_to_dict(design)
     envelope = {
         "format": CHECKPOINT_FORMAT,
         "stage": stage,

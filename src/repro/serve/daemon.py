@@ -78,10 +78,11 @@ submits are rejected with ``code=disk_pressure``; ``TRACE``
 worker-side span forwarding (default on; falsy disables).  CLI flags
 override the environment.
 
-Metrics/feed knobs are prefixed ``REPRO_METRICS_``: ``INTERVAL_S``
-periodic feed metric events, ``FEED_QUEUE`` per-subscriber queue bound,
-``BACKLOG`` replay ring size, ``WINDOW_S`` telemetry reporting window,
-``TRACES`` retained per-job trace trees.
+Metrics knobs are prefixed ``REPRO_METRICS_``: ``WINDOW_S`` telemetry
+reporting window, ``TRACES`` retained per-job trace trees.  The feed
+publishes a ``metrics`` event every :data:`METRICS_INTERVAL_S` and
+keeps the :class:`~repro.serve.events.EventBus` default queue and
+backlog bounds.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ from repro.serve.supervisor import Supervisor
 __all__ = ["ServeConfig", "ServerCore", "serve"]
 
 _log = get_logger("serve.daemon")
+
+#: Cadence of the feed's periodic ``metrics`` event (s).
+METRICS_INTERVAL_S = 2.0
 
 
 def _env_float(name: str, default: float) -> float:
@@ -158,9 +162,6 @@ class ServeConfig:
     min_free_mb: float = 64.0  # free-disk floor before degraded mode
     socket_path: Path | None = None
     worker_trace: bool = True  # workers trace + forward live spans
-    metrics_interval_s: float = 2.0  # periodic feed metric events
-    feed_queue: int = 256  # per-subscriber bounded queue
-    feed_backlog: int = 256  # replay ring for late subscribers
     telemetry_window_s: float = 3600.0  # stats_view telemetry horizon
     trace_keep: int = 32  # per-job trace trees retained
 
@@ -190,9 +191,6 @@ class ServeConfig:
             compact_min=_env_int("REPRO_SERVE_COMPACT_MIN", 512),
             min_free_mb=_env_float("REPRO_SERVE_MIN_FREE_MB", 64.0),
             worker_trace=trace_raw not in ("", "0", "false", "off", "no"),
-            metrics_interval_s=_env_float("REPRO_METRICS_INTERVAL_S", 2.0),
-            feed_queue=_env_int("REPRO_METRICS_FEED_QUEUE", 256),
-            feed_backlog=_env_int("REPRO_METRICS_BACKLOG", 256),
             telemetry_window_s=_env_float("REPRO_METRICS_WINDOW_S", 3600.0),
             trace_keep=_env_int("REPRO_METRICS_TRACES", 32),
         )
@@ -271,10 +269,7 @@ class ServerCore:
         # and _traces holds incrementally-stitched per-job span trees.
         self.registry = MetricsRegistry()
         self._init_metrics()
-        self.bus = EventBus(
-            queue_max=config.feed_queue, backlog=config.feed_backlog,
-            registry=self.registry,
-        )
+        self.bus = EventBus(registry=self.registry)
         self._traces: OrderedDict[str, JobTrace] = OrderedDict()
         # Finished-job telemetry, (wall_s, snapshot) pairs pruned to the
         # reporting window -- the fix for the old unbounded process-
@@ -1264,21 +1259,18 @@ def serve(config: ServeConfig) -> int:
         # Two cadences in one loop.  Maintenance (deadline expiry,
         # retention, online compaction, the disk guard) runs every
         # tick -- deadlines should expire within ~half a second of
-        # passing.  Metric summaries keep their configured interval,
-        # double as feed keepalives (a dead subscriber is detected at
-        # the next tick's failed write), and are skipped with no
-        # subscribers (the backlog ring should hold job history, not
-        # clock noise).
-        tick = max(0.1, min(0.5, config.metrics_interval_s))
-        metrics_interval = max(0.2, config.metrics_interval_s)
+        # passing.  Metric summaries keep METRICS_INTERVAL_S, double
+        # as feed keepalives (a dead subscriber is detected at the next
+        # tick's failed write), and are skipped with no subscribers
+        # (the backlog ring should hold job history, not clock noise).
         last_metrics = time.monotonic()
-        while not ticker_stop.wait(tick):
+        while not ticker_stop.wait(0.5):
             try:
                 core.maintenance()
             except Exception:  # noqa: BLE001 -- upkeep must outlive bugs
                 _log.exception("maintenance pass failed; continuing")
             now = time.monotonic()
-            if now - last_metrics >= metrics_interval:
+            if now - last_metrics >= METRICS_INTERVAL_S:
                 last_metrics = now
                 if core.bus.subscriber_count():
                     core.publish_metrics()

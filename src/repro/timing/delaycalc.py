@@ -260,9 +260,10 @@ class DelayCalculator:
         """Invalidate one net at the next :meth:`invalidate_deferred`.
 
         Load cloning joins its driver's input nets without invalidating
-        them; the flows invalidate those nets where each stage ends, so
-        they stay exactly as stale as they were when every stage built
-        a calculator of its own (see DESIGN.md, invalidation contract).
+        them; the flow driver invalidates those nets right after each
+        stage body, so they stay exactly as stale as they were when every
+        stage built a calculator of its own (see DESIGN.md, invalidation
+        contract).
         """
         self._deferred.add(net_name)
 

@@ -225,6 +225,28 @@ class TestDriver:
         assert seen == ["a", "b"]
         assert isinstance(ctx, FlowContext)
 
+    def test_deferred_invalidations_flushed_after_each_stage(self, finished):
+        """A net a stage defers on the held calculator is uncached before
+        the next stage runs."""
+        design = design_from_dict(design_to_dict(finished[0]),
+                                  finished[0].tier_libs)
+        calc = design.calculator(placed=True)
+        net = next(n for n in design.netlist.nets.values() if n.sinks)
+        calc.net_parasitics(net)
+        cached = []
+
+        def defer(ctx):
+            ctx.design = design
+            calc.defer_invalidation(net.name)
+            cached.append(net.name in calc.cached_parasitics())
+
+        execute_flow([
+            Stage("defer", defer),
+            Stage("next", lambda ctx: cached.append(
+                net.name in calc.cached_parasitics())),
+        ])
+        assert cached == [True, False]
+
 
 class TestStrictOffEquivalence:
     def test_strict_matches_off_byte_for_byte(self):

@@ -267,3 +267,20 @@ class TestTierBalance:
             period_ns=0.440056, scale=0.08, seed=0, pinning_area_cap=0.30,
             fm_tolerance=0.10, opt_iterations=4, check="strict",
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=IntegrityError,
+        reason="at perfbench's cpu matrix settings Pin-3D's bin-FM splits "
+        "the std-cell area 323 / 666 um2 (0.347 imbalance, limit 0.200); "
+        "bin_fm_partition balances with the macro-blocker pseudo-cells "
+        "while check_tier_balance excludes macro area, and which side is "
+        "wrong is open (ROADMAP item 2); the fix changes digests",
+    )
+    def test_pin3d_cpu_at_benchmark_scale_keeps_tiers_balanced(self):
+        from repro.flow.pin3d import run_flow_pin3d
+
+        run_flow_pin3d(
+            "cpu", make_twelve_track_library(), period_ns=0.8125,
+            scale=0.25, seed=1, check="strict",
+        )

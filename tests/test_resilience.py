@@ -213,10 +213,8 @@ class TestClassification:
 
 class TestRetryPolicy:
     def test_backoff_caps(self):
-        policy = RetryPolicy(
-            backoff_s=1.0, backoff_factor=2.0, max_backoff_s=3.0
-        )
-        assert [policy.backoff(i) for i in range(4)] == [1.0, 2.0, 3.0, 3.0]
+        policy = RetryPolicy(backoff_s=1.0)
+        assert [policy.backoff(i) for i in range(4)] == [1.0, 2.0, 4.0, 4.0]
 
     def test_zero_backoff(self):
         assert RetryPolicy(backoff_s=0.0).backoff(5) == 0.0

@@ -140,3 +140,99 @@ class TestLegalizeAllTiers:
         stats = legalize_all_tiers(design)
         assert set(stats) == {0, 1}
         assert all(s.cells > 0 for s in stats.values())
+
+
+# -- every flow's stage list --------------------------------------------------
+
+SYNTH = ("synthesis", ("connectivity", "timing"))
+PLACE = ("placement", ("connectivity",))
+PSEUDO = ("pseudo_place", ("connectivity",))
+PARTITION = ("partitioning", ("connectivity", "tiers", "tier_balance"))
+PLACE_3D = ("placement_3d", ("connectivity", "tiers"))
+LEGALIZE = ("legalization", ("connectivity", "placement", "tiers"))
+LEVEL_SHIFT = ("level_shift", ("connectivity", "placement", "tiers"))
+OPTIMIZE = ("optimize", ("connectivity", "placement", "timing"))
+CTS = ("cts", ("connectivity", "timing"))
+POSTCTS = ("postcts", ("connectivity", "placement", "timing"))
+# hetero's post-CTS pass leaves legalization to the ECO / final_legalize
+POSTCTS_HET = ("postcts", ("connectivity", "timing"))
+REPARTITION = ("repartition", ("connectivity", "timing"))
+FINAL_SHIFTERS = ("final_shifters", ("connectivity",))
+FINAL_LEGALIZE = ("final_legalize", ("connectivity", "placement", "tiers"))
+SIGNOFF = ("signoff", ("connectivity", "placement", "tiers", "timing"))
+
+HET_FRONT = [SYNTH, PSEUDO, PARTITION, PLACE_3D, LEGALIZE]
+HET_SIZING = [OPTIMIZE, CTS, POSTCTS_HET]
+HET_TAIL = [FINAL_LEGALIZE, SIGNOFF]
+
+
+def _stage_list(monkeypatch, module_name: str, run) -> list:
+    """The ``(name, checks)`` list a flow hands ``execute_flow``."""
+    import importlib
+
+    from repro.flow.pipeline import FlowContext
+
+    seen = []
+
+    def record(stages, **_kw):
+        seen.extend((s.name, s.checks) for s in stages)
+        return FlowContext()
+
+    monkeypatch.setattr(importlib.import_module(module_name),
+                        "execute_flow", record)
+    run()
+    return seen
+
+
+class TestFlowStageLists:
+    """Stage names, order and check sets of every flow variant."""
+
+    @pytest.fixture(scope="class")
+    def low(self):
+        from repro.liberty.presets import make_track_variant
+
+        return make_track_variant(9, vdd_v=0.55)  # needs level shifters
+
+    def test_2d(self, pair, monkeypatch):
+        from repro.flow.flow2d import run_flow_2d
+
+        got = _stage_list(monkeypatch, "repro.flow.flow2d",
+                          lambda: run_flow_2d("aes", pair[0], period_ns=1.0))
+        assert got == [SYNTH, PLACE, LEGALIZE, OPTIMIZE, CTS, POSTCTS,
+                       SIGNOFF]
+
+    def test_pin3d(self, pair, monkeypatch):
+        from repro.flow.pin3d import run_flow_pin3d
+
+        got = _stage_list(monkeypatch, "repro.flow.pin3d",
+                          lambda: run_flow_pin3d("aes", pair[0],
+                                                 period_ns=1.0))
+        assert got == [SYNTH, PSEUDO, PARTITION, PLACE_3D, LEGALIZE,
+                       OPTIMIZE, CTS, POSTCTS, SIGNOFF]
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        pytest.param({}, HET_FRONT + HET_SIZING + [REPARTITION] + HET_TAIL,
+                     id="default"),
+        pytest.param({"repartition": False},
+                     HET_FRONT + HET_SIZING + HET_TAIL, id="no_eco"),
+        pytest.param({"timing_partitioning": False, "hetero_cts": False,
+                      "repartition": False},
+                     HET_FRONT + HET_SIZING + HET_TAIL, id="ablation"),
+        pytest.param({"allow_level_shifters": True, "repartition": False},
+                     HET_FRONT + [LEVEL_SHIFT] + HET_SIZING
+                     + [FINAL_SHIFTERS] + HET_TAIL, id="shifters"),
+        pytest.param({"allow_level_shifters": True},
+                     HET_FRONT + [LEVEL_SHIFT] + HET_SIZING
+                     + [REPARTITION, FINAL_SHIFTERS] + HET_TAIL,
+                     id="shifters_eco"),
+    ])
+    def test_hetero(self, pair, low, monkeypatch, kwargs, expected):
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        slow = low if kwargs.get("allow_level_shifters") else pair[1]
+        got = _stage_list(
+            monkeypatch, "repro.flow.hetero",
+            lambda: run_flow_hetero_3d("aes", pair[0], slow, period_ns=1.0,
+                                       **kwargs),
+        )
+        assert got == expected

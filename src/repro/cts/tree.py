@@ -222,21 +222,20 @@ class ClockTreeSynthesizer:
     def _cluster(self, sinks: list[_Sink]) -> list[_Node]:
         """Recursive geometric bisection into leaf buffers."""
         leaves: list[_Node] = []
-
-        def recurse(group: list[_Sink]) -> None:
-            if len(group) <= LEAF_SIZE:
-                leaves.append(self._make_buffer([], group))
-                return
-            dx = max(s.x for s in group) - min(s.x for s in group)
-            dy = max(s.y for s in group) - min(s.y for s in group)
-            key = (lambda s: s.x) if dx >= dy else (lambda s: s.y)
-            ordered = sorted(group, key=lambda s: (key(s), s.inst))
-            mid = len(ordered) // 2
-            recurse(ordered[:mid])
-            recurse(ordered[mid:])
-
-        recurse(sinks)
+        self._bisect(sinks, leaves)
         return leaves
+
+    def _bisect(self, group: list[_Sink], leaves: list[_Node]) -> None:
+        if len(group) <= LEAF_SIZE:
+            leaves.append(self._make_buffer([], group))
+            return
+        dx = max(s.x for s in group) - min(s.x for s in group)
+        dy = max(s.y for s in group) - min(s.y for s in group)
+        key = (lambda s: s.x) if dx >= dy else (lambda s: s.y)
+        ordered = sorted(group, key=lambda s: (key(s), s.inst))
+        mid = len(ordered) // 2
+        self._bisect(ordered[:mid], leaves)
+        self._bisect(ordered[mid:], leaves)
 
     def _build_levels(self, nodes: list[_Node]) -> _Node:
         """Group buffers geometrically until a single root remains."""

@@ -9,13 +9,15 @@ compounding cost reducers:
    the slow library, tier cap, or FM tolerance.  Their state is
    therefore computed once per *prefix key* (a content hash of exactly
    those fields) and re-slotted into every later config's flow via
-   :func:`~repro.integrity.checkpoint.rebind_tier_library`.  Within one
-   :func:`explore` call it lives in the stage memo
-   (:mod:`repro.flow.memo`): one pickled payload of the deepest prefix
-   stage per key, from which each flow resumes.  The first computation
-   of a key also writes both prefix stages as checkpoints under
-   ``<cache>/dse_prefix/<key>/``, read when the memo has no entry
-   (pool workers, later runs).  Reuse is counted in
+   :func:`~repro.integrity.checkpoint.rebind_design_tier_library`.
+   Within one :func:`explore` call it lives in the stage memo
+   (:mod:`repro.flow.memo`): one snapshot (a structural copy) of the
+   deepest prefix stage per key, and each flow resumes from a fresh
+   copy of it.  The first computation of a key also writes both prefix
+   stages as checkpoints under ``<cache>/dse_prefix/<key>/``, read
+   (and re-slotted by
+   :func:`~repro.integrity.checkpoint.rebind_tier_library`) when the
+   memo has no entry (pool workers, later runs).  Reuse is counted in
    ``telemetry.prefix_stages_reused``; a fully warm sweep re-executes
    zero prefix stages.
 
@@ -33,12 +35,12 @@ compounding cost reducers:
    The same independence argument also runs *forward*: partitioning is
    the only stage the tier-cap and FM-tolerance axes feed, so each
    evaluation first runs through partitioning only (``until_stage``),
-   fingerprints the partitioned design in memory (parameter echoes
-   masked), and serves the entire post-partition tail from the
-   ``dse_suffix`` cache when any earlier config produced the same
-   partition -- distinct (cap, fm) settings collapse onto far fewer
-   distinct partitions.  On a miss the tail continues from the same
-   in-memory design; no per-flow checkpoint is written.  Exact by
+   keys the tail by the partition's inputs -- the prefix key, the slow
+   library and the tier vector -- and serves the entire post-partition
+   tail from the ``dse_suffix`` cache when any earlier config produced
+   the same partition -- distinct (cap, fm) settings collapse onto far
+   fewer distinct partitions.  On a miss the tail continues from the
+   same in-memory design; no per-flow checkpoint is written.  Exact by
    construction; counted in ``telemetry.suffix_flows_reused``.
 
    Synthesis and partitioning are shared through the same memo
@@ -71,7 +73,7 @@ flow runs and a byte-identical final front.
 --no-prune/--no-reuse/--no-warm``) without changing any row.  Tail
 and partition reuse belong to the prefix layer; tail reuse is also off
 whenever ``$REPRO_CHECK`` enables stage-boundary checks, the one
-consumer of the notes the fingerprint masks.
+consumer of the parameter-echo notes the tail key leaves out.
 ``ExploreSpec.prune_distance`` is the consensus radius of pruning:
 every evaluated config within this many lattice steps contributes a
 prediction to the componentwise-min bound (default 1).  Because the
@@ -84,7 +86,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -122,8 +123,8 @@ from repro.integrity.contracts import CheckMode, current_mode
 from repro.integrity.checkpoint import (
     checkpoint_path,
     design_from_dict,
-    design_to_dict,
     read_checkpoint,
+    rebind_design_tier_library,
     rebind_tier_library,
     write_checkpoint,
 )
@@ -144,8 +145,9 @@ _log = get_logger("dse")
 
 #: Stages whose output is independent of every per-config axis (slow
 #: library, tier cap, FM tolerance) -- the shareable flow prefix, in
-#: stage order.  ``rebind_tier_library`` enforces the independence
-#: claim at reuse time.
+#: stage order.  The re-slot guard (``rebind_tier_library`` and
+#: ``rebind_design_tier_library``) enforces the independence claim at
+#: reuse time.
 PREFIX_STAGES = ("synthesis", "pseudo_place")
 
 #: Partitioning is the last stage that reads the tier cap / FM
@@ -153,22 +155,9 @@ PREFIX_STAGES = ("synthesis", "pseudo_place")
 #: partitioned design state plus ``(period, utilization,
 #: opt_iterations, seed)``.  That makes the whole flow *tail* reusable
 #: across configs whose partitions collapse to the same state -- keyed
-#: by a fingerprint of the partitioned design state.
+#: by the partition's inputs (:func:`_tail_key`).
 _PARTITION_STAGE = "partitioning"
 _SUFFIX_RESUME = "placement_3d"
-
-#: Parameter echoes partitioning writes into ``design.notes``.  They
-#: are excluded from the suffix fingerprint: no flow stage reads them
-#: (only the stage-boundary invariant checks do, and suffix reuse is
-#: disabled whenever ``$REPRO_CHECK`` turns those on), so two configs
-#: whose partitions agree on everything else produce byte-identical
-#: tails.
-_PARTITION_ECHO_NOTES = frozenset({
-    "pinned_cells",
-    "pinned_area_fraction",
-    "pinned_area_cap",
-    "fm_balance_tolerance",
-})
 
 #: The grid widens the 12T sweep bracket upward: low-voltage slow dies
 #: can need more relaxed periods than the fast-library search ever saw.
@@ -346,39 +335,31 @@ def _prefix_root() -> Path:
     return cache.cache_dir() / "dse_prefix"
 
 
-def _partition_fingerprint(payload: dict) -> str:
-    """Content hash of a partitioned design payload
-    (:func:`~repro.integrity.checkpoint.design_to_dict`), with the
-    parameter-echo notes (:data:`_PARTITION_ECHO_NOTES`) masked out."""
-    notes = payload.get("notes")
-    if isinstance(notes, dict):
-        payload = dict(payload)
-        payload["notes"] = {
-            k: v for k, v in notes.items()
-            if k not in _PARTITION_ECHO_NOTES
-        }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _tail_key(prefix_key: str, design: Design) -> str:
+    """Content hash of what the post-partition tail consumes: the
+    prefix state (``prefix_key``), the slow library, and the tier
+    vector in instance order.
 
-
-def _suffix_cache_key(
-    spec: ExploreSpec, period_ns: float, fingerprint: str
-) -> str:
-    """Content hash of exactly what the post-partition tail consumes:
-    the fingerprinted design state plus the runtime knobs the tail
-    stages read.  Deliberately *not* keyed on the config axes -- the
-    collapse of distinct (cap, fm) settings onto one partition is the
-    entire savings."""
+    Partitioning changes only the tiers, the remap of the slow tier to
+    its library (a function of tier and library) and four notes that
+    echo the cap/fm parameters, which no flow stage reads (only the
+    stage-boundary checks do, and tail reuse is off whenever they are
+    on).  Deliberately *not* keyed on the config axes -- the collapse
+    of distinct (cap, fm) settings onto one partition is the entire
+    savings."""
+    slow = design.library_for_tier(SLOW_TIER)
+    tiers = bytes(inst.tier for inst in design.netlist.instances.values())
     return cache.cache_key(
-        "dse_suffix", period_ns=period_ns, fingerprint=fingerprint,
-        **_flow_key_fields(spec),
+        "dse_suffix", prefix=prefix_key,
+        slow_library=[slow.name, slow.tracks, slow.vdd_v],
+        tiers=hashlib.sha256(tiers).hexdigest(),
     )
 
 
-def _read_prefix(store: Path) -> tuple[int, bytes] | None:
-    """The deepest readable prefix checkpoint under ``store`` as an
-    in-memory entry ``(stage index, pickled payload)``; a corrupt file
-    falls back to the shallower stage."""
+def _read_prefix(store: Path) -> tuple[int, dict] | None:
+    """The deepest readable prefix checkpoint under ``store`` as
+    ``(stage index, payload)``; a corrupt file falls back to the
+    shallower stage."""
     for index in range(len(PREFIX_STAGES) - 1, -1, -1):
         path = checkpoint_path(store, index, PREFIX_STAGES[index])
         if not path.exists():
@@ -391,29 +372,34 @@ def _read_prefix(store: Path) -> tuple[int, bytes] | None:
                 path, exc,
             )
             continue
-        return index, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        return index, payload
     return None
 
 
 def _seed_prefix(key: str, tier_libs: dict) -> tuple[int, Design | None]:
     """``(stages_reused, design)``: the deepest stored prefix state of
-    ``key`` -- from the stage memo, else from its checkpoints --
-    re-slotted for this config's slow library, or ``(0, None)``.  An
-    unusable entry degrades to a cold start, never to a design bound to
-    the wrong cells."""
+    ``key`` -- a copy of the stage memo's snapshot, else loaded from its
+    checkpoints (and snapshotted into the memo) -- re-slotted for this
+    config's slow library, or ``(0, None)``.  An unusable entry degrades
+    to a cold start, never to a design bound to the wrong cells."""
     memo = current_memo()
     mkey = ("dse_prefix", key)
     entry = memo.get(mkey) if memo is not None else None
-    if entry is None:
-        entry = _read_prefix(_prefix_root() / key)
-    if entry is None:
-        return 0, None
-    index, blob = entry
+    slow_lib = tier_libs[SLOW_TIER]
     try:
-        payload = rebind_tier_library(
-            pickle.loads(blob), SLOW_TIER, tier_libs[SLOW_TIER]
-        )
-        design = design_from_dict(payload, tier_libs)
+        if entry is not None:
+            index, state = entry
+            design = rebind_design_tier_library(state, SLOW_TIER, slow_lib)
+        else:
+            entry = _read_prefix(_prefix_root() / key)
+            if entry is None:
+                return 0, None
+            index, payload = entry
+            design = design_from_dict(
+                rebind_tier_library(payload, SLOW_TIER, slow_lib), tier_libs
+            )
+            if memo is not None:
+                memo.put(mkey, (index, design.copy()))
     except CheckpointError as exc:
         _log.warning(
             "dse prefix %s/%s unusable (%s); running the prefix cold",
@@ -422,8 +408,6 @@ def _seed_prefix(key: str, tier_libs: dict) -> tuple[int, Design | None]:
         if memo is not None:
             memo.pop(mkey, None)
         return 0, None
-    if memo is not None:
-        memo.put(mkey, entry)
     return index + 1, design
 
 
@@ -434,24 +418,18 @@ def _publish_prefix(key: str, index: int, design: Design) -> None:
     publishers of one key write byte-identical content (the flow is
     deterministic) under per-process temp names, so last-wins is safe.
     Best-effort like every cache write.  The deepest stage also goes
-    into the stage memo; both are serialized from one payload.
+    into the stage memo, as a snapshot (:meth:`Design.copy`).
     """
     root = _prefix_root() / key
     stage = PREFIX_STAGES[index]
-    write = not checkpoint_path(root, index, stage).exists()
-    memo = current_memo()
-    deepest = memo is not None and index == len(PREFIX_STAGES) - 1
-    if not (write or deepest):
-        return
-    payload = design_to_dict(design)
-    if write:
+    if not checkpoint_path(root, index, stage).exists():
         try:
-            write_checkpoint(root, index, stage, design, payload=payload)
+            write_checkpoint(root, index, stage, design)
         except OSError as exc:
             _log.warning("dse prefix publish failed for %s: %s", key, exc)
-    if deepest:
-        memo.put(("dse_prefix", key),
-                 (index, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)))
+    memo = current_memo()
+    if memo is not None and index == len(PREFIX_STAGES) - 1:
+        memo.put(("dse_prefix", key), (index, design.copy()))
 
 
 def _flow_at_period(
@@ -502,7 +480,7 @@ def _flow_reusing(
 
     The design stays in memory from stage to stage: the flow stops
     after each prefix stage it has to compute (to publish it) and after
-    partitioning (to fingerprint it), then continues from the same
+    partitioning (to key its tail), then continues from the same
     object.
     """
     pkey = _prefix_cache_key(spec, period_ns)
@@ -515,21 +493,20 @@ def _flow_reusing(
             _publish_prefix(pkey, index, design)
 
     # Suffix reuse is sound only while the stage-boundary checks are
-    # off: they are the one consumer of the notes the fingerprint masks
-    # (see _PARTITION_ECHO_NOTES).
+    # off: they read the parameter-echo notes the tail key leaves out
+    # (see _tail_key).
     use_suffix = current_mode(None) is CheckMode.OFF
     resume = _PARTITION_STAGE
     result = skey = None
     if use_suffix:
         # Stop after partitioning (the only stage the cap/fm axes
-        # feed), fingerprint the partitioned state, and serve the whole
-        # tail from cache when another config already produced it.
+        # feed), key the partitioned state by its inputs, and serve the
+        # whole tail from cache when another config already produced it.
         design, _ = flow(
             design=design, from_stage=resume, until_stage=_PARTITION_STAGE
         )
         with span("dse_fingerprint"):
-            fingerprint = _partition_fingerprint(design_to_dict(design))
-        skey = _suffix_cache_key(spec, period_ns, fingerprint)
+            skey = _tail_key(pkey, design)
         result = cache.load_result(skey)
         resume = _SUFFIX_RESUME
     if result is not None:

@@ -14,7 +14,7 @@ reuses instead of re-extracting every net.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cts.tree import ClockReport
 from repro.errors import FlowError
@@ -105,6 +105,7 @@ class Design:
         model = PlacementWireModel(lib) if placed else FanoutWireModel(lib)
         calc = DelayCalculator(self.netlist, model, self.libraries_by_name())
         if placed:
+            self.drop_calculator()
             self._calc = (self.floorplan, calc)
         return calc
 
@@ -121,8 +122,43 @@ class Design:
         For edits that bypass ``calc.invalidate`` -- level-shifter
         insertion, tier assignment, integrity repairs, injected faults
         -- and for signoff, after which nothing re-times the design.
+        The calculator's sessions are detached, so reference counting
+        frees them with it.
         """
-        self._calc = None
+        held, self._calc = self._calc, None
+        if held is not None:
+            held[1].detach_sessions()
+
+    def copy(self) -> "Design":
+        """A snapshot of the flow state.
+
+        The netlist is copied structurally (:meth:`Netlist.copy`), and
+        so are the library map, the floorplan with its macro list, the
+        clock report's maps and the notes; cell types and libraries are
+        shared.  Like a design loaded from a checkpoint, the copy holds
+        no calculator and no placement session.
+        """
+        fp = self.floorplan
+        if fp is not None:
+            fp = replace(fp, macros=list(fp.macros))
+        clock = self.clock_report
+        if clock is not None:
+            clock = replace(
+                clock,
+                buffer_count_by_tier=dict(clock.buffer_count_by_tier),
+                latencies=dict(clock.latencies),
+            )
+        return Design(
+            name=self.name,
+            config=self.config,
+            netlist=self.netlist.copy(),
+            tier_libs=dict(self.tier_libs),
+            floorplan=fp,
+            clock_report=clock,
+            target_period_ns=self.target_period_ns,
+            utilization_target=self.utilization_target,
+            notes=dict(self.notes),
+        )
 
     def clock_latencies(self) -> dict[str, float] | None:
         """Per-sink clock insertion delays, or None before CTS.

@@ -34,8 +34,8 @@ stage serves its three steps from the memo instead of recomputing them
 for every flow; outside one it always runs cold.  Each step is keyed by
 the pseudo-3-D *state key* ``(design, fast library, scale, seed,
 period, utilization)`` -- every standard cell of that state is still
-bound to the fast library (``rebind_tier_library`` refuses a prefix
-state that is not) -- plus exactly the further inputs it reads:
+bound to the fast library (the explorer's re-slot guard refuses a
+prefix state that is not) -- plus exactly the further inputs it reads:
 
 - the cell slacks: nothing further;
 - the pinned set: the tier cap;
@@ -113,8 +113,8 @@ def _run_repartition(
         report = session.report(
             design.target_period_ns, with_cell_slacks=False
         )
-        paths = session.top_paths(report, config.n_paths)
-        return report.wns_ns, report.tns_ns, paths
+        return (report.wns_ns, report.tns_ns,
+                lambda: session.top_paths(report, config.n_paths))
 
     fast_capacity = (
         row_capacity_um2(

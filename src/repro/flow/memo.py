@@ -21,6 +21,13 @@ reads:
 - **the explorer's prefix states** (:mod:`repro.experiments.dse.search`):
   ``("dse_prefix", prefix key)``.
 
+Netlists and designs are stored as structural copies
+(:meth:`~repro.netlist.core.Netlist.copy`,
+:meth:`~repro.flow.design.Design.copy`) that share only the immutable
+cell types and libraries, and every hit hands out a fresh copy with no
+calculator and no placement session, so no flow can edit an entry.
+Nothing in the memo is serialized.
+
 A library whose ``id()`` a key carries is pinned for the block's life,
 so no other object can take over its id while the entry lives.  The
 memo is emptied when the block exits.

@@ -11,18 +11,17 @@ to the 12-track 2-D implementation lives in
 :func:`~repro.experiments.runner.find_target_period`.
 
 :func:`synthesize` is the synthesis stage every flow runs.  Inside a
-:func:`~repro.flow.memo.stage_memo` block it serves sized netlists from
-the memo instead of regenerating them; outside one it always runs cold.
+:func:`~repro.flow.memo.stage_memo` block it keeps structural copies of
+the sized netlists (:meth:`~repro.netlist.core.Netlist.copy`) in the
+memo and serves each hit a fresh copy instead of regenerating it;
+outside one it always runs cold.
 """
 
 from __future__ import annotations
 
-import pickle
-
 from repro.flow.design import Design
 from repro.flow.memo import current_memo
 from repro.flow.opt import optimize_timing
-from repro.integrity.checkpoint import design_from_dict, design_to_dict
 from repro.liberty.library import StdCellLibrary
 from repro.netlist.core import Netlist
 from repro.netlist.generators import generate_netlist
@@ -165,23 +164,7 @@ def _timing_rounds(design: Design) -> None:
         design.libraries_by_name(),
     )
     optimize_timing(design, calc, max_iterations=TIMING_ROUNDS)
-
-
-def _freeze(design: Design) -> bytes:
-    """A memo entry: the pickled payload of ``design``'s tier-0 view,
-    whose round trip is byte-exact."""
-    view = Design(
-        name=design.name,
-        config=design.config,
-        netlist=design.netlist,
-        tier_libs={0: design.reference_library()},
-    )
-    return pickle.dumps(design_to_dict(view), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _thaw(blob: bytes, lib: StdCellLibrary) -> Netlist:
-    """A fresh netlist from a :func:`_freeze` entry."""
-    return design_from_dict(pickle.loads(blob), {0: lib}).netlist
+    calc.detach_sessions()
 
 
 def synthesize(
@@ -223,17 +206,17 @@ def synthesize(
         else:
             base_key = (design_name, id(lib), scale, seed)
             key = base_key + (period_ns,)
-            blob = memo.get(key) or memo.get(base_key)
-            if blob is None:
+            stored = memo.get(key) or memo.get(base_key)
+            if stored is None:
                 design = fresh(generate_netlist(design_name, lib,
                                                 scale=scale, seed=seed))
                 _load_sizing(design)
-                memo.put(base_key, _freeze(design), lib)
+                memo.put(base_key, design.netlist.copy(), lib)
             else:
-                design = fresh(_thaw(blob, lib))
+                design = fresh(stored.copy())
             if key not in memo:
                 _timing_rounds(design)
-                memo.put(key, _freeze(design), lib)
+                memo.put(key, design.netlist.copy(), lib)
         emit_metric("cells", len(design.netlist.instances))
         emit_metric("cell_area_um2", design.netlist.cell_area_um2)
     return design

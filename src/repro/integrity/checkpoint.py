@@ -42,6 +42,7 @@ __all__ = [
     "load_checkpoint",
     "read_checkpoint",
     "rebind_checkpoint_tier_library",
+    "rebind_design_tier_library",
     "rebind_tier_library",
     "write_checkpoint",
 ]
@@ -295,6 +296,20 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
+def _refuse_bound_reslot(
+    tier: int, old_name: str, lib: StdCellLibrary, bound_libs
+) -> None:
+    """The re-slot guard: raise when tier ``tier``'s library changes
+    while ``bound_libs`` (the library name of every instance) still
+    references the outgoing one."""
+    if old_name != lib.name and any(name == old_name for name in bound_libs):
+        raise CheckpointError(
+            f"cannot re-slot tier {tier} library {old_name!r} ->"
+            f" {lib.name!r}: instances are bound to it (the stage"
+            f" consumed the library; this checkpoint is not shareable)"
+        )
+
+
 def rebind_tier_library(payload: dict, tier: int, lib: StdCellLibrary) -> dict:
     """Copy of a design payload with one tier's library spec replaced.
 
@@ -303,7 +318,8 @@ def rebind_tier_library(payload: dict, tier: int, lib: StdCellLibrary) -> dict:
     stages never consume it, but the payload embeds its spec (and
     :func:`design_from_dict` checks that spec against the caller's
     library), so a borrowing config must re-slot its own library before
-    resuming.
+    resuming.  :func:`rebind_design_tier_library` is the same for a
+    live design.
 
     Raises :class:`CheckpointError` when any netlist instance actually
     references the library being swapped out -- the guard that keeps
@@ -319,20 +335,28 @@ def rebind_tier_library(payload: dict, tier: int, lib: StdCellLibrary) -> dict:
         instances = payload["netlist"]["instances"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    old_name = str(old_spec.get("name", ""))
-    if old_name != lib.name:
-        bound = sorted(
-            {str(d.get("lib")) for d in instances if d.get("lib") == old_name}
-        )
-        if bound:
-            raise CheckpointError(
-                f"cannot re-slot tier {tier} library {old_name!r} ->"
-                f" {lib.name!r}: instances are bound to it (the stage"
-                f" consumed the library; this checkpoint is not shareable)"
-            )
+    _refuse_bound_reslot(
+        tier, str(old_spec.get("name", "")), lib,
+        (d.get("lib") for d in instances),
+    )
     tier_libs = dict(payload["tier_libs"])
     tier_libs[str(tier)] = _library_spec(lib)
     return {**payload, "tier_libs": tier_libs}
+
+
+def rebind_design_tier_library(
+    design: Design, tier: int, lib: StdCellLibrary
+) -> Design:
+    """Snapshot form of :func:`rebind_tier_library`: a copy of
+    ``design`` (:meth:`Design.copy`) with tier ``tier`` bound to
+    ``lib``, under the same guard."""
+    _refuse_bound_reslot(
+        tier, design.library_for_tier(tier).name, lib,
+        (inst.cell.library_name for inst in design.netlist.instances.values()),
+    )
+    copy = design.copy()
+    copy.tier_libs[tier] = lib
+    return copy
 
 
 def rebind_checkpoint_tier_library(
@@ -353,16 +377,12 @@ def checkpoint_path(directory: str | Path, index: int, stage: str) -> Path:
 
 
 def write_checkpoint(
-    directory: str | Path, index: int, stage: str, design: Design,
-    *, payload: dict | None = None,
+    directory: str | Path, index: int, stage: str, design: Design
 ) -> Path:
-    """Serialize the design after ``stage`` (atomic write + checksum);
-    a caller already holding ``design_to_dict(design)`` passes it as
-    ``payload``."""
+    """Serialize the design after ``stage`` (atomic write + checksum)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if payload is None:
-        payload = design_to_dict(design)
+    payload = design_to_dict(design)
     envelope = {
         "format": CHECKPOINT_FORMAT,
         "stage": stage,

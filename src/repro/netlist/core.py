@@ -459,6 +459,28 @@ class Netlist:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
+    def copy(self) -> "Netlist":
+        """A structural copy that shares only the immutable cell types.
+
+        The instance, net and port maps, every pin binding and every
+        sink list keep their order (replaying :meth:`connect` would
+        reorder sink lists), so stages iterate the copy exactly as the
+        original.  The topology caches start empty.
+        """
+        clone = Netlist(self.name)
+        clone.ports = dict(self.ports)
+        clone.clock_port = self.clock_port
+        clone.instances = {
+            name: Instance(name, inst.cell, inst.tier, inst.x_um, inst.y_um,
+                           inst.block, inst.fixed, dict(inst._pin_nets))
+            for name, inst in self.instances.items()
+        }
+        clone.nets = {
+            name: Net(name, net.driver, list(net.sinks), net.is_clock)
+            for name, net in self.nets.items()
+        }
+        return clone
+
     def unique_name(self, prefix: str) -> str:
         """Generate an instance/net name not currently in use."""
         i = len(self.instances)

@@ -11,7 +11,10 @@ undone.
 
 The engine is decoupled from the flow through three callbacks (analyze,
 move, undo), so the unit tests drive it against a scripted fake timer and
-the flow drives it against real STA + remap + legalize.
+the flow drives it against real STA + remap + legalize.  An analysis
+traces its critical paths only on request, and the engine requests them
+only for the states it keeps: the initial one, an accepted batch's, and
+the one an undo restores -- never a rejected batch's.
 """
 
 from __future__ import annotations
@@ -65,8 +68,13 @@ def _area_unbalance(
     return abs(fast_area - slow_area) / total
 
 
+#: ``analyze()``'s result: WNS, TNS, and a callable tracing the top
+#: critical paths of the analysed state.
+Analysis = tuple[float, float, Callable[[], list[CriticalPath]]]
+
+
 def repartition_eco(
-    analyze: Callable[[], tuple[float, float, list[CriticalPath]]],
+    analyze: Callable[[], Analysis],
     move_to_fast: Callable[[list[str]], object],
     undo: Callable[[object], None],
     tier_areas: Callable[[], tuple[float, float]],
@@ -79,8 +87,10 @@ def repartition_eco(
     Parameters
     ----------
     analyze:
-        Returns ``(wns, tns, top_paths)`` for the current design state;
-        paths carry per-step cell delays and tiers.
+        Returns ``(wns, tns, trace)`` for the current design state;
+        ``trace()`` returns that state's top critical paths, whose steps
+        carry cell delays and tiers.  The engine calls it before the
+        next edit, and only for a state it keeps.
     move_to_fast:
         ECO-moves the named cells to the fast die (remap + place); returns
         an opaque undo token.
@@ -112,7 +122,7 @@ def repartition_eco(
 
 
 def _repartition_eco(
-    analyze: Callable[[], tuple[float, float, list[CriticalPath]]],
+    analyze: Callable[[], Analysis],
     move_to_fast: Callable[[list[str]], object],
     undo: Callable[[object], None],
     tier_areas: Callable[[], tuple[float, float]],
@@ -122,7 +132,8 @@ def _repartition_eco(
 ) -> RepartitionResult:
     result = RepartitionResult()
     d_k = config.d0
-    wns, tns, paths = analyze()
+    wns, tns, trace = analyze()
+    paths = trace()
     result.wns_before_ns = wns
     result.tns_before_ns = tns
     result.wns_after_ns = wns
@@ -168,7 +179,7 @@ def _repartition_eco(
             break
 
         token = move_to_fast(move_list)
-        new_wns, new_tns, new_paths = analyze()
+        new_wns, new_tns, new_trace = analyze()
         improved = (
             new_wns - result.wns_after_ns > config.wns_improve_min_ns
             or new_tns - result.tns_after_ns > config.tns_improve_min_ns
@@ -178,7 +189,7 @@ def _repartition_eco(
             result.cells_moved.extend(move_list)
             result.wns_after_ns = new_wns
             result.tns_after_ns = new_tns
-            paths = new_paths
+            paths = new_trace()
             if settle is not None:
                 settle()
             add_span_event(
@@ -200,7 +211,8 @@ def _repartition_eco(
             if d_k < config.min_dk:
                 result.stop_reason = "threshold collapsed"
                 break
-            wns, tns, paths = analyze()
+            _wns, _tns, trace = analyze()
+            paths = trace()
     else:
         result.stop_reason = result.stop_reason or "iteration budget"
 

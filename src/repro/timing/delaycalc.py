@@ -247,6 +247,14 @@ class DelayCalculator:
         """
         self._listeners.append(listener)
 
+    def detach_sessions(self) -> None:
+        """Unlink the timing sessions on this calculator, once its life
+        ends: a session and its calculator point at each other (through
+        :attr:`session`, the listener and ``session.calc``), a cycle
+        only the cyclic collector would free."""
+        self.session = None
+        self._listeners.clear()
+
     def invalidate(self, net_name: str | None = None) -> None:
         """Drop cached parasitics (all nets, or one) after an edit."""
         if net_name is None:

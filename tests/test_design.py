@@ -145,3 +145,84 @@ class TestCalculator:
         assert second is not first
         # edits still reach the calculator handed out last
         assert design.held_calculator() is second
+
+
+def _payload(design: Design) -> str:
+    """The checkpoint payload in its own key order, so list and dict
+    orders count."""
+    import json
+
+    from repro.integrity.checkpoint import design_to_dict
+
+    return json.dumps(design_to_dict(design))
+
+
+def _edit_everything(design: Design) -> None:
+    """One edit to each mutable part a snapshot copies."""
+    from repro.netlist.core import PortDirection
+    from repro.place.floorplan import MacroSlot
+
+    netlist = design.netlist
+    first, second = list(netlist.instances)[:2]
+    netlist.remove_instance(first)
+    inst = netlist.instances[second]
+    inst.x_um += 1.0
+    inst.tier = 1 - inst.tier
+    next(n for n in netlist.nets.values() if len(n.sinks) > 1).sinks.reverse()
+    netlist.ports["extra"] = PortDirection.INPUT
+    design.tier_libs[1] = design.tier_libs[0]
+    design.notes["edited"] = 1.0
+    design.floorplan.macros.append(MacroSlot("m", 0.0, 0.0, 1.0, 1.0))
+    design.floorplan.width_um += 1.0
+    sink = next(iter(design.clock_report.latencies))
+    design.clock_report.latencies[sink] += 1.0
+    design.clock_report.buffer_count_by_tier[9] = 1
+
+
+class TestSnapshotCopy:
+    """``Design.copy`` is the snapshot the stage memo holds: it equals
+    the original through the checkpoint payload, and neither side sees
+    the other's edits."""
+
+    #: (resume from, stop after): synthesis, pseudo-place, partitioning
+    #: and CTS in turn.
+    LEGS = ((None, "synthesis"), ("pseudo_place", "pseudo_place"),
+            ("partitioning", "partitioning"), ("placement_3d", "cts"))
+
+    @pytest.mark.parametrize("name", ["aes", "ldpc", "cpu", "netcard"])
+    def test_copy_equals_original_at_each_stage(self, pair, name):
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        lib12, lib9 = pair
+        design = None
+        for from_stage, until_stage in self.LEGS:
+            design, _ = run_flow_hetero_3d(
+                name, lib12, lib9, period_ns=1.0, scale=0.08, seed=2,
+                opt_iterations=2, design=design, from_stage=from_stage,
+                until_stage=until_stage,
+            )
+            copy = design.copy()
+            assert _payload(copy) == _payload(design), until_stage
+            assert copy.netlist is not design.netlist
+            assert copy.held_calculator() is None
+            assert copy._place_session is None
+            copy.netlist.validate()
+        assert design.clock_report is not None
+
+    def test_edits_do_not_cross(self, pair):
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        lib12, lib9 = pair
+        base, _ = run_flow_hetero_3d(
+            "aes", lib12, lib9, period_ns=1.0, scale=0.08, seed=2,
+            opt_iterations=2, until_stage="cts",
+        )
+        before = _payload(base)
+        copy = base.copy()
+        _edit_everything(copy)
+        assert _payload(copy) != before
+        assert _payload(base) == before
+
+        copy = base.copy()
+        _edit_everything(base)
+        assert _payload(copy) == before

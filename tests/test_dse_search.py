@@ -8,6 +8,7 @@ ever skips configs a front member provably dominates.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import nullcontext
 from dataclasses import replace
@@ -30,10 +31,11 @@ from repro.experiments.dse.search import (
     load_report,
     period_grid,
 )
-from repro.experiments.dse.space import build_library
+from repro.experiments.dse.space import build_library, generate_lattice
 from repro.experiments.telemetry import get_telemetry, reset_telemetry
 from repro.integrity.checkpoint import (
     rebind_checkpoint_tier_library,
+    rebind_design_tier_library,
     rebind_tier_library,
 )
 
@@ -157,8 +159,10 @@ def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
     pre-partition state rebinding to a different slow library succeeds,
     while a post-partition state (instances already on the slow die)
     refuses loudly instead of silently mixing corners -- in the payload
-    form the in-memory store uses and in the checkpoint-envelope form."""
+    form read from disk, in the checkpoint-envelope form, and in the
+    snapshot form the stage memo holds."""
     from repro.flow.hetero import run_flow_hetero_3d
+    from repro.integrity.checkpoint import design_from_dict, design_to_dict
 
     ckpt = tmp_path / "ckpts"
     fast = build_library(12, None)
@@ -182,6 +186,11 @@ def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
         envelope = rebind_checkpoint_tier_library(envelopes[name], 1, slow_b)
         assert envelope["design"] == rebound
         assert envelope["checksum"] != envelopes[name]["checksum"]
+        state = design_from_dict(payload)
+        copy = rebind_design_tier_library(state, 1, slow_b)
+        assert copy.tier_libs[1] is slow_b and copy.netlist is not state.netlist
+        assert state.tier_libs[1].name == slow_a.name
+        assert design_to_dict(copy) == rebound
 
     late = [n for n in sorted(envelopes) if n not in prefix_names]
     assert late, "flow produced no post-prefix checkpoints"
@@ -189,11 +198,15 @@ def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
         rebind_tier_library(envelopes[late[-1]]["design"], 1, slow_b)
     with pytest.raises(CheckpointError, match="bound to"):
         rebind_checkpoint_tier_library(envelopes[late[-1]], 1, slow_b)
+    with pytest.raises(CheckpointError, match="bound to"):
+        rebind_design_tier_library(
+            design_from_dict(envelopes[late[-1]]["design"]), 1, slow_b
+        )
 
 
 def test_suffix_reuse_serves_cached_flow_tail(fresh_cache, monkeypatch):
     """Evicting a (config, period) result while keeping the suffix
-    cache forces re-evaluation down the fingerprint path: only the
+    cache forces re-evaluation down the tail-key path: only the
     partitioning stage re-executes, and the tail comes back
     byte-identical from cache."""
     from repro.experiments import cache
@@ -224,43 +237,79 @@ def test_suffix_reuse_serves_cached_flow_tail(fresh_cache, monkeypatch):
     assert again.to_dict() == cold.to_dict()
 
 
-def test_partition_fingerprint_masks_parameter_echoes(tmp_path):
-    """Two partitioned states differing only in the cap/fm parameter
-    echoes fingerprint identically; any real state difference does not.
-    Hashing the live design equals hashing its checkpoint file, so the
-    in-memory fingerprint keys the same suffix entries as a reread one."""
+#: Partitioning's parameter-echo notes, which the reference fingerprint
+#: below masks.
+_ECHO_NOTES = frozenset({
+    "pinned_cells",
+    "pinned_area_fraction",
+    "pinned_area_cap",
+    "fm_balance_tolerance",
+})
+
+
+def _reference_fingerprint(payload: dict) -> str:
+    """The tail key's predecessor, kept verbatim as a reference: a
+    hash of the partitioned design's checkpoint payload with the
+    parameter-echo notes masked out."""
+    notes = payload.get("notes")
+    if isinstance(notes, dict):
+        payload = dict(payload)
+        payload["notes"] = {
+            k: v for k, v in notes.items()
+            if k not in _ECHO_NOTES
+        }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_tail_key_groups_configs_like_the_payload_fingerprint():
+    """Keying the tail by the partition's inputs (prefix key, slow
+    library, tier vector) groups a small lattice's partitioned states
+    exactly as hashing the whole partitioned design did."""
     from repro.experiments.dse.search import (
         _PARTITION_STAGE,
-        _partition_fingerprint,
+        _prefix_cache_key,
+        _tail_key,
     )
     from repro.flow.hetero import run_flow_hetero_3d
-    from repro.integrity.checkpoint import (
-        design_to_dict,
-        read_checkpoint,
-    )
+    from repro.flow.memo import stage_memo
+    from repro.integrity.checkpoint import design_to_dict
 
-    def fingerprint(notes: dict, tiers: list) -> str:
-        return _partition_fingerprint({"tiers": tiers, "notes": notes})
+    spec = tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8, 9), slow_vdd=(0.70, 0.90),
+        tier_caps=(0.20, 0.25, 0.275), fm_tolerances=(0.10, 0.12),
+    ))
+    fast = spec.lattice.fast_library()
+    references, keys = [], []
+    for period in period_grid(spec.design, spec.period_steps)[1:3]:
+        pkey = _prefix_cache_key(spec, period)
+        with stage_memo():
+            for cfg in generate_lattice(spec.lattice)[0]:
+                design, _ = run_flow_hetero_3d(
+                    spec.design, fast,
+                    build_library(cfg.slow_tracks, cfg.slow_vdd),
+                    period_ns=period, scale=spec.scale, seed=spec.seed,
+                    utilization=spec.utilization,
+                    opt_iterations=spec.opt_iterations,
+                    pinning_area_cap=cfg.tier_cap,
+                    fm_tolerance=cfg.fm_tolerance,
+                    until_stage=_PARTITION_STAGE,
+                )
+                references.append(
+                    (period, _reference_fingerprint(design_to_dict(design)))
+                )
+                keys.append(_tail_key(pkey, design))
 
-    base = {"pinned_area_cap": 0.25, "fm_balance_tolerance": 0.10,
-            "utilization_used": 0.82}
-    a = fingerprint(base, [0, 1])
-    b = fingerprint({**base, "pinned_area_cap": 0.30,
-                     "pinned_cells": 5.0}, [0, 1])
-    c = fingerprint(base, [1, 0])
-    d = fingerprint({**base, "utilization_used": 0.70}, [0, 1])
-    assert a == b, "parameter echoes leaked into the fingerprint"
-    assert a != c and a != d
+    def groups(labels: list) -> list[list[int]]:
+        return sorted(
+            [i for i, other in enumerate(labels) if other == label]
+            for label in set(labels)
+        )
 
-    design, _ = run_flow_hetero_3d(
-        "aes", build_library(12, None), build_library(8, 0.70),
-        period_ns=1.2, scale=0.08, opt_iterations=2,
-        checkpoint_dir=tmp_path, until_stage=_PARTITION_STAGE,
-    )
-    (path,) = tmp_path.glob(f"*_{_PARTITION_STAGE}.json")
-    _stage, payload = read_checkpoint(path)
-    assert (_partition_fingerprint(design_to_dict(design))
-            == _partition_fingerprint(payload))
+    assert groups(keys) == groups(references)
+    # The lattice both collapses configs onto one tail and tells
+    # partitions apart.
+    assert len(references) > len(set(references)) > 2
 
 
 def _checkpoint_writes(monkeypatch) -> list:
@@ -569,7 +618,7 @@ def test_parallel_sweep_survives_a_worker_crash(fresh_cache, monkeypatch):
 
 
 def test_traced_explore_names_its_bookkeeping(fresh_cache, monkeypatch):
-    """Prefix seeding, publishing and the partition fingerprint run
+    """Prefix seeding, publishing and the partition's tail key run
     inside spans of their own, so ``repro profile`` attributes them
     instead of leaving them in ``dse_flow`` self time."""
     from repro.experiments import cache

@@ -196,3 +196,39 @@ class TestTableVAblation:
         """Table V: WL is essentially unchanged (3.22 vs 3.23 mm)."""
         (_, plain), (_, enhanced) = plain_and_enhanced
         assert enhanced.wirelength_mm < plain.wirelength_mm * 1.35
+
+
+@pytest.mark.parametrize("flow", ["2d", "pin3d", "hetero"])
+def test_finished_flow_is_freed_by_refcount(pair, flow):
+    """A flow leaves nothing for the cyclic collector: once its result
+    is dropped, reference counting has freed the design, its delay
+    calculator and timing session, and the clock tree builder."""
+    import gc
+
+    lib12, lib9 = pair
+    run = {
+        "2d": lambda: run_flow_2d("aes", lib12, period_ns=0.9, scale=0.1,
+                                  seed=1),
+        "pin3d": lambda: run_flow_pin3d("aes", lib12, period_ns=0.9,
+                                        scale=0.1, seed=1),
+        "hetero": lambda: run_flow_hetero_3d("cpu", lib12, lib9,
+                                             period_ns=1.0, scale=0.1, seed=1),
+    }[flow]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run()
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sorted({
+            type(obj).__qualname__ for obj in gc.garbage
+            if type(obj).__module__.startswith("repro")
+        })
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == []

@@ -46,7 +46,7 @@ class _FakeDesign:
         steps = [(n, self.tier[n], self.delay[n]) for n in ("a", "b", "c", "d")]
         total = sum(d for _n, _t, d in steps)
         slack = 0.15 - total
-        return slack, min(0.0, slack), [path(steps, slack)]
+        return slack, min(0.0, slack), lambda: [path(steps, slack)]
 
     def move_to_fast(self, cells):
         token = []
@@ -159,10 +159,52 @@ class TestAlgorithmOne:
 
     def test_no_paths_stop(self):
         def analyze():
-            return -1.0, -1.0, []  # violating, but nothing to backtrace
+            return -1.0, -1.0, list  # violating, but nothing to backtrace
 
         result = repartition_eco(
             analyze, lambda c: [], lambda t: None, lambda: (1.0, 1.0),
             slow_tier=1,
         )
         assert result.stop_reason == "no critical paths"
+
+    def test_traces_only_the_states_it_keeps(self):
+        """Paths are traced for the initial state, for each accepted
+        batch (before ``settle``) and after each undo -- never for a
+        rejected batch's state."""
+        env = _FakeDesign()
+        log: list[str] = []
+        real_move = env.move_to_fast
+        moves = []
+
+        def analyze():
+            wns, tns, trace = env.analyze()
+            n = sum(entry.startswith("analyze") for entry in log) + 1
+            log.append(f"analyze {n}")
+
+            def traced():
+                log.append(f"trace {n}")
+                return trace()
+
+            return wns, tns, traced
+
+        def move_flaky(cells):
+            moves.append(cells)
+            if len(moves) == 1:  # a no-op batch: rejected, then undone
+                return [(c, env.tier[c], env.delay[c]) for c in cells]
+            return real_move(cells)
+
+        result = repartition_eco(
+            analyze, move_flaky, env.undo, env.tier_areas, slow_tier=1,
+            config=RepartitionConfig(max_iterations=3),
+            settle=lambda: log.append("settle"),
+        )
+        assert result.batches_rejected == 1
+        assert result.batches_accepted >= 1
+        assert log[:8] == [
+            "analyze 1", "trace 1",            # the initial state
+            "analyze 2",                       # rejected: never traced
+            "analyze 3", "trace 3",            # restored by the undo
+            "analyze 4", "trace 4", "settle",  # accepted, traced first
+        ]
+        traces = [entry for entry in log if entry.startswith("trace")]
+        assert len(traces) == 2 + result.batches_accepted

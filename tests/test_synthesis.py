@@ -196,11 +196,12 @@ class TestSynthesisStore:
         from repro.flow import synthesis
 
         memos = self._record_memos(monkeypatch)
-        hits = []
-        real_thaw = synthesis._thaw
+        generated = []
+        real_generate = synthesis.generate_netlist
         monkeypatch.setattr(
-            synthesis, "_thaw",
-            lambda blob, lib: hits.append(lib) or real_thaw(blob, lib),
+            synthesis, "generate_netlist",
+            lambda *args, **kw: generated.append(args)
+            or real_generate(*args, **kw),
         )
         matrix = runner.run_matrix(
             designs=("aes",),
@@ -212,7 +213,7 @@ class TestSynthesisStore:
         memo, _keys = memos[0]
         assert len(memo) == 0 and not memo.pinned
         assert current_memo() is None
-        assert len(hits) == 2  # 3D_12T and 3D_HET reuse 2D_12T
+        assert len(generated) == 1  # 3D_12T and 3D_HET reuse 2D_12T
         # Outside run_matrix nothing is stored: every flow runs cold.
         configs = configurations()
         for config in ("2D_12T", "3D_12T", "3D_HET"):
@@ -220,7 +221,32 @@ class TestSynthesisStore:
                 "aes", period_ns=self.PERIOD, scale=0.15, seed=4
             )
             assert cold.to_dict() == matrix.result("aes", config).to_dict()
-        assert len(memos) == 1 and len(hits) == 2
+        assert len(memos) == 1 and len(generated) == 4
+
+    def test_memo_serializes_nothing(self, pair, monkeypatch):
+        """Entries are structural copies: synthesis inside a memo never
+        builds or reads a checkpoint payload."""
+        import sys
+
+        from repro.integrity import checkpoint
+
+        calls = []
+        for name in ("design_to_dict", "design_from_dict"):
+            real = getattr(checkpoint, name)
+
+            def spy(*args, _name=name, _real=real, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        with stage_memo() as memo:
+            for config, libs in self._configs(pair).items():
+                self._synth(config, libs, self.PERIOD)
+                self._synth(config, libs, 0.45)
+            assert len(memo) == 6  # per library: base, two periods
+        assert calls == []
 
     def test_pool_path_holds_no_store(self, monkeypatch):
         """Pool workers fork from the caller, so they must not see a memo."""

@@ -319,14 +319,19 @@ def check_timing(design: Design) -> list[InvariantViolation]:
         )
         return out  # STA would loop forever on a cyclic graph
 
-    placed = all(i.is_placed for i in design.netlist.instances.values())
+    placed = design.floorplan is not None and all(
+        i.is_placed for i in design.netlist.instances.values()
+    )
+    # A placed design is checked on its own calculator and session, so a
+    # boundary adds no second invalidation listener.  A calculator the
+    # check had to build is released with it: a held one is dropped
+    # (signoff already released the flow's), any other detached, so
+    # reference counting frees both.
+    held = design.held_calculator()
+    calc = design.calculator(placed=placed)
     try:
-        # A placed design is checked on its own calculator and session,
-        # so a boundary adds no second invalidation listener.
         session = TimingSession.shared(
-            design.netlist,
-            design.calculator(placed=placed and design.floorplan is not None),
-            design.clock_latencies(),
+            design.netlist, calc, design.clock_latencies()
         )
         report = session.report(
             design.target_period_ns, with_cell_slacks=False
@@ -336,6 +341,12 @@ def check_timing(design: Design) -> list[InvariantViolation]:
             InvariantViolation("timing", "sta-failed", design.name, str(exc))
         )
         return out
+    finally:
+        if calc is not held:
+            if design.held_calculator() is calc:
+                design.drop_calculator()
+            else:
+                calc.detach_sessions()
     for label, value in (("wns_ns", report.wns_ns), ("tns_ns", report.tns_ns)):
         if not math.isfinite(value):
             out.append(

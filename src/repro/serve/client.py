@@ -48,6 +48,10 @@ __all__ = ["ServeClient", "request"]
 #: Cap on the circuit breaker's doubling cooldown (seconds).
 BREAKER_MAX_COOLDOWN_S = 30.0
 
+#: Cap on :meth:`ServeClient.run`'s doubling backoff after a rejected
+#: submit (seconds).
+MAX_BACKOFF_S = 30.0
+
 #: Evictions :meth:`ServeClient.run` recovers by resubmitting before it
 #: gives up.
 MAX_RESUBMITS = 3
@@ -332,8 +336,6 @@ class ServeClient:
         priority: int = 0,
         deadline: float = 0.0,
         timeout_s: float = 600.0,
-        poll_s: float = 0.2,
-        max_backoff_s: float = 30.0,
     ) -> dict:
         """Submit and wait, with the full overload-retry discipline.
 
@@ -364,9 +366,7 @@ class ServeClient:
                     ).with_context(code=code)
                 rejections += 1
                 hint = float(submitted.get("retry_after") or 0.0)
-                backoff = min(
-                    max_backoff_s, 0.2 * (2 ** min(rejections, 8))
-                )
+                backoff = min(MAX_BACKOFF_S, 0.2 * (2 ** min(rejections, 8)))
                 # The hint is a floor, never jittered away; the jitter
                 # spreads simultaneous retriers apart (up to +25%).
                 delay = max(hint, backoff) * (1.0 + 0.25 * random.random())
@@ -376,7 +376,6 @@ class ServeClient:
             view = self.wait(
                 submitted["job_id"],
                 timeout_s=max(0.1, stop_at - time.monotonic()),
-                poll_s=poll_s,
             )
             if view.get("code") == "evicted":
                 resubmits += 1

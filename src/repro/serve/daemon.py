@@ -8,9 +8,13 @@ pool (:mod:`repro.serve.supervisor`).
 
 Crash safety is one invariant, enforced in :class:`ServerCore`: **the
 journal is written and fsync'd before any in-memory transition, and
-before any acknowledgment leaves the process.**  Restart (including
-after ``kill -9``) replays the journal, requeues whatever was claimed
-but unfinished, and compacts the file.  Re-running a recovered matrix
+before any acknowledgment leaves the process.**  Every job transition
+takes one path, ``ServerCore._commit``: journal the record, apply that
+same record to the queue (:meth:`~repro.serve.queue.JobQueue.apply`),
+then count and publish it.  Restart (including after ``kill -9``)
+replays the journal through the same ``apply``, requeues whatever was
+claimed but unfinished, and compacts the file, so a restarted daemon
+holds the queue the old one held.  Re-running a recovered matrix
 job costs nothing redundant: completed cells reload from the
 content-addressed result cache and interrupted matrices resume through
 their run-manifest, so a served run interrupted at any instant still
@@ -68,9 +72,8 @@ scale-up; ``SCALE_COOLDOWN_S`` hysteresis between scale events;
 ``QUEUE_MAX`` pending high-water mark; ``HEARTBEAT_S`` worker
 heartbeat interval (stale after 3x); ``JOB_TIMEOUT_S`` per-job hang
 limit (0 disables); ``RESTART_BUDGET`` attempts before a poison job is
-failed; ``DRAIN_S`` drain deadline; ``RETRY_AFTER_S`` backpressure
-hint floor (the live hint scales with the observed drain rate);
-``RETAIN_JOBS`` / ``RETAIN_S`` terminal-result retention bounds;
+failed; ``DRAIN_S`` drain deadline; ``RETAIN_JOBS`` / ``RETAIN_S``
+terminal-result retention bounds;
 ``COMPACT_RATIO`` live-record fraction below which the journal is
 compacted online; ``COMPACT_MIN`` journal records before online
 compaction is considered; ``MIN_FREE_MB`` free-disk floor under which
@@ -78,11 +81,13 @@ submits are rejected with ``code=disk_pressure``; ``TRACE``
 worker-side span forwarding (default on; falsy disables).  CLI flags
 override the environment.
 
-Metrics knobs are prefixed ``REPRO_METRICS_``: ``WINDOW_S`` telemetry
-reporting window, ``TRACES`` retained per-job trace trees.  The feed
-publishes a ``metrics`` event every :data:`METRICS_INTERVAL_S` and
-keeps the :class:`~repro.serve.events.EventBus` default queue and
-backlog bounds.
+The ``busy`` hint floor (``retry_after_s``, 2 s), the telemetry
+reporting window (``telemetry_window_s``, an hour) and the retained
+per-job trace trees (``trace_keep``, 32) are :class:`ServeConfig`
+fields with no variable of their own.  The feed publishes a ``metrics``
+event every :data:`METRICS_INTERVAL_S` and keeps the
+:class:`~repro.serve.events.EventBus` default queue and backlog
+bounds.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ from repro.serve.protocol import (
     normalize_spec,
     read_message,
 )
-from repro.serve.queue import DONE, EVICTED, FAILED, PENDING, JobQueue, QueueFull
+from repro.serve.queue import DONE, EVICTED, FAILED, RUNNING, JobQueue, QueueFull
 from repro.serve.supervisor import Supervisor
 
 __all__ = ["ServeConfig", "ServerCore", "serve"]
@@ -184,15 +189,12 @@ class ServeConfig:
             job_timeout_s=_env_float("REPRO_SERVE_JOB_TIMEOUT_S", 600.0),
             restart_budget=_env_int("REPRO_SERVE_RESTART_BUDGET", 3),
             drain_s=_env_float("REPRO_SERVE_DRAIN_S", 30.0),
-            retry_after_s=_env_float("REPRO_SERVE_RETRY_AFTER_S", 2.0),
             retain_jobs=_env_int("REPRO_SERVE_RETAIN_JOBS", 512),
             retain_s=_env_float("REPRO_SERVE_RETAIN_S", 86400.0),
             compact_ratio=_env_float("REPRO_SERVE_COMPACT_RATIO", 0.5),
             compact_min=_env_int("REPRO_SERVE_COMPACT_MIN", 512),
             min_free_mb=_env_float("REPRO_SERVE_MIN_FREE_MB", 64.0),
             worker_trace=trace_raw not in ("", "0", "false", "off", "no"),
-            telemetry_window_s=_env_float("REPRO_METRICS_WINDOW_S", 3600.0),
-            trace_keep=_env_int("REPRO_METRICS_TRACES", 32),
         )
         for name, value in overrides.items():
             if value is None:
@@ -241,10 +243,10 @@ _STATS_FAMILIES: dict[str, tuple[str, tuple[str, ...]]] = {
 class ServerCore:
     """Journal + queue + metrics behind one lock; transport-agnostic.
 
-    Every mutator follows the same order: journal (fsync'd) first, then
-    memory, then acknowledgment.  A :class:`JournalError` aborts the
-    transition entirely -- the daemon would rather refuse work than
-    accept work it might lose.
+    Every job transition goes through :meth:`_commit`: journal (fsync'd)
+    first, then the queue, then counts, events and acknowledgment.  A
+    :class:`JournalError` aborts the transition entirely -- the daemon
+    would rather refuse work than accept work it might lose.
     """
 
     #: Drain-rate observation window (seconds) behind ``retry_after``.
@@ -285,15 +287,11 @@ class ServerCore:
             # history down to its live state so the file stays bounded.
             self.journal.compact(self.queue.live_records())
         for job_id in recovered:
-            job = self.queue.jobs[job_id]
-            self.journal.append(
-                "requeue", job_id=job_id, attempts=job.attempts,
-                reason="recovered",
-            )
-            self._jobs_total.labels(state="recovered").inc()
-            self.bus.publish(
-                "job_state", job_id=job_id, state=PENDING, kind=job.kind,
-                reason="recovered", attempts=job.attempts,
+            attempts = self.queue.jobs[job_id].attempts
+            self._commit(
+                {"type": "requeue", "job_id": job_id, "attempts": attempts,
+                 "reason": "recovered"},
+                count="recovered", reason="recovered", attempts=attempts,
             )
 
     def _init_metrics(self) -> None:
@@ -401,8 +399,8 @@ class ServerCore:
                     "retry_after": self._retry_after_hint(),
                 }
             try:
-                job = self.queue.make_job(
-                    spec["kind"], spec, key, priority, deadline_s=deadline_s
+                record = self.queue.submit_record(
+                    spec["kind"], spec, key, priority, deadline_s
                 )
             except QueueFull as exc:
                 victim = self.queue.shed_candidate(priority)
@@ -415,22 +413,11 @@ class ServerCore:
                         "retry_after": self._retry_after_hint(),
                     }
                 self._shed_locked(victim, priority)
-                job = self.queue.make_job(
-                    spec["kind"], spec, key, priority, deadline_s=deadline_s
+                record = self.queue.submit_record(
+                    spec["kind"], spec, key, priority, deadline_s
                 )
-            record = {
-                "job_id": job.job_id,
-                "job_seq": job.seq,
-                "key": key,
-                "kind": job.kind,
-                "spec": spec,
-                "priority": job.priority,
-                "submitted_s": job.submitted_s,
-            }
-            if deadline_s:
-                record["deadline_s"] = deadline_s
             try:
-                self.journal.append("submit", **record)
+                job = self._commit(record, priority=priority)
             except JournalError as exc:
                 if exc.errno == errno.ENOSPC:
                     # The disk filled between maintenance ticks: the
@@ -446,13 +433,7 @@ class ServerCore:
                         "retry_after": self._retry_after_hint(),
                     }
                 raise
-            self.queue.add(job)
             self._submits_total.labels(disposition="accepted").inc()
-            self._update_queue_gauges()
-            self.bus.publish(
-                "job_state", job_id=job.job_id, state=job.state,
-                kind=job.kind, priority=job.priority,
-            )
             if self.on_pending is not None:
                 self.on_pending()
             return {
@@ -462,8 +443,15 @@ class ServerCore:
                 "deduped": False,
             }
 
-    def _evicted_view(self, job_id: str, tombstone: dict) -> dict:
-        """The structured answer for a job retention already dropped."""
+    def _missing_view(self, job_id: str) -> dict:
+        """The answer for a job not in memory: its ``evicted`` tombstone
+        when retention dropped it, else ``unknown_job``."""
+        tombstone = self.queue.evicted.get(job_id)
+        if tombstone is None:
+            return {
+                "ok": False, "code": "unknown_job",
+                "error": f"no such job {job_id!r}",
+            }
         return {
             "ok": False,
             "code": "evicted",
@@ -487,13 +475,7 @@ class ServerCore:
         with self._lock:
             job = self.queue.jobs.get(job_id)
             if job is None:
-                tombstone = self.queue.evicted.get(job_id)
-                if tombstone is not None:
-                    return self._evicted_view(job_id, tombstone)
-                return {
-                    "ok": False, "code": "unknown_job",
-                    "error": f"no such job {job_id!r}",
-                }
+                return self._missing_view(job_id)
             view = job.status_view()
             position = self.queue.position(job_id)
             if position is not None:
@@ -506,13 +488,7 @@ class ServerCore:
         with self._lock:
             job = self.queue.jobs.get(job_id)
             if job is None:
-                tombstone = self.queue.evicted.get(job_id)
-                if tombstone is not None:
-                    return self._evicted_view(job_id, tombstone)
-                return {
-                    "ok": False, "code": "unknown_job",
-                    "error": f"no such job {job_id!r}",
-                }
+                return self._missing_view(job_id)
             view = job.status_view()
             view["ok"] = True
             if job.state == DONE:
@@ -569,18 +545,13 @@ class ServerCore:
                 feed_dropped=self.bus.dropped_total(),
             )
 
-    def _record_telemetry(self, telemetry) -> None:
-        """Append one finished job's registry snapshot to the window."""
-        if telemetry:
-            self._telemetry_window.append((time.time(), telemetry))
-
     def _update_queue_gauges(self) -> None:
         self._queue_depth.set(self.queue.pending_count())
         self._jobs_running.set(self.queue.running_count())
 
-    def _note_terminal(self, when: float | None = None) -> None:
+    def _note_terminal(self, when: float) -> None:
         """Record one terminal transition for drain-rate estimation."""
-        self._terminal_times.append(time.time() if when is None else when)
+        self._terminal_times.append(when)
 
     def _retry_after_hint(self) -> float:
         """Backpressure hint from the observed drain rate (lock held).
@@ -600,6 +571,47 @@ class ServerCore:
         pending = self.queue.pending_count()
         return round(min(120.0, max(floor, pending / rate)), 2)
 
+    def _commit(
+        self, record: dict, count: str = "", telemetry=None, trace=None,
+        **event,
+    ):
+        """Move one job by one record; returns the job (lock held).
+
+        The daemon's only job transition, in one order: journal the
+        record (fsync'd), apply that same record to the queue, then
+        count it and publish its ``job_state`` event.  ``count`` labels
+        its ``repro_jobs_total`` sample, ``telemetry`` and ``trace`` are
+        a finished attempt's, and ``event`` extends the event.  A
+        :class:`JournalError` leaves memory untouched.
+        """
+        job = self.queue.jobs.get(record["job_id"])
+        ran = job is not None and job.state == RUNNING
+        fields = {k: v for k, v in record.items() if k != "type"}
+        record = self.journal.append(record["type"], **fields)
+        job = self.queue.apply(record)
+        rtype = record["type"]
+        if count:
+            self._jobs_total.labels(state=count).inc()
+        if rtype == "claim" and job.submitted_s:
+            self._wait_hist.observe(max(0.0, job.claimed_s - job.submitted_s))
+        elif rtype in ("complete", "fail"):
+            self._note_terminal(job.finished_s)
+            if ran:
+                self._run_hist.observe(max(0.0, job.finished_s - job.claimed_s))
+        elif rtype == "evict":
+            self._traces.pop(job.job_id, None)
+            self._evictions_total.inc()
+        if telemetry:
+            self._telemetry_window.append((time.time(), telemetry))
+        if trace:
+            self._trace_for(job.job_id, job.kind).set_final(trace)
+        self._update_queue_gauges()
+        self.bus.publish(
+            "job_state", job_id=job.job_id, kind=job.kind,
+            state=EVICTED if rtype == "evict" else job.state, **event,
+        )
+        return job
+
     def _shed_locked(self, victim, priority: int) -> None:
         """Fail one pending job to admit a higher-priority submit.
 
@@ -608,7 +620,6 @@ class ServerCore:
         crash -- the victim's client reads a structured ``LoadShed``
         error, never a silent disappearance.
         """
-        now = time.time()
         error = {
             "error_type": "LoadShed",
             "message": (
@@ -618,18 +629,12 @@ class ServerCore:
             "kind": "deterministic",
             "priority": victim.priority,
         }
-        self.journal.append(
-            "fail", job_id=victim.job_id, error=error, finished_s=now
+        self._commit(
+            {"type": "fail", "job_id": victim.job_id, "error": error,
+             "finished_s": time.time()},
+            count="shed", error_type="LoadShed", reason="shed",
         )
-        self.queue.mark_failed(victim.job_id, error)
         self._submits_total.labels(disposition="shed").inc()
-        self._jobs_total.labels(state="shed").inc()
-        self._note_terminal(now)
-        self._update_queue_gauges()
-        self.bus.publish(
-            "job_state", job_id=victim.job_id, state=FAILED,
-            kind=victim.kind, error_type="LoadShed", reason="shed",
-        )
         _log.warning(
             "shed pending job %s (priority %d) for a priority-%d submit",
             victim.job_id, victim.priority, priority,
@@ -783,7 +788,7 @@ class ServerCore:
         add_span_event(f"serve:{action}", **clean)
 
     # ------------------------------------------------------------------
-    # supervisor-facing operations (journal first, memory second)
+    # supervisor-facing operations (each one commit)
     # ------------------------------------------------------------------
     def job(self, job_id: str):
         with self._lock:
@@ -798,48 +803,26 @@ class ServerCore:
             job = self.queue.next_pending()
             if job is None:
                 return None
+            attempt = job.attempts + 1
             with inject(
                 "job_claim", job=job.job_id, kind=job.kind, worker=worker
             ):
-                self.journal.append(
-                    "claim",
-                    job_id=job.job_id,
-                    worker=worker,
-                    attempt=job.attempts + 1,
+                return self._commit(
+                    {"type": "claim", "job_id": job.job_id, "worker": worker,
+                     "attempt": attempt, "claimed_s": time.time()},
+                    worker=worker, attempt=attempt,
                 )
-            claimed = self.queue.mark_claimed(job.job_id, worker)
-            if claimed.submitted_s:
-                self._wait_hist.observe(
-                    max(0.0, claimed.claimed_s - claimed.submitted_s)
-                )
-            self._update_queue_gauges()
-            self.bus.publish(
-                "job_state", job_id=claimed.job_id, state=claimed.state,
-                kind=claimed.kind, worker=worker, attempt=claimed.attempts,
-            )
-            return claimed
 
     def finish_job(self, job_id: str, payload, telemetry=None, trace=None) -> None:
         with self._lock:
             job = self.queue.jobs.get(job_id)
             if job is None or job.state in (DONE, FAILED):
                 return
-            result = payload if isinstance(payload, dict) else None
-            now = time.time()
-            self.journal.append(
-                "complete", job_id=job_id, result=result, finished_s=now
-            )
-            self.queue.mark_done(job_id, result)
-            self._jobs_total.labels(state="done").inc()
-            self._note_terminal(now)
-            if job.claimed_s:
-                self._run_hist.observe(max(0.0, time.time() - job.claimed_s))
-            self._record_telemetry(telemetry)
-            if trace:
-                self._trace_for(job_id, job.kind).set_final(trace)
-            self._update_queue_gauges()
-            self.bus.publish(
-                "job_state", job_id=job_id, state=DONE, kind=job.kind,
+            self._commit(
+                {"type": "complete", "job_id": job_id,
+                 "result": payload if isinstance(payload, dict) else None,
+                 "finished_s": time.time()},
+                count="done", telemetry=telemetry, trace=trace,
             )
 
     def fail_job(self, job_id: str, error: dict, telemetry=None, trace=None) -> None:
@@ -847,21 +830,10 @@ class ServerCore:
             job = self.queue.jobs.get(job_id)
             if job is None or job.state in (DONE, FAILED):
                 return
-            now = time.time()
-            self.journal.append(
-                "fail", job_id=job_id, error=error, finished_s=now
-            )
-            self.queue.mark_failed(job_id, error)
-            self._jobs_total.labels(state="failed").inc()
-            self._note_terminal(now)
-            if job.claimed_s:
-                self._run_hist.observe(max(0.0, time.time() - job.claimed_s))
-            self._record_telemetry(telemetry)
-            if trace:
-                self._trace_for(job_id, job.kind).set_final(trace)
-            self._update_queue_gauges()
-            self.bus.publish(
-                "job_state", job_id=job_id, state=FAILED, kind=job.kind,
+            self._commit(
+                {"type": "fail", "job_id": job_id, "error": error,
+                 "finished_s": time.time()},
+                count="failed", telemetry=telemetry, trace=trace,
                 error_type=error.get("error_type"),
             )
             _log.warning(
@@ -872,18 +844,13 @@ class ServerCore:
     def requeue_job(self, job_id: str, reason: str, telemetry=None) -> None:
         with self._lock:
             job = self.queue.jobs.get(job_id)
-            if job is None or job.state in (DONE, FAILED, PENDING):
+            if job is None or job.state != RUNNING:
                 return
-            self.journal.append(
-                "requeue", job_id=job_id, attempts=job.attempts, reason=reason
-            )
-            self.queue.mark_requeued(job_id)
-            self._jobs_total.labels(state="requeued").inc()
-            self._record_telemetry(telemetry)
-            self._update_queue_gauges()
-            self.bus.publish(
-                "job_state", job_id=job_id, state=PENDING, kind=job.kind,
-                reason=reason, attempts=job.attempts,
+            self._commit(
+                {"type": "requeue", "job_id": job_id,
+                 "attempts": job.attempts, "reason": reason},
+                count="requeued", telemetry=telemetry, reason=reason,
+                attempts=job.attempts,
             )
             _log.warning("requeued job %s: %s", job_id, reason)
 
@@ -910,18 +877,11 @@ class ServerCore:
                     "kind": "deterministic",
                     "deadline_s": job.deadline_s,
                 }
-                self.journal.append(
-                    "fail", job_id=job.job_id, error=error, finished_s=now
+                self._commit(
+                    {"type": "fail", "job_id": job.job_id, "error": error,
+                     "finished_s": now},
+                    count="expired", error_type="DeadlineExceeded",
                 )
-                self.queue.mark_failed(job.job_id, error)
-                self._jobs_total.labels(state="expired").inc()
-                self._note_terminal(now)
-                self.bus.publish(
-                    "job_state", job_id=job.job_id, state=FAILED,
-                    kind=job.kind, error_type="DeadlineExceeded",
-                )
-            if expired:
-                self._update_queue_gauges()
             return len(expired)
 
     def enforce_retention(self, now: float | None = None) -> int:
@@ -938,22 +898,11 @@ class ServerCore:
                 self.config.retain_jobs, self.config.retain_s, now
             )
             for job in candidates:
-                self.journal.append(
-                    "evict",
-                    job_id=job.job_id,
-                    key=job.key,
-                    kind=job.kind,
-                    state=job.state,
-                    finished_s=job.finished_s,
-                    evicted_s=now,
-                )
-                self.queue.evict(job.job_id, evicted_s=now)
-                self._traces.pop(job.job_id, None)
-                self._evictions_total.inc()
-                self._jobs_total.labels(state="evicted").inc()
-                self.bus.publish(
-                    "job_state", job_id=job.job_id, state=EVICTED,
-                    kind=job.kind, terminal_state=job.state,
+                self._commit(
+                    {"type": "evict", "job_id": job.job_id, "key": job.key,
+                     "kind": job.kind, "state": job.state,
+                     "finished_s": job.finished_s, "evicted_s": now},
+                    count="evicted", terminal_state=job.state,
                 )
             return len(candidates)
 

@@ -1,12 +1,15 @@
 """Write-ahead job journal: append-only, checksummed, fsync'd records.
 
 The daemon's whole crash-safety story rests on one file.  Every queue
-transition -- ``submit``, ``claim``, ``complete``, ``fail``,
-``requeue`` -- is appended to the journal and **fsync'd before the
-transition is acknowledged** (to a client, or acted on by the worker
-pool).  The in-memory queue is always a pure function of the journal,
-so a ``kill -9`` at any instant loses at most the record being written
--- never an acknowledged one.
+transition -- ``submit``, ``claim``, ``requeue``, ``complete``,
+``fail``, ``evict`` -- is appended to the journal and **fsync'd before
+the transition is acknowledged** (to a client, or acted on by the
+worker pool).  The in-memory queue is a pure function of the journal by
+construction: the daemon moves a job only by applying the record it
+has just appended (:meth:`repro.serve.queue.JobQueue.apply`, which
+reads no clock), and restart replays the file through the same
+``apply``.  So a ``kill -9`` at any instant loses at most the record
+being written -- never an acknowledged one.
 
 Record framing
 --------------

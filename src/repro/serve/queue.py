@@ -1,12 +1,15 @@
-"""Priority job queue with single-flight dedup and journal restore.
+"""Priority job queue with single-flight dedup, rebuilt by journal replay.
 
-The queue is deliberately *dumb about durability*: it is a pure
-in-memory state machine, and :class:`~repro.serve.daemon.ServerCore`
-journals every transition **before** calling the matching mutator here.
-That ordering is the recovery invariant -- anything the memory knows,
-the journal already knows -- and it is what lets
-:meth:`JobQueue.restore` rebuild the exact queue from a replayed record
-list after a crash.
+The queue is deliberately *dumb about durability*: it is an in-memory
+state machine with one mutator, :meth:`JobQueue.apply`, which moves a
+job by one journal record (``submit``, ``claim``, ``requeue``,
+``complete``, ``fail`` or ``evict``) and reads no clock.
+:class:`~repro.serve.daemon.ServerCore` journals every record
+**before** applying it, and :meth:`JobQueue.restore` is a replay of the
+journal through the same ``apply``, so the live queue and the queue a
+restart rebuilds cannot disagree.  The batch pool
+(:class:`~repro.serve.supervisor.BatchPool`) applies the same records
+without journaling them.
 
 Single-flight dedup: jobs are keyed by the content address of their
 normalized spec (:func:`repro.serve.protocol.job_key`).  A submit whose
@@ -15,12 +18,13 @@ of creating a new one -- two clients asking for the same matrix share
 one execution and both read the same result.  Only a *failed* job's key
 is released, so resubmitting known-bad work is allowed to try again.
 
-Backpressure: ``max_pending`` bounds the pending backlog.  A submit
-past the high-water mark raises :class:`QueueFull` (the daemon turns
-that into a ``busy`` + ``retry_after`` response) -- except when it
-dedups onto an existing job, which costs nothing.  At the mark the
+Backpressure: ``max_pending`` bounds the pending backlog.  Past the
+high-water mark :meth:`JobQueue.submit_record` raises :class:`QueueFull`
+(the daemon turns that into a ``busy`` + ``retry_after`` response) --
+a submit that dedups onto an existing job never asks, as it costs
+nothing.  At the mark the
 daemon may instead *shed*: :meth:`JobQueue.shed_candidate` names the
-lowest-priority, newest pending job, and evicting it makes room for a
+lowest-priority, newest pending job, and failing it makes room for a
 strictly higher-priority submit -- overload degrades the cheap work
 first instead of blanket-rejecting the important work.
 
@@ -31,7 +35,7 @@ checked at claim time too, so an expired job never occupies a worker.
 
 Retention: terminal jobs are tracked in finish order.
 :meth:`JobQueue.evict_candidates` names the terminal jobs past the
-count/age retention bounds and :meth:`JobQueue.evict` drops one from
+count/age retention bounds and an ``evict`` record drops one from
 memory, leaving a bounded tombstone so ``result`` can answer with a
 structured ``evicted`` record instead of ``unknown_job``.  Eviction
 releases the single-flight key: resubmitting the same spec is the
@@ -113,6 +117,23 @@ class Job:
         return view
 
 
+def _submit_of(job: Job) -> dict:
+    """The ``submit`` record that enqueues ``job``."""
+    record = {
+        "type": "submit",
+        "job_id": job.job_id,
+        "job_seq": job.seq,
+        "key": job.key,
+        "kind": job.kind,
+        "spec": job.spec,
+        "priority": job.priority,
+        "submitted_s": job.submitted_s,
+    }
+    if job.deadline_s:
+        record["deadline_s"] = job.deadline_s
+    return record
+
+
 class JobQueue:
     """In-memory queue: priority heap + dedup index + job table."""
 
@@ -145,19 +166,20 @@ class JobQueue:
         job = self.jobs[job_id]
         return None if job.state == FAILED else job
 
-    def make_job(
+    def submit_record(
         self,
         kind: str,
         spec: dict,
         key: str,
         priority: int,
         deadline_s: float = 0.0,
-    ) -> Job:
-        """Build (but do not enqueue) the next job for this spec.
+    ) -> dict:
+        """The ``submit`` record of the next job for this spec.
 
-        Split from :meth:`add` so the caller can journal the submit
-        record -- with the final job id and seq -- *before* the queue
-        mutates.  Raises :class:`QueueFull` past the high-water mark.
+        Building it moves nothing, so the caller can journal the record
+        -- with the final job id and seq -- before :meth:`apply`
+        enqueues the job.  Raises :class:`QueueFull` past the high-water
+        mark.
         """
         if (
             self.max_pending is not None
@@ -168,16 +190,11 @@ class JobQueue:
                 f" high-water mark {self.max_pending})"
             )
         seq = self._next_seq
-        return Job(
-            job_id=f"j{seq:06d}-{key[:8]}",
-            key=key,
-            kind=kind,
-            spec=spec,
-            priority=priority,
-            seq=seq,
-            submitted_s=time.time(),
+        return _submit_of(Job(
+            job_id=f"j{seq:06d}-{key[:8]}", key=key, kind=kind, spec=spec,
+            priority=priority, seq=seq, submitted_s=time.time(),
             deadline_s=deadline_s,
-        )
+        ))
 
     def shed_candidate(self, priority: int) -> Job | None:
         """The pending job a ``priority`` submit may displace, if any.
@@ -215,15 +232,6 @@ class JobQueue:
         ]
         return sorted(expired, key=lambda j: (j.deadline_s, j.seq))
 
-    def add(self, job: Job) -> Job:
-        """Enqueue a job built by :meth:`make_job` (journal already has it)."""
-        self._next_seq = max(self._next_seq, job.seq + 1)
-        self.jobs[job.job_id] = job
-        self._by_key[job.key] = job.job_id
-        if job.state == PENDING:
-            heapq.heappush(self._heap, (job.priority, job.seq, job.job_id))
-        return job
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -237,47 +245,119 @@ class JobQueue:
             heapq.heappop(self._heap)  # stale entry (claimed/failed/replaced)
         return None
 
-    def mark_claimed(self, job_id: str, worker: str) -> Job:
-        """Transition pending -> running (claim record already journaled)."""
-        job = self.jobs[job_id]
-        if job.state != PENDING:
-            raise ServeError(f"cannot claim job {job_id} in state {job.state}")
-        job.state = RUNNING
-        job.worker = worker
-        job.attempts += 1
-        job.claimed_s = time.time()
+    # ------------------------------------------------------------------
+    # the reducer
+    # ------------------------------------------------------------------
+    def apply(self, record: dict) -> Job | None:
+        """Move one job by one journal record: the queue's only mutator.
+
+        ``submit`` enqueues, ``claim`` runs, ``requeue`` returns a job
+        to pending (keeping its attempts), ``complete`` and ``fail``
+        finish it, and ``evict`` drops a finished job, leaving a
+        tombstone.  Every value a job holds comes from its records,
+        never from a clock.  A record that does not fit the job's state
+        moves nothing: a second submit of an id, a claim of a job that
+        is not pending, any record for a finished job (finished work is
+        never reopened) other than its evict, an evict of a live job,
+        and unknown record types (forward compatibility).  Returns the
+        job the record names -- an evicted one as it was when dropped
+        -- or ``None`` when there is none.
+        """
+        rtype = record.get("type")
+        job_id = record.get("job_id")
+        if not isinstance(job_id, str) or not job_id:
+            return None
+        job = self.jobs.get(job_id)
+        if rtype == "submit":
+            spec = record.get("spec")
+            if job is not None or not isinstance(spec, dict):
+                return job
+            job = self.jobs[job_id] = Job(
+                job_id=job_id,
+                key=str(record.get("key", "")),
+                kind=str(record.get("kind", "")),
+                spec=spec,
+                priority=int(record.get("priority", 0)),
+                seq=int(record.get("job_seq", 0)),
+                submitted_s=float(record.get("submitted_s", 0.0)),
+                deadline_s=float(record.get("deadline_s", 0.0)),
+            )
+            self._by_key[job.key] = job_id
+            self._next_seq = max(self._next_seq, job.seq + 1)
+            heapq.heappush(self._heap, (job.priority, job.seq, job_id))
+        elif rtype == "evict":
+            if job is None or job.state in (DONE, FAILED):
+                self._drop(job_id, record)
+        elif job is None or job.state in (DONE, FAILED):
+            pass  # finished work is never reopened
+        elif rtype == "claim":
+            if job.state == PENDING:
+                job.state = RUNNING
+                job.worker = str(record.get("worker", ""))
+                job.attempts = int(record.get("attempt", job.attempts + 1))
+                job.claimed_s = float(record.get("claimed_s", 0.0))
+        elif rtype == "requeue":
+            if job.state == RUNNING:
+                heapq.heappush(self._heap, (job.priority, job.seq, job_id))
+            job.state = PENDING
+            job.worker = ""
+            job.attempts = int(record.get("attempts", job.attempts))
+        elif rtype in ("complete", "fail"):
+            job.worker = ""
+            job.attempts = int(record.get("attempts", job.attempts))
+            job.finished_s = float(record.get("finished_s", 0.0))
+            self._terminal[job_id] = None
+            if rtype == "complete":
+                job.state = DONE
+                result = record.get("result")
+                job.result = result if isinstance(result, dict) else None
+            else:
+                job.state = FAILED
+                error = record.get("error")
+                job.error = error if isinstance(error, dict) else {
+                    "error_type": "ServeError", "message": "unknown failure",
+                }
+                # Release the single-flight key so the spec may be
+                # resubmitted.
+                if self._by_key.get(job.key) == job_id:
+                    del self._by_key[job.key]
         return job
 
-    def mark_requeued(self, job_id: str, *, attempts: int | None = None) -> Job:
-        """Transition running -> pending (worker died, hang, daemon restart)."""
-        job = self.jobs[job_id]
-        job.state = PENDING
-        job.worker = ""
-        if attempts is not None:
-            job.attempts = attempts
-        heapq.heappush(self._heap, (job.priority, job.seq, job.job_id))
-        return job
+    def _drop(self, job_id: str, record: dict) -> None:
+        """Drop a job from memory for its evict record, leaving a tombstone.
 
-    def mark_done(self, job_id: str, result: dict | None) -> Job:
-        job = self.jobs[job_id]
-        job.state = DONE
-        job.worker = ""
-        job.result = result
-        job.finished_s = job.finished_s or time.time()
-        self._terminal[job_id] = None
-        return job
-
-    def mark_failed(self, job_id: str, error: dict) -> Job:
-        job = self.jobs[job_id]
-        job.state = FAILED
-        job.worker = ""
-        job.error = error
-        job.finished_s = job.finished_s or time.time()
-        self._terminal[job_id] = None
-        # Release the single-flight key so the spec may be resubmitted.
-        if self._by_key.get(job.key) == job.job_id:
-            del self._by_key[job.key]
-        return job
+        Releases the single-flight key -- an evicted result can only be
+        recovered by resubmitting the spec, so the resubmit must create
+        a fresh job.  The tombstone (what ``result`` answers with, and
+        what journal compaction preserves) merges whatever the record
+        knew with whatever the job knew.  It keeps the job's seq, so a
+        queue replayed from tombstones alone never hands out an evicted
+        job's id again.
+        """
+        job = self.jobs.pop(job_id, None)
+        state = DONE
+        if job is not None:
+            self._terminal.pop(job_id, None)
+            if self._by_key.get(job.key) == job_id:
+                del self._by_key[job.key]
+            state = job.state if job.state in (DONE, FAILED) else DONE
+        tombstone = self.evicted[job_id] = {
+            "job_id": job_id,
+            "key": str(record.get("key", job.key if job else "")),
+            "kind": str(record.get("kind", job.kind if job else "")),
+            "state": str(record.get("state", state)),
+            "finished_s": float(
+                record.get("finished_s", job.finished_s if job else 0.0)
+            ),
+            "evicted_s": float(record.get("evicted_s", 0.0)),
+        }
+        seq = record.get("job_seq", job.seq if job else None)
+        if seq is not None:
+            tombstone["job_seq"] = int(seq)
+            self._next_seq = max(self._next_seq, int(seq) + 1)
+        self.evicted.move_to_end(job_id)
+        while len(self.evicted) > self.max_tombstones:
+            self.evicted.popitem(last=False)
 
     # ------------------------------------------------------------------
     # retention
@@ -313,44 +393,6 @@ class JobQueue:
                 candidates.append(job)
         return candidates
 
-    def evict(self, job_id: str, evicted_s: float | None = None) -> dict:
-        """Drop one terminal job from memory, leaving a tombstone.
-
-        Releases the single-flight key -- an evicted result can only be
-        recovered by resubmitting the spec, so the resubmit must create
-        a fresh job.  Returns the tombstone (what ``result`` answers
-        with, and what journal compaction preserves).
-        """
-        job = self.jobs.get(job_id)
-        if job is None or job.state not in (DONE, FAILED):
-            raise ServeError(
-                f"cannot evict job {job_id}:"
-                f" {'unknown' if job is None else job.state}"
-            )
-        tombstone = {
-            "job_id": job.job_id,
-            "key": job.key,
-            "kind": job.kind,
-            "state": job.state,
-            "finished_s": job.finished_s,
-            "evicted_s": time.time() if evicted_s is None else evicted_s,
-        }
-        del self.jobs[job_id]
-        self._terminal.pop(job_id, None)
-        if self._by_key.get(job.key) == job_id:
-            del self._by_key[job.key]
-        self._remember_tombstone(tombstone)
-        return tombstone
-
-    def _remember_tombstone(self, tombstone: dict) -> None:
-        job_id = str(tombstone.get("job_id", ""))
-        if not job_id:
-            return
-        self.evicted[job_id] = tombstone
-        self.evicted.move_to_end(job_id)
-        while len(self.evicted) > self.max_tombstones:
-            self.evicted.popitem(last=False)
-
     def position(self, job_id: str) -> int | None:
         """How many pending jobs run before this one (``None`` if not pending)."""
         job = self.jobs.get(job_id)
@@ -367,156 +409,54 @@ class JobQueue:
     # journal restore
     # ------------------------------------------------------------------
     def restore(self, records: list[dict]) -> list[str]:
-        """Rebuild the queue from replayed journal records.
+        """Rebuild the queue by replaying journal records through :meth:`apply`.
 
-        Applies the same reduction the live daemon performs, then
-        converts every job the journal left ``running`` back to
-        ``pending`` -- a claim without a terminal record means the
-        worker died with the daemon, and the job must run again.
-        Completed and failed jobs keep their terminal state forever (a
-        claim replayed *after* a complete record is ignored: finished
-        work is never reopened), and **retention wins over terminal**:
-        a job with an ``evict`` record anywhere in the replay stays a
-        tombstone no matter where its other records land -- an evicted
-        result must never resurrect into memory.  Returns the ids of
-        the recovered (requeued) jobs so the caller can journal their
-        requeue records.
+        Two passes follow the replay.  **Retention wins over
+        terminal**: a job with an ``evict`` record anywhere in the
+        replay stays a tombstone no matter where its other records land
+        -- an evicted result must never resurrect into memory.  Then
+        every job the journal left ``running`` is requeued: a claim
+        without a terminal record means the worker died with the
+        daemon, and the job must run again.  Returns the ids of the
+        recovered jobs so the caller can journal their requeue records.
         """
-        evict_records: dict[str, dict] = {}
         for record in records:
-            rtype = record.get("type")
-            if rtype == "evict":
-                job_id = record.get("job_id")
-                if isinstance(job_id, str) and job_id:
-                    evict_records[job_id] = record
-                continue
-            if rtype == "submit":
-                spec = record.get("spec")
-                job_id = record.get("job_id")
-                if not isinstance(spec, dict) or not isinstance(job_id, str):
-                    continue
-                if job_id in self.jobs:
-                    continue  # duplicate submit record: first one wins
-                job = Job(
-                    job_id=job_id,
-                    key=str(record.get("key", "")),
-                    kind=str(record.get("kind", "")),
-                    spec=spec,
-                    priority=int(record.get("priority", 0)),
-                    seq=int(record.get("job_seq", 0)),
-                    submitted_s=float(record.get("submitted_s", 0.0)),
-                    deadline_s=float(record.get("deadline_s", 0.0)),
-                )
-                self.jobs[job.job_id] = job
-                self._by_key[job.key] = job.job_id
-                self._next_seq = max(self._next_seq, job.seq + 1)
-                continue
-            job = self.jobs.get(record.get("job_id", ""))
-            if job is None or job.state in (DONE, FAILED):
-                continue
-            if rtype == "claim":
-                job.state = RUNNING
-                job.worker = str(record.get("worker", ""))
-                job.attempts = int(record.get("attempt", job.attempts + 1))
-            elif rtype == "requeue":
-                job.state = PENDING
-                job.worker = ""
-                job.attempts = int(record.get("attempts", job.attempts))
-            elif rtype == "complete":
-                job.state = DONE
-                job.worker = ""
-                job.finished_s = float(record.get("finished_s", 0.0))
-                result = record.get("result")
-                job.result = result if isinstance(result, dict) else None
-            elif rtype == "fail":
-                job.state = FAILED
-                job.worker = ""
-                job.finished_s = float(record.get("finished_s", 0.0))
-                error = record.get("error")
-                job.error = error if isinstance(error, dict) else {
-                    "error_type": "ServeError", "message": "unknown failure",
-                }
-                if self._by_key.get(job.key) == job.job_id:
-                    del self._by_key[job.key]
-            # unknown record types: forward-compatible no-op
-
-        # Retention wins: an evicted job never re-enters memory, whatever
-        # order its records replayed in.  The tombstone merges whatever
-        # the evict record knew with whatever the reduction learned.
-        for job_id, record in evict_records.items():
-            job = self.jobs.pop(job_id, None)
-            if job is not None:
-                self._terminal.pop(job_id, None)
-                if self._by_key.get(job.key) == job_id:
-                    del self._by_key[job.key]
-            self._remember_tombstone(
-                {
-                    "job_id": job_id,
-                    "key": str(record.get("key", job.key if job else "")),
-                    "kind": str(record.get("kind", job.kind if job else "")),
-                    "state": str(
-                        record.get(
-                            "state",
-                            job.state if job is not None
-                            and job.state in (DONE, FAILED) else DONE,
-                        )
-                    ),
-                    "finished_s": float(
-                        record.get(
-                            "finished_s", job.finished_s if job else 0.0
-                        )
-                    ),
-                    "evicted_s": float(record.get("evicted_s", 0.0)),
-                }
-            )
-
-        recovered: list[str] = []
-        for job in self.jobs.values():
-            if job.state == RUNNING:
-                job.state = PENDING
-                job.worker = ""
-                recovered.append(job.job_id)
-        terminal = sorted(
-            (j for j in self.jobs.values() if j.state in (DONE, FAILED)),
-            key=lambda j: (j.finished_s, j.seq),
+            self.apply(record)
+        evicts = {r.get("job_id"): r for r in records if r.get("type") == "evict"}
+        for job_id, record in evicts.items():
+            if job_id in self.jobs:
+                self._drop(job_id, record)
+        recovered = sorted(
+            job.job_id for job in self.jobs.values() if job.state == RUNNING
         )
-        for job in terminal:
-            self._terminal[job.job_id] = None
-        for job in self.jobs.values():
-            if job.state == PENDING:
-                heapq.heappush(self._heap, (job.priority, job.seq, job.job_id))
+        for job_id in recovered:
+            self.apply({"type": "requeue", "job_id": job_id})
+        # Replay finishes jobs in file order, and compaction writes them
+        # in submission order; retention's LRU needs finish order.
+        self._terminal = OrderedDict.fromkeys(sorted(
+            self._terminal,
+            key=lambda job_id: (self.jobs[job_id].finished_s,
+                                self.jobs[job_id].seq),
+        ))
         if recovered:
             _log.warning(
                 "journal recovery requeued %d in-flight job(s): %s",
-                len(recovered), ", ".join(sorted(recovered)),
+                len(recovered), ", ".join(recovered),
             )
-        return sorted(recovered)
+        return recovered
 
     def live_records(self) -> list[dict]:
         """Re-serialize the queue for journal compaction.
 
-        One submit record per job plus its terminal (or attempts-
-        preserving requeue) record, in submission order, then one
+        One submit record per job plus its terminal (or requeue) record,
+        which keeps its attempts, in submission order, then one
         ``evict`` record per tombstone -- replaying these reproduces
         this exact queue, including which results retention already
         dropped.
         """
         records: list[dict] = []
         for job in sorted(self.jobs.values(), key=lambda j: j.seq):
-            submit = {
-                "type": "submit",
-                "seq": 2 * job.seq,
-                "job_id": job.job_id,
-                "job_seq": job.seq,
-                "key": job.key,
-                "kind": job.kind,
-                "spec": job.spec,
-                "priority": job.priority,
-                "submitted_s": job.submitted_s,
-            }
-            if job.deadline_s:
-                submit["deadline_s"] = job.deadline_s
-            records.append(submit)
+            records.append({**_submit_of(job), "seq": 2 * job.seq})
             extra: dict | None = None
             if job.state == DONE:
                 extra = {"type": "complete", "result": job.result,
@@ -525,10 +465,10 @@ class JobQueue:
                 extra = {"type": "fail", "error": job.error,
                          "finished_s": job.finished_s}
             elif job.attempts:
-                extra = {"type": "requeue", "attempts": job.attempts,
-                         "reason": "compaction"}
+                extra = {"type": "requeue", "reason": "compaction"}
             if extra is not None:
-                extra.update({"seq": 2 * job.seq + 1, "job_id": job.job_id})
+                extra.update({"seq": 2 * job.seq + 1, "job_id": job.job_id,
+                              "attempts": job.attempts})
                 records.append(extra)
         seq = 2 * self._next_seq
         for tombstone in self.evicted.values():

@@ -943,9 +943,11 @@ class BatchPool:
     the same workers; leaving the ``with`` block stops them.  The pool
     is its Supervisor's core: it keeps the in-memory queue, merges every
     attempt's telemetry into this process's, and labels each stitched
-    trace subtree with its job's label.  ``policy.timeout_s`` is the
-    per-job timeout, measured from dispatch, and ``policy.max_retries``
-    the restart budget.
+    trace subtree with its job's label.  Its jobs move by the records
+    the daemon journals, applied to the in-memory queue
+    (:meth:`~repro.serve.queue.JobQueue.apply`) with no journal.
+    ``policy.timeout_s`` is the per-job timeout, measured from dispatch,
+    and ``policy.max_retries`` the restart budget.
     """
 
     def __init__(self, workers: int, policy) -> None:
@@ -985,7 +987,9 @@ class BatchPool:
         self.queue = JobQueue()
         self._labels, self._done, self._failed = {}, {}, {}
         for label, (kind, spec) in jobs.items():
-            job = self.queue.add(self.queue.make_job(kind, spec, label, 0))
+            job = self.queue.apply(
+                self.queue.submit_record(kind, spec, label, 0)
+            )
             self._labels[job.job_id] = label
         try:
             self.supervisor.drive()
@@ -1006,23 +1010,27 @@ class BatchPool:
         job = self.queue.next_pending()
         if job is None:
             return None
-        return self.queue.mark_claimed(job.job_id, worker)
+        return self.queue.apply(
+            {"type": "claim", "job_id": job.job_id, "worker": worker}
+        )
 
     def trace_label(self, job_id: str, worker: str) -> str:
         return self._labels[job_id]
 
     def finish_job(self, job_id: str, payload, telemetry=None, trace=None) -> None:
-        self.queue.mark_done(job_id, payload)
+        self.queue.apply(
+            {"type": "complete", "job_id": job_id, "result": payload}
+        )
         self._done[self._labels[job_id]] = payload
         merge_snapshot(telemetry)
 
     def fail_job(self, job_id: str, error: dict, telemetry=None, trace=None) -> None:
-        self.queue.mark_failed(job_id, error)
+        self.queue.apply({"type": "fail", "job_id": job_id, "error": error})
         self._failed[self._labels[job_id]] = error
         merge_snapshot(telemetry)
 
     def requeue_job(self, job_id: str, reason: str, telemetry=None) -> None:
-        self.queue.mark_requeued(job_id)
+        self.queue.apply({"type": "requeue", "job_id": job_id, "reason": reason})
         count("retries")
         _log.warning("retrying %s: %s", self._labels[job_id], reason)
         merge_snapshot(telemetry)

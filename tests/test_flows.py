@@ -198,20 +198,34 @@ class TestTableVAblation:
         assert enhanced.wirelength_mm < plain.wirelength_mm * 1.35
 
 
-@pytest.mark.parametrize("flow", ["2d", "pin3d", "hetero"])
-def test_finished_flow_is_freed_by_refcount(pair, flow):
+@pytest.mark.parametrize(
+    "flow,check",
+    [
+        pytest.param(flow, check, id=flow if check == "off" else f"{flow}-{check}")
+        for check in ("off", "strict")
+        for flow in ("2d", "pin3d", "hetero")
+    ],
+)
+def test_finished_flow_is_freed_by_refcount(pair, flow, check, monkeypatch):
     """A flow leaves nothing for the cyclic collector: once its result
     is dropped, reference counting has freed the design, its delay
-    calculator and timing session, and the clock tree builder."""
+    calculator and timing session, and the clock tree builder.  Strict
+    checking adds nothing: the calculators its timing check builds are
+    released with the check."""
     import gc
 
+    monkeypatch.setenv("REPRO_CHECK", check)
     lib12, lib9 = pair
+    # At this scale the cpu partitions all its std-cell area onto one
+    # tier, which strict tier_balance refuses (pinned in
+    # test_integrity.py); aes partitions cleanly.
+    hetero_design = "cpu" if check == "off" else "aes"
     run = {
         "2d": lambda: run_flow_2d("aes", lib12, period_ns=0.9, scale=0.1,
                                   seed=1),
         "pin3d": lambda: run_flow_pin3d("aes", lib12, period_ns=0.9,
                                         scale=0.1, seed=1),
-        "hetero": lambda: run_flow_hetero_3d("cpu", lib12, lib9,
+        "hetero": lambda: run_flow_hetero_3d(hetero_design, lib12, lib9,
                                              period_ns=1.0, scale=0.1, seed=1),
     }[flow]
     enabled = gc.isenabled()

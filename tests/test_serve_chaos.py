@@ -520,7 +520,7 @@ def test_overload_act_sheds_expires_and_survives_compaction_kill(
         # executions: resident results dedup, evicted ones resubmit and
         # load from the content-addressed cache -- either way no flow
         # runs again in this incarnation.
-        view2 = client2.run(FLOW_SPEC, timeout_s=120, poll_s=0.2)
+        view2 = client2.run(FLOW_SPEC, timeout_s=120)
         assert view2["state"] == "done"
         payload2 = view2["result"]["result"]
         assert json.dumps(payload2, sort_keys=True) == json.dumps(

@@ -47,11 +47,14 @@ def _probe(nonce, **extra):
 
 
 def _submit(queue, nonce, priority=0, deadline_s=0.0):
-    job = queue.make_job(
+    return queue.apply(queue.submit_record(
         "probe", {"kind": "probe", "nonce": nonce}, f"key-{nonce}",
-        priority, deadline_s=deadline_s,
-    )
-    return queue.add(job)
+        priority, deadline_s,
+    ))
+
+
+def _move(queue, rtype, job, **fields):
+    return queue.apply({"type": rtype, "job_id": job.job_id, **fields})
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +80,7 @@ class TestQueueShedding:
     def test_running_jobs_are_not_candidates(self):
         queue = JobQueue()
         job = _submit(queue, "busy", priority=9)
-        queue.mark_claimed(job.job_id, "w0")
+        _move(queue, "claim", job, worker="w0")
         assert queue.shed_candidate(0) is None
 
 
@@ -95,16 +98,16 @@ class TestQueueDeadlines:
     def test_claimed_jobs_do_not_expire(self):
         queue = JobQueue()
         job = _submit(queue, "running", deadline_s=time.time() - 1.0)
-        queue.mark_claimed(job.job_id, "w0")
+        _move(queue, "claim", job, worker="w0")
         assert queue.expired_pending() == []
 
 
 class TestQueueRetention:
     def _finish(self, queue, nonce, finished_s):
         job = _submit(queue, nonce)
-        queue.mark_claimed(job.job_id, "w0")
-        queue.mark_done(job.job_id, {"echo": nonce})
-        job.finished_s = finished_s
+        _move(queue, "claim", job, worker="w0")
+        _move(queue, "complete", job, result={"echo": nonce},
+              finished_s=finished_s)
         return job
 
     def test_lru_bound_names_oldest_finishers(self):
@@ -129,10 +132,12 @@ class TestQueueRetention:
     def test_evict_releases_key_and_leaves_tombstone(self):
         queue = JobQueue()
         job = self._finish(queue, "gone", time.time())
-        tombstone = queue.evict(job.job_id, evicted_s=123.0)
+        _move(queue, "evict", job, evicted_s=123.0)
         assert job.job_id not in queue.jobs
         assert queue.lookup_key(job.key) is None
-        assert queue.evicted[job.job_id]["state"] == DONE
+        # The tombstone takes what the record lacks from the job.
+        tombstone = queue.evicted[job.job_id]
+        assert (tombstone["state"], tombstone["key"]) == (DONE, job.key)
         assert tombstone["evicted_s"] == 123.0
         # The spec may be resubmitted as a brand-new job.
         again = _submit(queue, "gone")
@@ -141,14 +146,16 @@ class TestQueueRetention:
     def test_evict_refuses_live_jobs(self):
         queue = JobQueue()
         job = _submit(queue, "live")
-        with pytest.raises(ServeError):
-            queue.evict(job.job_id)
+        # Evicting a live job moves nothing.
+        assert _move(queue, "evict", job) is job
+        assert queue.jobs[job.job_id].state == PENDING
+        assert job.job_id not in queue.evicted
 
     def test_tombstones_are_bounded(self):
         queue = JobQueue(max_tombstones=3)
         jobs = [self._finish(queue, f"j{i}", time.time()) for i in range(5)]
         for job in jobs:
-            queue.evict(job.job_id)
+            _move(queue, "evict", job)
         assert len(queue.evicted) == 3
         assert jobs[0].job_id not in queue.evicted
         assert jobs[4].job_id in queue.evicted
@@ -385,6 +392,89 @@ class TestCoreRetention:
         self._finish_n(core, 3)
         assert core.maybe_compact() is False
         core.close()
+
+
+class TestCoreRestart:
+    def test_restart_rebuilds_the_live_queue(self, tmp_path):
+        """A reopened core holds the queue the closed one held.
+
+        One core commits every kind of transition -- complete, fail,
+        requeue, a deadline expiry judged 5 s ahead, a shed at the
+        high-water mark, retention evictions -- on both sides of an
+        online compaction.  Reopened on the same state directory, its
+        live records must be equal, all but their journal ``seq``, and
+        every job must answer ``result`` as before.
+        """
+        config = dict(queue_max=3, retain_jobs=5, retain_s=0.0,
+                      compact_min=8, compact_ratio=0.9)
+        core = _core(tmp_path, **config)
+        ids = []
+        for i in range(6):
+            ids.append(core.submit(_probe(f"old{i}"))["job_id"])
+            assert core.claim_job("w0").job_id == ids[-1]
+            core.finish_job(ids[-1], {"echo": i})
+        assert core.enforce_retention() == 1
+        assert core.maybe_compact() is True
+
+        ids.append(core.submit(_probe("done"))["job_id"])
+        core.claim_job("w0")
+        core.finish_job(ids[-1], {"echo": "done"})
+        ids.append(core.submit(_probe("fail"))["job_id"])
+        core.claim_job("w0")
+        core.fail_job(ids[-1], {"error_type": "ProbeFail", "message": "x"})
+        ids.append(core.submit(_probe("again"))["job_id"])
+        core.claim_job("w0")
+        core.requeue_job(ids[-1], "worker died")
+        ids.append(core.submit(_probe("late"), deadline=1.0)["job_id"])
+        assert core.expire_deadlines(now=time.time() + 5.0) == 1
+        for nonce, priority in (("keep", 1), ("cheap", 9), ("urgent", 0)):
+            ids.append(core.submit(_probe(nonce), priority=priority)["job_id"])
+        assert core.counters()["shed"] == 1
+        assert core.enforce_retention() == 4
+        before = core.queue.live_records()
+        views = {job_id: core.result(job_id) for job_id in ids}
+        core.close()
+
+        reborn = _core(tmp_path, **config)
+        after = reborn.queue.live_records()
+        reborn_views = {job_id: reborn.result(job_id) for job_id in ids}
+        reborn.close()
+
+        def unseq(records):
+            return [{k: v for k, v in r.items() if k != "seq"}
+                    for r in records]
+
+        # old0-old4 are tombstones; old5 was finished before the
+        # compaction and stays resident with its attempt.
+        assert [r["type"] for r in before].count("evict") == 5
+        assert views[ids[5]]["state"] == DONE
+        assert views[ids[5]]["attempts"] == 1
+        assert unseq(after) == unseq(before)
+        assert reborn_views == views
+
+
+    def test_ids_stay_fresh_once_every_job_is_evicted(self, tmp_path):
+        """A journal of tombstones alone still advances the job seq, so
+        resubmitting an evicted spec never reuses its id -- a reused id
+        would be tombstoned, result and all, by the next restart."""
+        config = dict(retain_jobs=0, retain_s=60.0)
+        core = _core(tmp_path, **config)
+        first = core.submit(_probe("a"))["job_id"]
+        core.claim_job("w0")
+        core.finish_job(first, {"echo": 1})
+        assert core.enforce_retention(now=time.time() + 100.0) == 1
+        core.close()
+        _core(tmp_path, **config).close()  # startup compaction
+        core = _core(tmp_path, **config)
+        again = core.submit(_probe("a"))["job_id"]
+        assert again != first
+        core.claim_job("w0")
+        core.finish_job(again, {"echo": 2})
+        core.close()
+        reborn = _core(tmp_path, **config)
+        assert reborn.result(again)["result"] == {"echo": 2}
+        assert reborn.result(first)["code"] == "evicted"
+        reborn.close()
 
 
 class TestCoreDiskPressure:

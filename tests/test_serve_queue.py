@@ -1,17 +1,24 @@
-"""Job queue: priority order, single-flight dedup, backpressure, restore."""
+"""Job queue: priority order, single-flight dedup, backpressure, restore.
+
+Every transition is a journal record applied by ``JobQueue.apply``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ServeError
 from repro.serve.queue import DONE, FAILED, PENDING, RUNNING, JobQueue, QueueFull
 
 
 def _submit(queue, nonce, priority=0):
     spec = {"kind": "probe", "nonce": nonce}
-    job = queue.make_job("probe", spec, f"key-{nonce}", priority)
-    return queue.add(job)
+    return queue.apply(
+        queue.submit_record("probe", spec, f"key-{nonce}", priority)
+    )
+
+
+def _move(queue, rtype, job, **fields):
+    return queue.apply({"type": rtype, "job_id": job.job_id, **fields})
 
 
 def test_fifo_within_priority():
@@ -19,7 +26,7 @@ def test_fifo_within_priority():
     a = _submit(queue, "a")
     b = _submit(queue, "b")
     assert queue.next_pending() is a
-    queue.mark_claimed(a.job_id, "w0")
+    _move(queue, "claim", a, worker="w0")
     assert queue.next_pending() is b
 
 
@@ -34,18 +41,18 @@ def test_single_flight_dedup_and_release_on_failure():
     queue = JobQueue()
     job = _submit(queue, "x")
     assert queue.lookup_key(job.key) is job
-    queue.mark_claimed(job.job_id, "w0")
+    _move(queue, "claim", job, worker="w0")
     assert queue.lookup_key(job.key) is job  # running still dedups
-    queue.mark_done(job.job_id, {"echo": 1})
+    _move(queue, "complete", job, result={"echo": 1})
     assert queue.lookup_key(job.key) is job  # done still dedups
 
     other = _submit(queue, "y")
-    queue.mark_claimed(other.job_id, "w0")
-    queue.mark_failed(other.job_id, {"error_type": "X", "message": "boom"})
+    _move(queue, "claim", other, worker="w0")
+    _move(queue, "fail", other, error={"error_type": "X", "message": "boom"})
     # Failure releases the key: the spec may be resubmitted fresh.
     assert queue.lookup_key(other.key) is None
-    retry = queue.add(
-        queue.make_job("probe", dict(other.spec), other.key, 0)
+    retry = queue.apply(
+        queue.submit_record("probe", dict(other.spec), other.key, 0)
     )
     assert retry.job_id != other.job_id
     assert queue.lookup_key(other.key) is retry
@@ -56,26 +63,27 @@ def test_backpressure_high_water_mark():
     _submit(queue, "a")
     _submit(queue, "b")
     with pytest.raises(QueueFull):
-        queue.make_job("probe", {"kind": "probe"}, "key-c", 0)
+        queue.submit_record("probe", {"kind": "probe"}, "key-c", 0)
     # Claiming one frees a slot.
-    queue.mark_claimed(queue.next_pending().job_id, "w0")
+    _move(queue, "claim", queue.next_pending(), worker="w0")
     _submit(queue, "c")
 
 
 def test_claim_requires_pending():
     queue = JobQueue()
     job = _submit(queue, "a")
-    queue.mark_claimed(job.job_id, "w0")
-    with pytest.raises(ServeError):
-        queue.mark_claimed(job.job_id, "w1")
+    _move(queue, "claim", job, worker="w0")
+    # A second claim of a running job moves nothing.
+    assert _move(queue, "claim", job, worker="w1") is job
+    assert (job.state, job.worker, job.attempts) == (RUNNING, "w0", 1)
 
 
 def test_requeue_returns_job_to_heap():
     queue = JobQueue()
     job = _submit(queue, "a")
-    queue.mark_claimed(job.job_id, "w0")
+    _move(queue, "claim", job, worker="w0")
     assert queue.next_pending() is None
-    queue.mark_requeued(job.job_id)
+    _move(queue, "requeue", job, reason="test")
     assert job.state == PENDING
     assert queue.next_pending() is job
     assert job.attempts == 1  # attempts survive the requeue
@@ -122,8 +130,8 @@ def test_restore_requeues_claimed_and_keeps_terminal():
     # Dispatch order resumes from submission order.
     assert queue.next_pending().job_id == "j0"
     # New ids never collide with restored ones.
-    fresh = queue.make_job("probe", {"kind": "probe"}, "k3", 0)
-    assert fresh.seq == 3
+    fresh = queue.submit_record("probe", {"kind": "probe"}, "k3", 0)
+    assert fresh["job_seq"] == 3
 
 
 def test_restore_then_live_records_round_trips():
@@ -131,10 +139,10 @@ def test_restore_then_live_records_round_trips():
     a = _submit(queue, "a")
     b = _submit(queue, "b")
     c = _submit(queue, "c")
-    queue.mark_claimed(a.job_id, "w0")
-    queue.mark_done(a.job_id, {"echo": "a"})
-    queue.mark_claimed(b.job_id, "w0")
-    queue.mark_failed(b.job_id, {"error_type": "X", "message": "m"})
+    _move(queue, "claim", a, worker="w0")
+    _move(queue, "complete", a, result={"echo": "a"})
+    _move(queue, "claim", b, worker="w0")
+    _move(queue, "fail", b, error={"error_type": "X", "message": "m"})
 
     rebuilt = JobQueue()
     rebuilt.restore(queue.live_records())
@@ -143,3 +151,28 @@ def test_restore_then_live_records_round_trips():
     }
     assert rebuilt.jobs[a.job_id].result == {"echo": "a"}
     assert rebuilt.next_pending().job_id == c.job_id
+
+
+def test_apply_takes_every_time_from_the_record():
+    queue = JobQueue()
+    job = _submit(queue, "a")
+    _move(queue, "claim", job, worker="w0", claimed_s=10.0)
+    _move(queue, "complete", job, result={"echo": 1}, finished_s=12.5)
+    assert (job.claimed_s, job.finished_s) == (10.0, 12.5)
+    # A record without a time stores none: the reducer reads no clock.
+    other = _submit(queue, "b")
+    _move(queue, "claim", other, worker="w0")
+    _move(queue, "fail", other, error={"error_type": "X", "message": "m"})
+    assert (other.claimed_s, other.finished_s) == (0.0, 0.0)
+
+
+def test_finished_jobs_never_reopen():
+    queue = JobQueue()
+    job = _submit(queue, "a")
+    _move(queue, "claim", job, worker="w0")
+    _move(queue, "complete", job, result={"echo": 1}, finished_s=5.0)
+    for rtype in ("claim", "requeue", "complete", "fail"):
+        _move(queue, rtype, job, worker="w1", result={"echo": 2},
+              error={"error_type": "X", "message": "m"}, finished_s=9.0)
+    assert (job.state, job.result, job.finished_s) == (DONE, {"echo": 1}, 5.0)
+    assert job.error is None and job.attempts == 1

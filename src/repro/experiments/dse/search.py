@@ -74,9 +74,9 @@ flow runs and a byte-identical final front.
 and partition reuse belong to the prefix layer; tail reuse is also off
 whenever ``$REPRO_CHECK`` enables stage-boundary checks, the one
 consumer of the parameter-echo notes the tail key leaves out.
-``ExploreSpec.prune_distance`` is the consensus radius of pruning:
-every evaluated config within this many lattice steps contributes a
-prediction to the componentwise-min bound (default 1).  Because the
+:data:`PRUNE_DISTANCE` is the consensus radius of pruning: every
+evaluated config within this many lattice steps contributes a
+prediction to the componentwise-min bound.  Because the
 bound is a minimum, widening the radius only
 *loosens* it -- extra neighbors can veto a skip, never enable one -- so
 larger values trade pruning yield for extra safety near metric cliffs.
@@ -181,6 +181,9 @@ _ROW_METRICS = (
 #: by up to 25% per lattice step before a skip becomes unsound.
 PRUNE_MARGINS = (0.25, 0.25, 0.25, 0.25)
 
+#: Consensus radius of pruning, in lattice steps.
+PRUNE_DISTANCE = 1
+
 
 @dataclass(frozen=True)
 class ExploreSpec:
@@ -197,7 +200,6 @@ class ExploreSpec:
     prune: bool = True
     reuse_prefix: bool = True
     warm_periods: bool = True
-    prune_distance: int = 1
 
     def key_fields(self) -> dict:
         """Fields that shape the run-manifest identity.
@@ -629,7 +631,7 @@ def _maybe_prune(
 ) -> dict | None:
     """Skip record when the config provably cannot enter the front.
 
-    Every evaluated config within ``prune_distance`` lattice steps
+    Every evaluated config within :data:`PRUNE_DISTANCE` lattice steps
     predicts a lower bound for the candidate: its own objective vector
     relaxed by the per-axis optimism of the path between them.  The
     candidate's bound is the *componentwise minimum* over all such
@@ -645,7 +647,7 @@ def _maybe_prune(
     bound: list[float] | None = None
     for label, other in by_label.items():
         dist = spec.lattice.distance(cfg, other)
-        if dist > spec.prune_distance:
+        if dist > PRUNE_DISTANCE:
             continue
         optimism = _optimism(spec, cfg, other)
         vector = _objective_vector(rows[label], spec.objectives)

@@ -10,16 +10,22 @@ The design also owns the flow's timing state: one placed
 floorplan (and, through ``TimingSession.shared``, one incremental
 timing session on it), which every stage from legalization to signoff
 reuses instead of re-extracting every net.
+
+Flow transforms edit the netlist through an :class:`EditJournal`, which
+derives from each edit the nets to invalidate and the cells and nets to
+mark on the placement session, and can undo what it recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.cts.tree import ClockReport
 from repro.errors import FlowError
+from repro.liberty.cells import CellType
 from repro.liberty.library import StdCellLibrary
-from repro.netlist.core import Netlist
+from repro.netlist.core import Instance, Net, Netlist
 from repro.place.floorplan import Floorplan
 from repro.timing.delaycalc import (
     DelayCalculator,
@@ -28,7 +34,7 @@ from repro.timing.delaycalc import (
 )
 from repro.timing.incremental import full_sta_forced
 
-__all__ = ["Design"]
+__all__ = ["Design", "EditJournal"]
 
 
 @dataclass
@@ -93,10 +99,9 @@ class Design:
         ``placed=False`` builds a fresh wire-load calculator.  The placed
         calculator is the design's own: every call returns the same
         object until the floorplan changes (a global re-place), an edit
-        outside the invalidation contract drops it
-        (:meth:`drop_calculator`), or signoff releases it.  Under
-        ``REPRO_STA=full`` every call builds a fresh one, so nothing is
-        reused across stages.
+        no journal records drops it (:meth:`drop_calculator`), or
+        signoff releases it.  Under ``REPRO_STA=full`` every call builds
+        a fresh one, so nothing is reused across stages.
         """
         held = self.held_calculator() if placed else None
         if held is not None and not full_sta_forced():
@@ -119,11 +124,11 @@ class Design:
     def drop_calculator(self) -> None:
         """Forget the placed calculator (and the timing session on it).
 
-        For edits that bypass ``calc.invalidate`` -- level-shifter
-        insertion, tier assignment, integrity repairs, injected faults
-        -- and for signoff, after which nothing re-times the design.
-        The calculator's sessions are detached, so reference counting
-        frees them with it.
+        For tier assignment, which rebinds most cells, for edits no
+        :class:`EditJournal` records -- integrity repairs, injected
+        faults -- and for signoff, after which nothing re-times the
+        design.  The calculator's sessions are detached, so reference
+        counting frees them with it.
         """
         held, self._calc = self._calc, None
         if held is not None:
@@ -190,22 +195,6 @@ class Design:
         libs = sorted(self.tier_libs.items(), key=lambda kv: kv[1].vdd_v)
         return libs[0][0] if libs[0][1].vdd_v < libs[-1][1].vdd_v else 1
 
-    def remap_instance_to_tier(self, inst_name: str, tier: int) -> None:
-        """Move an instance to a tier and rebind it to that tier's library.
-
-        Memory macros keep their cell (the paper keeps memories identical
-        across technology variants); standard cells are swapped for the
-        equivalent function/drive in the destination library.
-        """
-        inst = self.netlist.instances[inst_name]
-        target_lib = self.library_for_tier(tier)
-        inst.tier = tier
-        if inst.cell.is_macro:
-            return
-        if inst.cell.library_name != target_lib.name:
-            self.netlist.rebind(inst_name, target_lib.equivalent_of(inst.cell))
-        self.touch_placement(inst_name)
-
     def place_session(self):
         """The placement session bound to the current floorplan.
 
@@ -231,14 +220,153 @@ class Design:
             self._place_session = session
         return session
 
-    def touch_placement(self, inst_name: str) -> None:
-        """Report a placement-relevant edit (move/resize/clone/tier move).
 
-        A no-op before the session exists: a cold session recomputes from
-        scratch anyway.  Every flow edit that changes an instance's
-        position, width, or tier must call this (the placement analogue
-        of ``calc.invalidate``).
+class EditJournal:
+    """The netlist edits of one flow transform, and their undo.
+
+    Every flow transform edits the netlist through a journal.  Each edit
+    invalidates exactly the nets it changed on ``calc`` (the transform's
+    delay calculator, or None) and marks what it changed on the design's
+    live placement session: cells resized, re-tiered or added
+    (``dirty_cell``), nets rewired (``dirty_net``).  :meth:`restore`
+    undoes the log, newest edit first, with the same invalidations, down
+    to the order of every sink list and pin map.  The log holds plain
+    tuples, never closures, so no reference cycle keeps an edited design
+    alive.
+    """
+
+    def __init__(self, design: Design,
+                 calc: DelayCalculator | None = None) -> None:
+        self.design = design
+        self.netlist = design.netlist
+        self.calc = calc
+        #: ``(kind, instance or net name, *undo data)``, oldest first.
+        self.log: list[tuple] = []
+
+    def rebind(self, name: str, cell: CellType) -> None:
+        """Swap an instance's cell (resize)."""
+        self._set_cell(name, cell, self.netlist.instances[name].tier)
+
+    def move_to_tier(self, name: str, tier: int) -> None:
+        """Move an instance to a tier and that tier's library.
+
+        Memory macros keep their cell (the paper keeps memories identical
+        across technology variants); standard cells are swapped for the
+        equivalent function/drive in the destination library.
         """
-        session = self._place_session
-        if session is not None and session.floorplan is self.floorplan:
-            session.dirty_cell(inst_name)
+        cell = self.netlist.instances[name].cell
+        lib = self.design.library_for_tier(tier)
+        if not cell.is_macro and cell.library_name != lib.name:
+            cell = lib.equivalent_of(cell)
+        self._set_cell(name, cell, tier)
+
+    def add_cell(self, prefix: str, cell: CellType, *, tier: int, block: str,
+                 xy: tuple[float, float] | None = None,
+                 over: str | None = None) -> Instance:
+        """A new unconnected instance at ``xy``, or on top of the instance
+        ``over`` (which the legalizer must then move too)."""
+        netlist = self.netlist
+        inst = netlist.add_instance(netlist.unique_name(prefix), cell,
+                                    block=block, tier=tier)
+        if over is not None:
+            under = netlist.instances[over]
+            xy = (under.x_um, under.y_um)
+        if xy is not None:
+            inst.x_um, inst.y_um = xy
+        self.log.append(("add_cell", inst.name))
+        self._changed((inst.name,) if over is None else (inst.name, over))
+        return inst
+
+    def add_net(self, prefix: str) -> Net:
+        """A new empty net."""
+        net = self.netlist.add_net(self.netlist.unique_name(prefix))
+        self.log.append(("add_net", net.name))
+        return net
+
+    def connect(self, net_name: str, inst_name: str, pin: str, *,
+                defer: bool = False) -> None:
+        """Bind a pin to a net; ``defer`` leaves the net's invalidation to
+        ``DelayCalculator.invalidate_deferred`` (see DESIGN.md)."""
+        self.netlist.connect(net_name, inst_name, pin)
+        self.log.append(("connect", inst_name, pin, defer))
+        self._changed(nets=(net_name,), defer=defer)
+
+    def move_sinks(self, sinks: list[tuple[str, str]], net_name: str) -> None:
+        """Rebind each ``(instance, pin)`` sink to ``net_name``."""
+        netlist = self.netlist
+        for inst_name, pin in list(sinks):
+            old = netlist.instances[inst_name].net_of(pin)
+            at = netlist.disconnect(inst_name, pin)
+            netlist.connect(net_name, inst_name, pin)
+            self.log.append(("move", inst_name, pin, old, at))
+            self._changed(nets=(old, net_name))
+
+    def insert_repeater(self, net_name: str, sinks: list[tuple[str, str]],
+                        prefix: str, cell: CellType, net_prefix: str,
+                        **where) -> Instance:
+        """A new ``cell`` on ``net_name`` driving a new net that takes over
+        ``sinks``; ``where`` is :meth:`add_cell`'s keywords."""
+        rep = self.add_cell(prefix, cell, **where)
+        new_net = self.add_net(net_prefix)
+        self.connect(net_name, rep.name, cell.input_pins[0])
+        self.connect(new_net.name, rep.name, cell.output_pin)
+        self.move_sinks(sinks, new_net.name)
+        return rep
+
+    def restore(self) -> None:
+        """Undo every recorded edit, newest first; the log empties."""
+        netlist = self.netlist
+        while self.log:
+            kind, name, *undo = self.log.pop()
+            if kind == "cell":
+                cell, tier = undo
+                netlist.instances[name].tier = tier
+                netlist.rebind(name, cell)
+                self._cell_changed(name)
+            elif kind == "add_cell":
+                netlist.remove_instance(name)
+            elif kind == "add_net":
+                netlist.remove_net(name)
+            elif kind == "connect":
+                pin, defer = undo
+                net_name = netlist.instances[name].net_of(pin)
+                netlist.disconnect(name, pin)
+                self._changed(nets=(net_name,), defer=defer)
+            else:  # "move"
+                pin, old, at = undo
+                net_name = netlist.instances[name].net_of(pin)
+                netlist.disconnect(name, pin)
+                netlist.connect(old, name, pin, at=at)
+                self._changed(nets=(net_name, old))
+
+    def _set_cell(self, name: str, cell: CellType, tier: int) -> None:
+        inst = self.netlist.instances[name]
+        self.log.append(("cell", name, inst.cell, inst.tier))
+        inst.tier = tier
+        if cell is not inst.cell:
+            self.netlist.rebind(name, cell)
+        self._cell_changed(name)
+
+    def _cell_changed(self, name: str) -> None:
+        """A cell's size or tier changed, and so did every net on its pins."""
+        inst = self.netlist.instances[name]
+        self._changed((name,), [net for _pin, net in inst.connected_pins()])
+
+    def _changed(self, cells: Sequence[str] = (), nets: Sequence[str] = (),
+                 defer: bool = False) -> None:
+        """Invalidate (or defer) ``nets`` on the calculator and mark
+        ``cells`` and ``nets`` on the placement session.  A session not
+        made yet needs no marks: its first query recomputes everything."""
+        if self.calc is not None:
+            for net in nets:
+                if defer:
+                    self.calc.defer_invalidation(net)
+                else:
+                    self.calc.invalidate(net)
+        session = self.design._place_session
+        if session is None or session.floorplan is not self.design.floorplan:
+            return
+        for name in cells:
+            session.dirty_cell(name)
+        for net in nets:
+            session.dirty_net(net)

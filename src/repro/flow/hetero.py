@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.cts.tree import TierPolicy
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.flow.levelshift import insert_level_shifters
 from repro.flow.memo import memoized
 from repro.flow.opt import (
@@ -101,7 +101,8 @@ def _run_repartition(
     config: RepartitionConfig,
     fast_fill_cap: float = 0.93,
 ) -> RepartitionResult:
-    """Wire Algorithm 1 to real STA, remap, and undo callbacks."""
+    """Wire Algorithm 1 to real STA and to tier moves; a batch's
+    :class:`EditJournal` is its undo token."""
     calc = design.calculator(placed=True)
     latencies = design.clock_latencies()
     # The design's incremental session spans the whole ECO loop: each
@@ -124,8 +125,8 @@ def _run_repartition(
     )
     fast_lib = design.library_for_tier(FAST_TIER)
 
-    def move_to_fast(cells: list[str]):
-        token = []
+    def move_to_fast(cells: list[str]) -> EditJournal:
+        journal = EditJournal(design, calc)
         fast_used = design.netlist.cell_area_um2(
             lambda i: i.tier == FAST_TIER and not i.cell.is_macro
         )
@@ -137,20 +138,8 @@ def _run_repartition(
             if fast_used + fast_cell.area_um2 > fast_capacity:
                 continue  # the fast die is out of legalizable room
             fast_used += fast_cell.area_um2
-            token.append((name, inst.tier, inst.cell))
-            design.remap_instance_to_tier(name, FAST_TIER)
-            for _pin, net in inst.connected_pins():
-                calc.invalidate(net)
-        return token
-
-    def undo(token) -> None:
-        for name, tier, cell in token:
-            inst = design.netlist.instances[name]
-            inst.tier = tier
-            design.netlist.rebind(name, cell)
-            design.touch_placement(name)
-            for _pin, net in inst.connected_pins():
-                calc.invalidate(net)
+            journal.move_to_tier(name, FAST_TIER)
+        return journal
 
     def tier_areas() -> tuple[float, float]:
         slow = design.netlist.tier_area_um2(SLOW_TIER)
@@ -165,8 +154,8 @@ def _run_repartition(
         relegalize(design)
 
     return repartition_eco(
-        analyze, move_to_fast, undo, tier_areas, SLOW_TIER, config,
-        settle=settle,
+        analyze, move_to_fast, EditJournal.restore, tier_areas, SLOW_TIER,
+        config, settle=settle,
     )
 
 

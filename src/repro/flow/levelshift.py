@@ -16,9 +16,12 @@ high would not register); high-to-low crossings are overdriven and safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.liberty.cells import CellFunction
+from repro.liberty.library import StdCellLibrary
+from repro.netlist.core import Instance, Net, Netlist
 
 __all__ = [
     "LevelShifterReport",
@@ -51,6 +54,23 @@ class LevelShifterReport:
     shifter_area_um2: float
 
 
+def _low_to_high_sinks(
+    netlist: Netlist,
+    net: Net,
+    driver: Instance,
+    libs: dict[str, StdCellLibrary],
+) -> Iterator[tuple[str, str]]:
+    """The sinks of ``net`` its ``driver``'s rail cannot drive, in sink
+    order; a shifter input is the legal foreign-rail sink."""
+    for sink_name, pin in net.sinks:
+        sink = netlist.instances[sink_name]
+        if sink.cell.function is CellFunction.LEVEL_SHIFTER:
+            continue
+        if needs_level_shifter(driver.cell.vdd_v, sink.cell.vdd_v,
+                               libs[sink.cell.library_name].vth_v):
+            yield sink_name, pin
+
+
 def boundary_violations(design: Design) -> list[str]:
     """Names of nets whose low-rail driver cannot drive a high-rail sink."""
     netlist = design.netlist
@@ -58,18 +78,10 @@ def boundary_violations(design: Design) -> list[str]:
     violating = []
     for net in netlist.cut_nets():
         driver = netlist.driver_instance(net)
-        if driver is None:
-            continue
-        for sink_name, _pin in net.sinks:
-            sink = netlist.instances[sink_name]
-            if sink.cell.function is CellFunction.LEVEL_SHIFTER:
-                continue  # a shifter input is the legal foreign-rail sink
-            sink_lib = libs[sink.cell.library_name]
-            if needs_level_shifter(
-                driver.cell.vdd_v, sink.cell.vdd_v, sink_lib.vth_v
-            ):
-                violating.append(net.name)
-                break
+        if driver is not None and any(
+            _low_to_high_sinks(netlist, net, driver, libs)
+        ):
+            violating.append(net.name)
     return violating
 
 
@@ -79,10 +91,13 @@ def insert_level_shifters(design: Design) -> LevelShifterReport:
     The shifter comes from the *receiving* tier's library (it must produce
     that tier's full swing), is placed at the centroid of the sinks it
     serves, and takes over all high-rail sinks of the net.  Positions are
-    approximate; callers re-legalize afterwards.
+    approximate; callers re-legalize afterwards.  The edits go through an
+    :class:`EditJournal` on the design's held calculator, so timing stays
+    warm for every net they leave alone.
     """
     netlist = design.netlist
     libs = design.libraries_by_name()
+    journal = EditJournal(design, design.held_calculator())
     checked = 0
     violating = 0
     inserted = 0
@@ -94,16 +109,7 @@ def insert_level_shifters(design: Design) -> LevelShifterReport:
         if driver is None:
             continue
         checked += 1
-        needy = []
-        for sink_name, pin in list(net.sinks):
-            sink = netlist.instances[sink_name]
-            if sink.cell.function is CellFunction.LEVEL_SHIFTER:
-                continue  # already behind a shifter
-            sink_lib = libs[sink.cell.library_name]
-            if needs_level_shifter(
-                driver.cell.vdd_v, sink.cell.vdd_v, sink_lib.vth_v
-            ):
-                needy.append((sink_name, pin))
+        needy = list(_low_to_high_sinks(netlist, net, driver, libs))
         if not needy:
             continue
         violating += 1
@@ -125,40 +131,26 @@ def insert_level_shifters(design: Design) -> LevelShifterReport:
                 existing = cand
                 break
         if existing is not None:
-            out_net = existing.net_of("Y")
-            for sink_name, pin in needy:
-                netlist.disconnect(sink_name, pin)
-                netlist.connect(out_net, sink_name, pin)
-            # Both rerouted nets are pins of the existing shifter, so one
-            # touch refreshes their HPWL/congestion entries.
-            design.touch_placement(existing.name)
+            journal.move_sinks(needy, existing.net_of("Y"))
             continue
 
         ls_cell = target_lib.get(CellFunction.LEVEL_SHIFTER, 1)
-        ls_name = netlist.unique_name("ls")
-        ls = netlist.add_instance(ls_name, ls_cell, block=driver.block)
-        ls.tier = first_sink.tier
         placed = [
             netlist.instances[s].center()
             for s, _p in needy
             if netlist.instances[s].is_placed
         ]
+        xy = None
         if placed:
-            ls.x_um = sum(p[0] for p in placed) / len(placed)
-            ls.y_um = sum(p[1] for p in placed) / len(placed)
-        new_net = netlist.add_net(netlist.unique_name(f"{net_name}_ls"))
-        netlist.connect(net_name, ls_name, "A")
-        netlist.connect(new_net.name, ls_name, "Y")
-        for sink_name, pin in needy:
-            netlist.disconnect(sink_name, pin)
-            netlist.connect(new_net.name, sink_name, pin)
-        design.touch_placement(ls_name)
+            xy = (sum(p[0] for p in placed) / len(placed),
+                  sum(p[1] for p in placed) / len(placed))
+        journal.insert_repeater(
+            net_name, needy, "ls", ls_cell, f"{net_name}_ls",
+            tier=first_sink.tier, block=driver.block, xy=xy,
+        )
         inserted += 1
         area += ls_cell.area_um2
 
-    if violating:
-        # The rewiring above reaches no delay calculator.
-        design.drop_calculator()
     return LevelShifterReport(
         crossings_checked=checked,
         violating_nets=violating,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.liberty.cells import CellFunction
 from repro.obs import emit_metric, span
 from repro.place.legalizer import row_capacity_um2
@@ -105,12 +105,12 @@ class OptimizeStats:
 
 
 def _try_upsize(
-    design: Design,
-    calc: DelayCalculator,
+    journal: EditJournal,
     inst_name: str,
     budget: AreaBudget,
 ) -> bool:
     """Upsize one instance within its tier library if it helps its arc delay."""
+    design = journal.design
     inst = design.netlist.instances[inst_name]
     if inst.cell.is_macro or inst.fixed:
         return False
@@ -123,7 +123,7 @@ def _try_upsize(
     if not budget.can_grow(inst.tier, bigger.area_um2 - inst.cell.area_um2):
         return False
     out_pin = inst.cell.output_pin
-    load = calc.output_load_ff(inst, out_pin)
+    load = journal.calc.output_load_ff(inst, out_pin)
     old_arc = inst.cell.worst_arc_to_output()
     new_arc = bigger.worst_arc_to_output()
     old_d = old_arc.delay.lookup(0.05, load)
@@ -132,21 +132,12 @@ def _try_upsize(
     if new_d >= old_d - 1e-4:
         return False
     budget.apply(inst.tier, bigger.area_um2 - inst.cell.area_um2)
-    design.netlist.rebind(inst_name, bigger)
-    _invalidate_around(design, calc, inst_name)
+    journal.rebind(inst_name, bigger)
     return True
 
 
-def _invalidate_around(design: Design, calc: DelayCalculator, inst_name: str) -> None:
-    inst = design.netlist.instances[inst_name]
-    for _pin, net_name in inst.connected_pins():
-        calc.invalidate(net_name)
-    design.touch_placement(inst_name)
-
-
 def _try_clone(
-    design: Design,
-    calc: DelayCalculator,
+    journal: EditJournal,
     inst_name: str,
     budget: AreaBudget,
 ) -> bool:
@@ -159,7 +150,7 @@ def _try_clone(
     aggressive target, producing the 9-track "over-correction" bloat of
     Section IV-B2.
     """
-    netlist = design.netlist
+    netlist = journal.netlist
     inst = netlist.instances[inst_name]
     if inst.cell.is_macro or inst.fixed:
         return False
@@ -174,46 +165,31 @@ def _try_clone(
         return False
     budget.apply(inst.tier, inst.cell.area_um2)
 
-    clone_name = netlist.unique_name(f"{inst_name}_cl")
-    clone = netlist.add_instance(clone_name, inst.cell, block=inst.block)
-    clone.tier = inst.tier
-    if inst.is_placed:
-        clone.x_um, clone.y_um = inst.x_um, inst.y_um
+    clone = journal.add_cell(f"{inst_name}_cl", inst.cell, tier=inst.tier,
+                             block=inst.block, over=inst_name)
     # The nets the clone joins as a sink are invalidated only where the
     # stage ends, by the flow driver (DelayCalculator.defer_invalidation).
-    for pin in inst.cell.input_pins:
+    pins = inst.cell.input_pins
+    if inst.cell.clock_pin is not None:
+        pins += (inst.cell.clock_pin,)
+    for pin in pins:
         src = inst.net_of(pin)
         if src is not None:
-            netlist.connect(src, clone_name, pin)
-            calc.defer_invalidation(src)
-    clock_pin = inst.cell.clock_pin
-    if clock_pin is not None:
-        src = inst.net_of(clock_pin)
-        if src is not None:
-            netlist.connect(src, clone_name, clock_pin)
-            calc.defer_invalidation(src)
-    new_net = netlist.add_net(netlist.unique_name(f"{out_net_name}_cl"))
-    netlist.connect(new_net.name, clone_name, out_pin)
-    moved = net.sinks[len(net.sinks) // 2 :]
-    for s, p in list(moved):
-        netlist.disconnect(s, p)
-        netlist.connect(new_net.name, s, p)
-    calc.invalidate(out_net_name)
-    calc.invalidate(new_net.name)
-    # The clone's pins don't cover out_net, so touch both cells.
-    design.touch_placement(inst_name)
-    design.touch_placement(clone_name)
+            journal.connect(src, clone.name, pin, defer=True)
+    new_net = journal.add_net(f"{out_net_name}_cl")
+    journal.connect(new_net.name, clone.name, out_pin)
+    journal.move_sinks(net.sinks[len(net.sinks) // 2 :], new_net.name)
     return True
 
 
 def _insert_buffer(
-    design: Design,
-    calc: DelayCalculator,
+    journal: EditJournal,
     driver_name: str,
     sink_name: str,
     budget: AreaBudget,
 ) -> bool:
     """Split the driver->sink connection with a buffer at the midpoint."""
+    design = journal.design
     netlist = design.netlist
     driver = netlist.instances.get(driver_name)
     sink = netlist.instances.get(sink_name)
@@ -237,23 +213,13 @@ def _insert_buffer(
         return False
     budget.apply(driver.tier, buf_cell.area_um2)
 
-    buf_name = netlist.unique_name("optbuf")
-    buf = netlist.add_instance(buf_name, buf_cell, block=driver.block)
-    buf.tier = driver.tier
     dx, dy = driver.center()
     sx, sy = sink.center()
-    buf.x_um = (dx + sx) / 2.0
-    buf.y_um = (dy + sy) / 2.0
-
-    new_net = netlist.add_net(netlist.unique_name("optnet"))
-    netlist.connect(out_net_name, buf_name, "A")
-    netlist.connect(new_net.name, buf_name, "Y")
-    for s, p in sink_pins:
-        netlist.disconnect(s, p)
-        netlist.connect(new_net.name, s, p)
-    calc.invalidate(out_net_name)
-    calc.invalidate(new_net.name)
-    design.touch_placement(buf_name)
+    journal.insert_repeater(
+        out_net_name, sink_pins, "optbuf", buf_cell, "optnet",
+        tier=driver.tier, block=driver.block,
+        xy=((dx + sx) / 2.0, (dy + sy) / 2.0),
+    )
     return True
 
 
@@ -301,6 +267,7 @@ def _optimize(
         if report.wns_ns >= target:
             break
         changed = 0
+        journal = EditJournal(design, calc)
 
         # Cell-based coverage: every instance whose worst path violates is
         # an upsizing candidate, worst first.  This is what lets a slow
@@ -318,10 +285,10 @@ def _optimize(
         # on paths an earlier upsize already fixed.
         round_cap = max(60, len(violators) // 4)
         for _slack, name in violators[:round_cap]:
-            if _try_upsize(design, calc, name, budget):
+            if _try_upsize(journal, name, budget):
                 changed += 1
                 stats.upsized += 1
-            elif _try_clone(design, calc, name, budget):
+            elif _try_clone(journal, name, budget):
                 # already at max drive: duplicate and split the fanout
                 changed += 1
                 stats.cloned += 1
@@ -336,7 +303,7 @@ def _optimize(
                     and prev_inst is not None
                 ):
                     if _insert_buffer(
-                        design, calc, prev_inst, step.instance, budget
+                        journal, prev_inst, step.instance, budget
                     ):
                         changed += 1
                         stats.buffers_added += 1
@@ -376,6 +343,7 @@ def _recover(design: Design, calc: DelayCalculator) -> int:
     session = TimingSession.shared(design.netlist, calc, latencies)
     for _pass in range(2):
         report = session.report(period, with_cell_slacks=True)
+        journal = EditJournal(design, calc)
         candidates = sorted(
             (
                 (slack, name)
@@ -399,8 +367,7 @@ def _recover(design: Design, calc: DelayCalculator) -> int:
             old_d = inst.cell.worst_arc_to_output().delay.lookup(0.05, load)
             new_d = smaller.worst_arc_to_output().delay.lookup(0.05, load)
             if new_d - old_d < slack - margin:
-                design.netlist.rebind(name, smaller)
-                _invalidate_around(design, calc, name)
+                journal.rebind(name, smaller)
                 downsized += 1
                 pass_count += 1
         if pass_count == 0 or downsized >= RECOVERY_MAX_CELLS:

@@ -23,7 +23,7 @@ contracts, checksummed checkpoints, ``--from-stage`` resume).
 from __future__ import annotations
 
 from repro.cts.tree import TierPolicy
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.flow.pipeline import FlowContext, Stage, execute_flow
 from repro.flow.report import FlowResult
 from repro.flow.stages import (
@@ -50,12 +50,13 @@ FM_BALANCE_TOLERANCE = 0.12
 def apply_partition(design: Design, assignment: dict[str, int]) -> None:
     """Move every instance to its assigned tier (remapping if needed).
 
-    Tier moves and remaps reach no delay calculator, so the design's
-    calculator is dropped.
+    Tier assignment rebinds most cells, so the design's calculator is
+    dropped rather than patched net by net.
     """
-    for name, tier in assignment.items():
-        design.remap_instance_to_tier(name, tier)
     design.drop_calculator()
+    journal = EditJournal(design)
+    for name, tier in assignment.items():
+        journal.move_to_tier(name, tier)
 
 
 def run_flow_pin3d(

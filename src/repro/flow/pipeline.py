@@ -24,7 +24,8 @@ calculator and its timing session from stage to stage; a resumed one
 starts a fresh calculator at its first timed stage.  The two agree
 byte for byte because every boundary leaves the calculator exact: each
 cached net equals a fresh extraction (the ``parasitics`` check), since
-edits invalidate the nets they touch and the flow driver invalidates
+every edit goes through an :class:`~repro.flow.design.EditJournal`,
+which invalidates the nets it changed, and the flow driver invalidates
 the nets load cloning deferred right after each stage body.  A caller
 still holding the design a run stopped with (``until_stage``) can
 instead pass it back as ``design`` and continue in memory, without any

@@ -19,7 +19,7 @@ outside one it always runs cold.
 
 from __future__ import annotations
 
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.flow.memo import current_memo
 from repro.flow.opt import optimize_timing
 from repro.liberty.library import StdCellLibrary
@@ -73,6 +73,7 @@ def fix_drv_violations(design: Design) -> int:
 
     netlist = design.netlist
     libs = design.libraries_by_name()
+    journal = EditJournal(design)
     added = 0
     for _ in range(DRV_FIX_PASSES):
         pass_added = 0
@@ -97,19 +98,10 @@ def fix_drv_violations(design: Design) -> int:
                 part = sinks[g * chunk : (g + 1) * chunk]
                 if not part:
                     continue
-                buf_name = netlist.unique_name("drvbuf")
-                buf = netlist.add_instance(
-                    buf_name, buf_cell, block=driver.block
+                journal.insert_repeater(
+                    net_name, part, "drvbuf", buf_cell, "drvnet",
+                    tier=driver.tier, block=driver.block, over=driver.name,
                 )
-                buf.tier = driver.tier
-                if driver.is_placed:
-                    buf.x_um, buf.y_um = driver.x_um, driver.y_um
-                new_net = netlist.add_net(netlist.unique_name("drvnet"))
-                netlist.connect(net_name, buf_name, "A")
-                netlist.connect(new_net.name, buf_name, "Y")
-                for s, p in part:
-                    netlist.disconnect(s, p)
-                    netlist.connect(new_net.name, s, p)
                 pass_added += 1
         added += pass_added
         if pass_added == 0:

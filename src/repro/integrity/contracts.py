@@ -129,9 +129,9 @@ def _repair_connectivity(design: Design) -> str:
 def _repair_placement(design: Design) -> str:
     """Re-legalize every tier (fixes overlaps and row misalignment).
 
-    The violation arrived outside the normal edit contract (nothing
-    called ``touch_placement``), so the placement session's caches can't
-    be trusted: drop them and force a full pass.
+    The violation arrived outside the normal edit contract (no edit
+    journal marked it), so the placement session's caches can't be
+    trusted: drop them and force a full pass.
     """
     from repro.flow.stages import legalize_all_tiers
 

@@ -204,8 +204,14 @@ class Netlist:
         self._bump_topology()
         return net
 
-    def connect(self, net_name: str, inst_name: str, pin: str) -> None:
-        """Bind an instance pin to a net, as driver or sink by direction."""
+    def connect(self, net_name: str, inst_name: str, pin: str, *,
+                at: tuple[int, int] | None = None) -> None:
+        """Bind an instance pin to a net, as driver or sink by direction.
+
+        The binding goes last in the net's sink list and among the
+        instance's pins, or, with ``at``, back where :meth:`disconnect`
+        reported it was.
+        """
         net = self._net(net_name)
         inst = self._instance(inst_name)
         spec = inst.cell.pins.get(pin)
@@ -218,12 +224,23 @@ class Netlist:
                 raise NetlistError(f"net {net_name!r} already has a driver")
             net.driver = (inst_name, pin)
         else:
-            net.sinks.append((inst_name, pin))
+            net.sinks.insert(len(net.sinks) if at is None else at[0],
+                             (inst_name, pin))
         inst._pin_nets[pin] = net_name
+        if at is not None:
+            pins = list(inst._pin_nets.items())
+            pins.insert(at[1], pins.pop())
+            inst._pin_nets.clear()
+            inst._pin_nets.update(pins)
         self._bump_topology()
 
-    def disconnect(self, inst_name: str, pin: str) -> None:
-        """Unbind an instance pin from its net."""
+    def disconnect(self, inst_name: str, pin: str) -> tuple[int, int]:
+        """Unbind an instance pin from its net.
+
+        Returns where the binding was, for :meth:`connect`'s ``at``: its
+        index in the net's sink list (-1 for the driver) and among the
+        instance's bound pins.
+        """
         inst = self._instance(inst_name)
         net_name = inst.net_of(pin)
         if net_name is None:
@@ -231,10 +248,14 @@ class Netlist:
         net = self._net(net_name)
         if net.driver == (inst_name, pin):
             net.driver = None
+            sink_index = -1
         else:
-            net.sinks.remove((inst_name, pin))
+            sink_index = net.sinks.index((inst_name, pin))
+            del net.sinks[sink_index]
+        pin_index = list(inst._pin_nets).index(pin)
         del inst._pin_nets[pin]
         self._bump_topology()
+        return sink_index, pin_index
 
     def remove_instance(self, inst_name: str) -> None:
         """Delete an instance, unbinding all its pins first."""

@@ -93,9 +93,11 @@ def repartition_eco(
         next edit, and only for a state it keeps.
     move_to_fast:
         ECO-moves the named cells to the fast die (remap + place); returns
-        an opaque undo token.
+        an undo token (the flow's is the batch's
+        :class:`~repro.flow.design.EditJournal`).
     undo:
-        Reverts one ECO batch.
+        Reverts one ECO batch from its token (the flow passes
+        ``EditJournal.restore``).
     tier_areas:
         Returns ``(slow_area, fast_area)`` for the unbalance check.
     slow_tier:

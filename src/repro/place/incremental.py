@@ -35,10 +35,11 @@ Three reuse layers
    a full pass.  ``place_full_runs`` / ``place_incremental_runs``
    / ``place_disturbed_fraction`` span metrics record what actually ran.
 
-Edits are reported through :meth:`Design.touch_placement` (cell moved,
-resized, cloned, tier-moved) or :meth:`PlacementSession.dirty_net`; the
-membership diff additionally catches tier and fixed/movable membership
-changes on its own.
+Flow edits are reported by the design's
+:class:`~repro.flow.design.EditJournal`, through :meth:`dirty_cell`
+(cell resized, re-tiered or added) and :meth:`dirty_net` (net
+rewired); the membership diff additionally catches tier and
+fixed/movable membership changes on its own.
 """
 
 from __future__ import annotations

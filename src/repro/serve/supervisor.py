@@ -487,12 +487,6 @@ class Supervisor:
         self._worker_seq += 1
         return name
 
-    def _drop_worker(self, name: str) -> None:
-        """Tell the core to forget a dead worker's gauge label sets."""
-        hook = getattr(self.core, "drop_worker", None)
-        if hook is not None:
-            hook(name)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -662,14 +656,11 @@ class Supervisor:
         self._publish_pool()
 
     def _pending_jobs(self) -> int:
-        """Queue-depth pressure signal (0 when the core has no queue)."""
-        queue = getattr(self.core, "queue", None)
-        if queue is None:
-            return 0
+        """Queue-depth pressure signal."""
         try:
             # Lock-free read of a concurrently-mutated table: a torn
             # scan only skews one tick's pressure estimate.
-            return queue.pending_count()
+            return self.core.queue.pending_count()
         except RuntimeError:
             return 0
 
@@ -713,7 +704,7 @@ class Supervisor:
             with inject("scale_event", direction="down", worker=handle.name):
                 self.workers.remove(handle)
             handle.stop(timeout_s=1.0)
-            self._drop_worker(handle.name)
+            self.core.drop_worker(handle.name)
             self._last_scale = now
             self.core.lifecycle(
                 "worker_retire", worker=handle.name,
@@ -727,9 +718,6 @@ class Supervisor:
 
     def _publish_pool(self) -> None:
         """Feed the ``repro_workers{state}`` gauges through the core."""
-        note = getattr(self.core, "note_worker_pool", None)
-        if note is None:
-            return
         counts = {"idle": 0, "busy": 0, "booting": 0}
         for handle in self.workers:
             if not handle.idle:
@@ -738,7 +726,7 @@ class Supervisor:
                 counts["booting"] += 1
             else:
                 counts["idle"] += 1
-        note(counts)
+        self.core.note_worker_pool(counts)
 
     def _harvest(self) -> None:
         for handle in self.workers:
@@ -763,9 +751,9 @@ class Supervisor:
             # A live span transition, not a completion: feed it to the
             # core (event bus + incremental job trace) and keep the job
             # assigned -- the terminal reply is still coming.
-            note = getattr(self.core, "note_progress", None)
-            if note is not None:
-                note(job_id, reply.get("span") or {}, worker=handle.name)
+            self.core.note_progress(
+                job_id, reply.get("span") or {}, worker=handle.name
+            )
             return
         handle.job_id = None
         handle.idle_since = time.monotonic()
@@ -807,7 +795,7 @@ class Supervisor:
             )
             # The replacement gets a fresh name: per-worker gauges and
             # lifecycle events always describe exactly one process.
-            self._drop_worker(dead)
+            self.core.drop_worker(dead)
             handle.name = self._next_name()
             handle.spawn()
             self.core.lifecycle(
@@ -825,7 +813,6 @@ class Supervisor:
     def _watchdog(self) -> None:
         now = time.time()
         mono = time.monotonic()
-        note_age = getattr(self.core, "note_heartbeat", None)
         for handle in self.workers:
             if not handle.alive():
                 continue  # the reaper handles corpses
@@ -833,12 +820,10 @@ class Supervisor:
             if beat == 0.0:
                 # Still booting (spawn + imports): grace, not staleness.
                 stale = now - handle.spawned_s > BOOT_GRACE_S
-                if note_age is not None:
-                    note_age(handle.name, 0.0)
+                self.core.note_heartbeat(handle.name, 0.0)
             else:
                 stale = now - beat > 3.0 * self.heartbeat_s
-                if note_age is not None:
-                    note_age(handle.name, max(0.0, now - beat))
+                self.core.note_heartbeat(handle.name, max(0.0, now - beat))
             hung = (
                 not handle.idle
                 and self.job_timeout_s > 0
@@ -864,7 +849,7 @@ class Supervisor:
                 )
             wedged = handle.name
             handle.kill()
-            self._drop_worker(wedged)
+            self.core.drop_worker(wedged)
             handle.name = self._next_name()
             handle.spawn()
             self.core.lifecycle(
@@ -1034,6 +1019,19 @@ class BatchPool:
         count("retries")
         _log.warning("retrying %s: %s", self._labels[job_id], reason)
         merge_snapshot(telemetry)
+
+    # A batch run keeps no per-worker gauges and streams no progress.
+    def drop_worker(self, worker: str) -> None:
+        pass
+
+    def note_heartbeat(self, worker: str, age_s: float) -> None:
+        pass
+
+    def note_progress(self, job_id: str, span_msg: dict, worker: str = "") -> None:
+        pass
+
+    def note_worker_pool(self, counts: dict) -> None:
+        pass
 
     def lifecycle(self, action: str, **fields) -> None:
         """Count a worker restart, and a hang, in this run's counters."""

@@ -267,11 +267,11 @@ class DelayCalculator:
     def defer_invalidation(self, net_name: str) -> None:
         """Invalidate one net at the next :meth:`invalidate_deferred`.
 
-        Load cloning joins its driver's input nets without invalidating
-        them; the flow driver invalidates those nets right after each
-        stage body, so they stay exactly as stale as they were when every
-        stage built a calculator of its own (see DESIGN.md, invalidation
-        contract).
+        Load cloning joins its driver's input nets through the edit
+        journal's deferred ``connect``; the flow driver invalidates those
+        nets right after each stage body, so they stay exactly as stale
+        as they were when every stage built a calculator of its own (see
+        DESIGN.md, invalidation contract).
         """
         self._deferred.add(net_name)
 

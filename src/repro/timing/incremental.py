@@ -6,9 +6,10 @@ rebuilding the whole timing graph per query the way :func:`run_sta`
 does.  Three reuse layers compound:
 
 1. **Dirty-cone re-propagation.**  Every edit the flows make (upsize,
-   clone, buffer insertion, ECO tier move, level-shifter insertion) is
-   already paired with ``DelayCalculator.invalidate(net)`` calls for the
-   touched nets; the session listens to those invalidations, seeds the
+   clone, buffer insertion, ECO tier move, level-shifter insertion) goes
+   through an :class:`~repro.flow.design.EditJournal`, which pairs it
+   with ``DelayCalculator.invalidate(net)`` calls for the nets it
+   changed; the session listens to those invalidations, seeds the
    drivers and sinks of the dirty nets, closes over their transitive
    fanout cone, re-levelizes only the cone (Kahn on the subgraph), and
    re-evaluates exactly those instances through the same
@@ -42,9 +43,10 @@ reaches it through :meth:`TimingSession.set_clock_latencies`.
 net through the :class:`~repro.timing.delaycalc.DelayCalculator` bound
 to the session; legalization invalidates the nets of the cells it
 moved.  One flow edit does not yet: load cloning
-(``flow.opt._try_clone``) leaves the cached parasitics of its driver's
-input nets without the clone's sink until the stage ends
-(``DelayCalculator.defer_invalidation``; see DESIGN.md).  A full
+(``flow.opt._try_clone``) joins its driver's input nets with a deferred
+connection, leaving their cached parasitics without the clone's sink
+until the stage ends (``DelayCalculator.defer_invalidation``; see
+DESIGN.md).  A full
 ``calc.invalidate()`` marks the whole graph dirty.  When the dirty cone
 exceeds ``full_fraction`` (default 35%) of the combinational core, the
 session falls back to a full rebuild -- incrementality never

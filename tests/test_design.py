@@ -1,9 +1,10 @@
 """Tests for the Design container (repro.flow.design)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import FlowError
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.liberty.presets import make_library_pair
 from repro.netlist.generators import generate_netlist
 
@@ -66,11 +67,12 @@ class TestRemap:
             n for n, i in design.netlist.instances.items()
             if not i.cell.is_macro
         )
-        design.remap_instance_to_tier(name, 1)
+        journal = EditJournal(design)
+        journal.move_to_tier(name, 1)
         inst = design.netlist.instances[name]
         assert inst.tier == 1
         assert inst.cell.library_name == lib9.name
-        design.remap_instance_to_tier(name, 0)
+        journal.move_to_tier(name, 0)
         assert inst.cell.library_name == lib12.name
 
     def test_remap_preserves_function_and_drive(self, pair):
@@ -81,14 +83,14 @@ class TestRemap:
         )
         inst = design.netlist.instances[name]
         before = (inst.cell.function, inst.cell.drive)
-        design.remap_instance_to_tier(name, 1)
+        EditJournal(design).move_to_tier(name, 1)
         assert (inst.cell.function, inst.cell.drive) == before
 
     def test_remap_macro_keeps_cell(self, pair):
         design = hetero_design(pair)
         macro = design.netlist.memory_macros()[0]
         cell_before = macro.cell
-        design.remap_instance_to_tier(macro.name, 1)
+        EditJournal(design).move_to_tier(macro.name, 1)
         assert macro.tier == 1
         assert macro.cell is cell_before
 
@@ -98,8 +100,9 @@ class TestRemap:
             n for n, i in design.netlist.instances.items()
             if not i.cell.is_macro
         ][:100]
+        journal = EditJournal(design)
         for name in names:
-            design.remap_instance_to_tier(name, 1)
+            journal.move_to_tier(name, 1)
         design.netlist.validate()
         design.netlist.topological_order()
 
@@ -226,3 +229,105 @@ class TestSnapshotCopy:
         copy = base.copy()
         _edit_everything(base)
         assert _payload(copy) == before
+
+
+# ----------------------------------------------------------------------
+# the edit journal over random edit sequences
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def placed(pair):
+    """A small placed two-tier design, every other cell on the top tier."""
+    from repro.place.floorplan import build_floorplan
+    from repro.place.quadratic import global_place
+
+    design = hetero_design(pair, name="aes", scale=0.1)
+    journal = EditJournal(design)
+    for name in sorted(design.netlist.instances)[::2]:
+        journal.move_to_tier(name, 1)
+    design.floorplan = build_floorplan(design.netlist, design.tier_libs, 0.7)
+    global_place(design.netlist, design.floorplan)
+    return design
+
+
+JOURNAL_EDITS = ("rebind", "tier", "repeater", "sinks", "clone")
+
+
+def _journal_edit(journal: EditJournal, op: str, pick: int) -> None:
+    """One edit of kind ``op``; ``pick`` chooses its target."""
+    from repro.flow.opt import AreaBudget, _try_clone
+    from repro.liberty.cells import CellFunction
+
+    design = journal.design
+    netlist = design.netlist
+    libs = design.libraries_by_name()
+    cells = [i for i in netlist.instances.values() if not i.cell.is_macro]
+    inst = cells[pick % len(cells)]
+    nets = [n for n in netlist.nets.values()
+            if n.driver is not None and n.sinks and not n.is_clock]
+    net = nets[pick % len(nets)]
+    sinks = net.sinks[: max(1, len(net.sinks) // 2)]
+    if op == "rebind":
+        lib = libs[inst.cell.library_name]
+        cell = lib.upsize(inst.cell) or lib.downsize(inst.cell)
+        if cell is not None:
+            journal.rebind(inst.name, cell)
+    elif op == "tier":
+        journal.move_to_tier(inst.name, 1 - inst.tier)
+    elif op == "repeater":
+        driver = netlist.instances[net.driver[0]]
+        buf = libs[driver.cell.library_name].get(CellFunction.BUF, 4)
+        journal.insert_repeater(net.name, sinks, "rep", buf, "repnet",
+                                tier=driver.tier, block=driver.block,
+                                xy=(driver.x_um, driver.y_um))
+    elif op == "sinks":
+        other = nets[(pick // 7 + 1) % len(nets)]
+        if other is not net:
+            journal.move_sinks(sinks, other.name)
+    else:  # a clone joins its driver's input nets deferred
+        _try_clone(journal, inst.name, AreaBudget(design, max_fill=1e9))
+
+
+def _assert_cache_exact(design: Design, calc, deferred) -> None:
+    """Every cached parasitic but the deferred nets' equals a fresh
+    extraction."""
+    from repro.timing.delaycalc import PlacementWireModel
+
+    netlist = design.netlist
+    model = PlacementWireModel(design.reference_library())
+    for name, cached in calc.cached_parasitics().items():
+        if name in deferred:
+            continue
+        assert name in netlist.nets, name
+        assert cached == model.extract(netlist, netlist.nets[name]), name
+
+
+class TestEditJournal:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(JOURNAL_EDITS), st.integers(0, 10_000)),
+        min_size=1, max_size=10,
+    ))
+    def test_restore_undoes_random_edits(self, placed, edits):
+        design = placed.copy()
+        netlist = design.netlist
+        start = _payload(design)
+        calc = design.calculator(placed=True)
+        for net in netlist.nets.values():
+            calc.net_parasitics(net)
+        design.place_session()  # the edits mark a live session
+        journal = EditJournal(design, calc)
+        for op, pick in edits:
+            _journal_edit(journal, op, pick)
+        netlist.validate()
+        _assert_cache_exact(design, calc, calc._deferred)
+        calc.invalidate_deferred()
+        _assert_cache_exact(design, calc, ())
+
+        journal.restore()
+        assert journal.log == []
+        assert _payload(design) == start
+        netlist.validate()
+        _assert_cache_exact(design, calc, calc._deferred)
+        calc.invalidate_deferred()
+        _assert_cache_exact(design, calc, ())

@@ -649,7 +649,7 @@ def test_traced_explore_names_its_bookkeeping(fresh_cache, monkeypatch):
     assert len(publishes) == len(keys) * len(PREFIX_STAGES)
 
 
-def test_pruning_skips_are_certified_and_counted(fresh_cache):
+def test_pruning_skips_are_certified_and_counted(fresh_cache, monkeypatch):
     """Synthetic rows: a candidate whose every in-range neighbor is far
     worse than a front member must be pruned, with the certificate
     recorded; one with any potentially-better neighbor must not."""
@@ -658,7 +658,6 @@ def test_pruning_skips_are_certified_and_counted(fresh_cache):
             slow_tracks=(8,), slow_vdd=(0.66, 0.70, 0.90),
             tier_caps=(0.225, 0.25), fm_tolerances=(0.10,),
         ),
-        prune_distance=1,
     )
     good = DseConfig(8, 0.70, 0.25, 0.10)
     bad = DseConfig(8, 0.90, 0.25, 0.10)
@@ -686,8 +685,10 @@ def test_pruning_skips_are_certified_and_counted(fresh_cache):
 
     # Widening the trust radius pulls `good`'s prediction into the
     # consensus bound: the pessimist's min un-certifies the same skip.
-    wide = replace(spec, prune_distance=3)
-    held = _maybe_prune(candidate, wide, rows, by_label, front)
+    from repro.experiments.dse import search
+
+    monkeypatch.setattr(search, "PRUNE_DISTANCE", 3)
+    held = _maybe_prune(candidate, spec, rows, by_label, front)
     assert held is None
 
 

@@ -9,7 +9,7 @@ original logic function's cone).
 
 import pytest
 
-from repro.flow.design import Design
+from repro.flow.design import Design, EditJournal
 from repro.flow.opt import AreaBudget, _insert_buffer, _try_clone
 from repro.liberty.cells import CellFunction
 from repro.liberty.presets import make_library_pair
@@ -52,7 +52,7 @@ class TestClone:
         design, calc = fan_design(pair)
         nl = design.netlist
         before = nl.nets["big"].fanout
-        assert _try_clone(design, calc, "drv", AreaBudget(design))
+        assert _try_clone(EditJournal(design, calc), "drv", AreaBudget(design))
         nl.validate()
         clones = [n for n in nl.instances if n.startswith("drv_cl")]
         assert len(clones) == 1
@@ -69,7 +69,8 @@ class TestClone:
 
     def test_clone_refuses_single_sink(self, pair):
         design, calc = fan_design(pair, n_sinks=1)
-        assert not _try_clone(design, calc, "drv", AreaBudget(design))
+        assert not _try_clone(EditJournal(design, calc), "drv",
+                              AreaBudget(design))
 
     def test_clone_refuses_macro(self, pair):
         lib12, lib9 = pair
@@ -81,7 +82,8 @@ class TestClone:
             nl, PlacementWireModel(lib12), design.libraries_by_name()
         )
         macro = nl.memory_macros()[0]
-        assert not _try_clone(design, calc, macro.name, AreaBudget(design))
+        assert not _try_clone(EditJournal(design, calc), macro.name,
+                              AreaBudget(design))
 
     def test_clone_respects_budget(self, pair):
         design, calc = fan_design(pair)
@@ -93,7 +95,7 @@ class TestClone:
             def apply(self, tier, delta):
                 raise AssertionError("must not apply when denied")
 
-        assert not _try_clone(design, calc, "drv", NoBudget())
+        assert not _try_clone(EditJournal(design, calc), "drv", NoBudget())
 
     @pytest.mark.xfail(
         strict=True,
@@ -108,7 +110,7 @@ class TestClone:
         nl = design.netlist
         for net_name in ("a", "b"):
             calc.net_parasitics(nl.nets[net_name])
-        assert _try_clone(design, calc, "drv", AreaBudget(design))
+        assert _try_clone(EditJournal(design, calc), "drv", AreaBudget(design))
         model = PlacementWireModel(pair[0])
         for net_name in ("a", "b"):
             net = nl.nets[net_name]
@@ -129,7 +131,7 @@ class TestClone:
         nl.add_net("q")
         nl.connect("q", "ff", "Q")
         before = run_sta(nl, calc, 0.5)
-        assert _try_clone(design, calc, "drv", AreaBudget(design))
+        assert _try_clone(EditJournal(design, calc), "drv", AreaBudget(design))
         calc.invalidate()
         after = run_sta(nl, calc, 0.5)
         assert after.wns_ns >= before.wns_ns - 1e-9
@@ -139,7 +141,8 @@ class TestBufferInsertion:
     def test_buffer_rewires_target_sink_only(self, pair):
         design, calc = fan_design(pair)
         nl = design.netlist
-        assert _insert_buffer(design, calc, "drv", "s3", AreaBudget(design))
+        assert _insert_buffer(EditJournal(design, calc), "drv", "s3",
+                              AreaBudget(design))
         nl.validate()
         bufs = [n for n in nl.instances if n.startswith("optbuf")]
         assert len(bufs) == 1
@@ -153,7 +156,8 @@ class TestBufferInsertion:
     def test_buffer_placed_at_midpoint(self, pair):
         design, calc = fan_design(pair)
         nl = design.netlist
-        _insert_buffer(design, calc, "drv", "s5", AreaBudget(design))
+        _insert_buffer(EditJournal(design, calc), "drv", "s5",
+                       AreaBudget(design))
         buf = next(
             i for n, i in nl.instances.items() if n.startswith("optbuf")
         )
@@ -171,9 +175,11 @@ class TestBufferInsertion:
             def apply(self, tier, delta):
                 raise AssertionError("must not apply when denied")
 
-        assert not _insert_buffer(design, calc, "drv", "s0", NoBudget())
+        assert not _insert_buffer(EditJournal(design, calc), "drv", "s0",
+                                  NoBudget())
 
     def test_buffer_requires_existing_connection(self, pair):
         design, calc = fan_design(pair)
         # s0 is not driven by s1, so there is nothing to buffer
-        assert not _insert_buffer(design, calc, "s1", "s0", AreaBudget(design))
+        assert not _insert_buffer(EditJournal(design, calc), "s1", "s0",
+                                  AreaBudget(design))

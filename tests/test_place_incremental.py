@@ -43,7 +43,7 @@ def build_design(seed: int, scale: float = 0.12):
 
 # ----------------------------------------------------------------------
 # flow-style edits; each returns the instance names it disturbed
-# (the touch_placement contract), or None when not applicable
+# (the cells an edit journal marks dirty), or None when not applicable
 # ----------------------------------------------------------------------
 def _comb_instances(nl):
     return [
@@ -362,15 +362,18 @@ class TestDesignIntegration:
         with pytest.raises(FlowError):
             design.place_session()
 
-    def test_touch_placement_marks_session_dirty(self):
-        from repro.flow.design import Design
+    def test_journal_edit_marks_session_dirty(self):
+        from repro.flow.design import Design, EditJournal
 
         nl, fp, libs = build_design(1)
         design = Design("d", "2d", nl, libs)
         design.floorplan = fp
         session = design.place_session()
         session.legalize_all()
-        name = _comb_instances(nl)[0].name
-        design.touch_placement(name)
+        inst = _comb_instances(nl)[0]
+        lib = LIBS[inst.cell.library_name]
+        EditJournal(design).rebind(
+            inst.name, lib.upsize(inst.cell) or lib.downsize(inst.cell)
+        )
         session.legalize_all()
         assert session.stats.incremental_runs == 1

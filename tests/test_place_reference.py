@@ -334,7 +334,7 @@ def test_session_after_random_edits_matches_reference(replaced_3d):
                 lib = libs[inst.cell.library_name]
                 resized = lib.upsize(inst.cell) or lib.downsize(inst.cell)
                 netlist.rebind(name, resized)
-            design.touch_placement(name)
+            session.dirty_cell(name)
         demand = session.congestion().demand
         expected = ref_demand(netlist, fp.width_um, fp.height_um)
         assert demand.tobytes() == expected.tobytes()

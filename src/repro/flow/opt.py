@@ -293,8 +293,11 @@ def _optimize(
                 changed += 1
                 stats.cloned += 1
 
-        # Wire-dominated segments on the worst paths get buffers.
-        paths = session.top_paths(report, PATHS_PER_ROUND)
+        # Wire-dominated segments on the worst paths get buffers.  Before
+        # placement _insert_buffer refuses every one, so no path is traced.
+        paths = []
+        if design.floorplan is not None:
+            paths = session.top_paths(report, PATHS_PER_ROUND)
         for path in paths:
             prev_inst: str | None = None
             for step in path.steps:

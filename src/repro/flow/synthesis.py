@@ -74,6 +74,7 @@ def fix_drv_violations(design: Design) -> int:
     netlist = design.netlist
     libs = design.libraries_by_name()
     journal = EditJournal(design)
+    limits: dict[str, float] = {}  # max_drv_load_ff per library
     added = 0
     for _ in range(DRV_FIX_PASSES):
         pass_added = 0
@@ -83,7 +84,9 @@ def fix_drv_violations(design: Design) -> int:
                 continue
             driver = netlist.instances[net.driver[0]]
             lib = libs[driver.cell.library_name]
-            limit = max_drv_load_ff(lib)
+            limit = limits.get(lib.name)
+            if limit is None:
+                limit = limits[lib.name] = max_drv_load_ff(lib)
             load = sum(
                 netlist.instances[s].cell.input_capacitance_ff(p)
                 for s, p in net.sinks

@@ -55,26 +55,7 @@ class CellFunction(enum.Enum):
     @property
     def input_count(self) -> int:
         """Number of data input pins for the function."""
-        counts = {
-            CellFunction.INV: 1,
-            CellFunction.BUF: 1,
-            CellFunction.CLKBUF: 1,
-            CellFunction.LEVEL_SHIFTER: 1,
-            CellFunction.NAND2: 2,
-            CellFunction.NOR2: 2,
-            CellFunction.AND2: 2,
-            CellFunction.OR2: 2,
-            CellFunction.XOR2: 2,
-            CellFunction.XNOR2: 2,
-            CellFunction.MUX2: 3,
-            CellFunction.AOI21: 3,
-            CellFunction.OAI21: 3,
-            CellFunction.NAND3: 3,
-            CellFunction.NOR3: 3,
-            CellFunction.DFF: 1,
-            CellFunction.MEMORY: 2,
-        }
-        return counts[self]
+        return _INPUT_COUNTS[self]
 
     @property
     def switching_transfer(self) -> float:
@@ -84,26 +65,48 @@ class CellFunction(enum.Enum):
         rate scaled by this function-dependent factor (XOR propagates
         nearly every input toggle, AND/OR masks about half, etc.).
         """
-        factors = {
-            CellFunction.INV: 1.0,
-            CellFunction.BUF: 1.0,
-            CellFunction.CLKBUF: 1.0,
-            CellFunction.LEVEL_SHIFTER: 1.0,
-            CellFunction.NAND2: 0.60,
-            CellFunction.NOR2: 0.60,
-            CellFunction.AND2: 0.60,
-            CellFunction.OR2: 0.60,
-            CellFunction.XOR2: 1.0,
-            CellFunction.XNOR2: 1.0,
-            CellFunction.MUX2: 0.70,
-            CellFunction.AOI21: 0.55,
-            CellFunction.OAI21: 0.55,
-            CellFunction.NAND3: 0.45,
-            CellFunction.NOR3: 0.45,
-            CellFunction.DFF: 0.5,
-            CellFunction.MEMORY: 0.35,
-        }
-        return factors[self]
+        return _SWITCHING_TRANSFER[self]
+
+
+_INPUT_COUNTS = {
+    CellFunction.INV: 1,
+    CellFunction.BUF: 1,
+    CellFunction.CLKBUF: 1,
+    CellFunction.LEVEL_SHIFTER: 1,
+    CellFunction.NAND2: 2,
+    CellFunction.NOR2: 2,
+    CellFunction.AND2: 2,
+    CellFunction.OR2: 2,
+    CellFunction.XOR2: 2,
+    CellFunction.XNOR2: 2,
+    CellFunction.MUX2: 3,
+    CellFunction.AOI21: 3,
+    CellFunction.OAI21: 3,
+    CellFunction.NAND3: 3,
+    CellFunction.NOR3: 3,
+    CellFunction.DFF: 1,
+    CellFunction.MEMORY: 2,
+}
+
+_SWITCHING_TRANSFER = {
+    CellFunction.INV: 1.0,
+    CellFunction.BUF: 1.0,
+    CellFunction.CLKBUF: 1.0,
+    CellFunction.LEVEL_SHIFTER: 1.0,
+    CellFunction.NAND2: 0.60,
+    CellFunction.NOR2: 0.60,
+    CellFunction.AND2: 0.60,
+    CellFunction.OR2: 0.60,
+    CellFunction.XOR2: 1.0,
+    CellFunction.XNOR2: 1.0,
+    CellFunction.MUX2: 0.70,
+    CellFunction.AOI21: 0.55,
+    CellFunction.OAI21: 0.55,
+    CellFunction.NAND3: 0.45,
+    CellFunction.NOR3: 0.45,
+    CellFunction.DFF: 0.5,
+    CellFunction.MEMORY: 0.35,
+}
 
 
 def input_pin_names(function: CellFunction) -> tuple[str, ...]:
@@ -225,7 +228,7 @@ class CellType:
     is_macro: bool = field(init=False, repr=False, compare=False)
     #: Names of data input pins, in canonical order.
     input_pins: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    #: Name of the (first) output pin.
+    #: Name of the output pin (a cell has exactly one).
     output_pin: str = field(init=False, repr=False, compare=False)
     #: Name of the clock pin, or None for combinational cells.
     clock_pin: str | None = field(init=False, repr=False, compare=False)
@@ -258,6 +261,9 @@ class CellType:
             by_direction[pin.direction].append(name)
         if not by_direction["output"]:
             raise LibraryError(f"{self.name} has no output pin")
+        if len(by_direction["output"]) > 1:
+            # The timing graph follows each instance's one output net.
+            raise LibraryError(f"{self.name} has more than one output pin")
         output_pin = by_direction["output"][0]
         clock_pin = by_direction["clock"][0] if by_direction["clock"] else None
         # The first combinational or clock-to-q arc per pin pair wins.

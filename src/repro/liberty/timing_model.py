@@ -132,11 +132,43 @@ class TimingTable:
         """``(self.lookup(s, l), other.lookup(s, l))`` with one bisect.
 
         ``other`` must share both axes with this table (an arc's delay
-        and output-slew tables always do); each value is then the same
-        IEEE operations as its own :meth:`lookup`.
+        and output-slew tables always do).  This is every arc-memo miss
+        of the delay calculator, so :meth:`_locate` and both
+        :meth:`_interpolate` calls are written out in one body; each
+        value is the same IEEE operations, in the same order, as its own
+        :meth:`lookup`.
         """
-        position = self._locate(slew_ns, load_ff)
-        return self._interpolate(*position), other._interpolate(*position)
+        slews = self.slew_axis
+        loads = self.load_axis
+        i = bisect_left(slews, slew_ns) - 1
+        if i < 0:
+            i = 0
+        elif i > len(slews) - 2:
+            i = len(slews) - 2
+        j = bisect_left(loads, load_ff) - 1
+        if j < 0:
+            j = 0
+        elif j > len(loads) - 2:
+            j = len(loads) - 2
+        s0 = slews[i]
+        l0 = loads[j]
+        ts = (slew_ns - s0) / (slews[i + 1] - s0)
+        tl = (load_ff - l0) / (loads[j + 1] - l0)
+        us = 1 - ts
+        ul = 1 - tl
+        row0 = self.values[i]
+        row1 = self.values[i + 1]
+        first = float(
+            row0[j] * us * ul + row0[j + 1] * us * tl
+            + row1[j] * ts * ul + row1[j + 1] * ts * tl
+        )
+        row0 = other.values[i]
+        row1 = other.values[i + 1]
+        second = float(
+            row0[j] * us * ul + row0[j + 1] * us * tl
+            + row1[j] * ts * ul + row1[j + 1] * ts * tl
+        )
+        return first, second
 
 
 def linear_delay_table(

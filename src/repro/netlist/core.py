@@ -368,33 +368,36 @@ class Netlist:
         if (self._topo_cache is not None
                 and self._topo_cache_version == self._topology_version):
             return self._topo_cache
+        instances = self.instances
+        nets = self.nets
         indegree: dict[str, int] = {}
-        for inst in self.instances.values():
-            if inst.cell.is_sequential:
+        for inst in instances.values():
+            cell = inst.cell
+            if cell.is_sequential:
                 continue
+            out_pin = cell.output_pin
             count = 0
-            for pin, net_name in inst.connected_pins():
-                if inst.cell.pins[pin].direction == "output":
+            for pin, net_name in inst._pin_nets.items():
+                if pin == out_pin:
                     continue
-                driver = self.driver_instance(self.nets[net_name])
-                if driver is not None and not driver.cell.is_sequential:
+                drv = nets[net_name].driver
+                if drv is not None and not instances[drv[0]].cell.is_sequential:
                     count += 1
             indegree[inst.name] = count
 
         ready = deque(sorted(name for name, d in indegree.items() if d == 0))
         order: list[Instance] = []
         while ready:
-            name = ready.popleft()
-            inst = self.instances[name]
+            inst = instances[ready.popleft()]
             order.append(inst)
-            for pin, net_name in inst.connected_pins():
-                if inst.cell.pins[pin].direction != "output":
-                    continue
-                for sink_name, _pin in self.nets[net_name].sinks:
-                    if sink_name in indegree:
-                        indegree[sink_name] -= 1
-                        if indegree[sink_name] == 0:
-                            ready.append(sink_name)
+            out_net = inst._pin_nets.get(inst.cell.output_pin)
+            if out_net is None:
+                continue
+            for sink_name, _pin in nets[out_net].sinks:
+                if sink_name in indegree:
+                    indegree[sink_name] -= 1
+                    if indegree[sink_name] == 0:
+                        ready.append(sink_name)
         if len(order) != len(indegree):
             raise NetlistError(
                 f"combinational loop: ordered {len(order)} of {len(indegree)}"

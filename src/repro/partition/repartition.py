@@ -13,8 +13,12 @@ The engine is decoupled from the flow through three callbacks (analyze,
 move, undo), so the unit tests drive it against a scripted fake timer and
 the flow drives it against real STA + remap + legalize.  An analysis
 traces its critical paths only on request, and the engine requests them
-only for the states it keeps: the initial one, an accepted batch's, and
-the one an undo restores -- never a rejected batch's.
+only for the states it keeps: the initial one and an accepted batch's --
+never a rejected batch's.  An undo restores the kept state exactly (the
+flow's token is the batch's edit journal), so the paths traced from that
+state still hold, unless ``settle`` re-legalized it after they were
+traced: an accepted batch is traced before it settles.  Only then does
+the state an undo restores get analysed and traced again.
 """
 
 from __future__ import annotations
@@ -136,6 +140,8 @@ def _repartition_eco(
     d_k = config.d0
     wns, tns, trace = analyze()
     paths = trace()
+    # True once settle() has moved the state ``paths`` were traced from.
+    settled = False
     result.wns_before_ns = wns
     result.tns_before_ns = tns
     result.wns_after_ns = wns
@@ -194,6 +200,7 @@ def _repartition_eco(
             paths = new_trace()
             if settle is not None:
                 settle()
+                settled = True
             add_span_event(
                 "eco_batch_accepted",
                 iteration=result.iterations,
@@ -213,8 +220,10 @@ def _repartition_eco(
             if d_k < config.min_dk:
                 result.stop_reason = "threshold collapsed"
                 break
-            _wns, _tns, trace = analyze()
-            paths = trace()
+            if settled:
+                _wns, _tns, trace = analyze()
+                paths = trace()
+                settled = False
     else:
         result.stop_reason = result.stop_reason or "iteration budget"
 

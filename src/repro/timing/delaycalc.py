@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+from repro.errors import NetlistError
 from repro.liberty.cells import CellFunction, CellType, TimingArc
 from repro.liberty.library import StdCellLibrary
 from repro.liberty.spice import (
@@ -40,6 +41,8 @@ __all__ = [
     "PlacementWireModel",
     "DelayCalculator",
 ]
+
+_INF = float("inf")
 
 #: Steiner-tree length correction over HPWL as a function of fanout,
 #: following the classic Chu/Wong FLUTE statistics.
@@ -114,78 +117,83 @@ class PlacementWireModel:
     def extract(self, netlist: Netlist, net: Net) -> NetParasitics:
         """Extract from actual placement; all pins must be placed.
 
-        One pass over the pins collects each pin's center, tier and (for
-        sinks) pin capacitance; length, capacitance and per-sink delays
-        are computed from those lists.
-        """
-        instances = netlist.instances
-        xs: list[float] = []
-        ys: list[float] = []
-        driver_tier: int | None = None
-        if net.driver is not None:
-            inst = instances[net.driver[0]]
-            x, y = inst.center()
-            xs.append(x)
-            ys.append(y)
-            driver_tier = inst.tier
-        sink_tiers: list[int] = []
-        sink_caps: list[float] = []
-        for sink_name, pin in net.sinks:
-            inst = instances[sink_name]
-            x, y = inst.center()
-            xs.append(x)
-            ys.append(y)
-            sink_tiers.append(inst.tier)
-            sink_caps.append(inst.cell.input_capacitance_ff(pin))
-        if not xs:
-            return NetParasitics(0.0, 0.0, {})
+        One sweep over the pins, driver first: each pin's center (the
+        same arithmetic as :meth:`Instance.center`) updates a running
+        bounding box, its tier the foreign-sink count, its capacitance
+        the pin-capacitance sum (left to right from ``0``, the additions
+        ``sum()`` makes), and, on a driven net, its Elmore delay.
 
-        lib = self._lib
-        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        length = hpwl * steiner_correction(len(net.sinks))
-        ref_tier = sink_tiers[0] if driver_tier is None else driver_tier
-        crossing = any(t != ref_tier for t in sink_tiers)
-        miv_count = self._count_mivs(ref_tier, sink_tiers) if crossing else 0
-
-        wire_cap = length * lib.wire_c_ff_per_um
-        pin_cap = sum(sink_caps)
-        total_cap = wire_cap + pin_cap + miv_count * lib.miv_c_ff
-
-        sink_delay: dict[tuple[str, str], float] = {}
-        if driver_tier is None:
-            for sink in net.sinks:
-                sink_delay[sink] = 0.0
-        else:
-            dx, dy = xs[0], ys[0]
-            for k, sink in enumerate(net.sinks, start=1):
-                dist = abs(xs[k] - dx) + abs(ys[k] - dy)
-                seg_r = dist * lib.wire_r_kohm_per_um
-                seg_c = dist * lib.wire_c_ff_per_um
-                sink_cap = sink_caps[k - 1]
-                delay = seg_r * (seg_c / 2.0 + sink_cap) * RC_TO_NS
-                if sink_tiers[k - 1] != driver_tier:
-                    delay += lib.miv_r_kohm * (
-                        lib.miv_c_ff / 2.0 + sink_cap
-                    ) * RC_TO_NS
-                sink_delay[sink] = delay
-        return NetParasitics(
-            length_um=length,
-            total_cap_ff=total_cap,
-            sink_delay_ns=sink_delay,
-            miv_count=miv_count,
-        )
-
-    @staticmethod
-    def _count_mivs(ref_tier: int, sink_tiers: list[int]) -> int:
-        """One MIV per foreign-tier sink cluster, minimum one per net.
-
-        A production router would share MIVs between nearby sinks; we use
-        the number of sinks on tiers other than the driver's (the first
+        MIVs: one per foreign-tier sink cluster, minimum one per cut
+        net.  A production router would share MIVs between nearby sinks;
+        we count the sinks on tiers other than the driver's (the first
         sink's on an undriven net), compressed by a sharing factor of 2,
         which matches the paper's reported MIV-per-cut-net densities.
         """
-        foreign = sum(1 for t in sink_tiers if t != ref_tier)
-        return max(1, (foreign + 1) // 2)
+        instances = netlist.instances
+        sinks = net.sinks
+        lib = self._lib
+        wire_r = lib.wire_r_kohm_per_um
+        wire_c = lib.wire_c_ff_per_um
+        miv_r = lib.miv_r_kohm
+        miv_half_c = lib.miv_c_ff / 2.0
+        sink_delay: dict[tuple[str, str], float] = {}
+        pin_cap = 0
+        foreign = 0
+        driven = net.driver is not None
+        if driven:
+            inst = instances[net.driver[0]]
+            if inst.x_um is None or inst.y_um is None:
+                raise NetlistError(f"instance {inst.name} is not placed")
+            dx = inst.x_um + inst.cell.width_um / 2.0
+            dy = inst.y_um + inst.cell.height_um / 2.0
+            ref_tier = inst.tier
+            x_lo = x_hi = dx
+            y_lo = y_hi = dy
+        elif not sinks:
+            return NetParasitics(0.0, 0.0, {})
+        else:
+            ref_tier = instances[sinks[0][0]].tier
+            # The first sink replaces both bounds: coordinates are finite.
+            x_lo = y_lo = _INF
+            x_hi = y_hi = -_INF
+        for sink in sinks:
+            inst = instances[sink[0]]
+            if inst.x_um is None or inst.y_um is None:
+                raise NetlistError(f"instance {inst.name} is not placed")
+            cell = inst.cell
+            x = inst.x_um + cell.width_um / 2.0
+            y = inst.y_um + cell.height_um / 2.0
+            if x < x_lo:
+                x_lo = x
+            if x > x_hi:
+                x_hi = x
+            if y < y_lo:
+                y_lo = y
+            if y > y_hi:
+                y_hi = y
+            sink_cap = cell.pins[sink[1]].capacitance_ff
+            pin_cap += sink_cap
+            crosses = inst.tier != ref_tier
+            if crosses:
+                foreign += 1
+            delay = 0.0
+            if driven:
+                dist = abs(x - dx) + abs(y - dy)
+                delay = (dist * wire_r * (dist * wire_c / 2.0 + sink_cap)
+                         * RC_TO_NS)
+                if crosses:
+                    delay += miv_r * (miv_half_c + sink_cap) * RC_TO_NS
+            sink_delay[sink] = delay
+
+        hpwl = (x_hi - x_lo) + (y_hi - y_lo)
+        length = hpwl * steiner_correction(len(sinks))
+        miv_count = max(1, (foreign + 1) // 2) if foreign else 0
+        return NetParasitics(
+            length_um=length,
+            total_cap_ff=length * wire_c + pin_cap + miv_count * lib.miv_c_ff,
+            sink_delay_ns=sink_delay,
+            miv_count=miv_count,
+        )
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +231,14 @@ class DelayCalculator:
         self._libraries = libraries
         self._cache: dict[str, NetParasitics] = {}
         self._listeners: list[Callable[[str | None], None]] = []
-        # NLDM lookups are pure functions of (arc, input slew, load), so
-        # repeated evaluations -- the common case inside optimization
-        # loops and backward propagation -- are memoized.
-        # Keys use id(arc); the arc objects are pinned in _arc_refs so an
-        # id can never be recycled while its memo entries live.
-        self._arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}
+        #: Raw (pre-derate) ``(delay, output slew)`` of an arc by
+        #: ``(id(arc), input slew, load)``: NLDM lookups are pure, so the
+        #: repeated evaluations of optimization loops and backward passes
+        #: are memoized.  The STA loops read it directly and call
+        #: :meth:`lookup_arc` on a miss; it is cleared in place, never
+        #: replaced.  The arcs are pinned in _arc_refs so an id can never
+        #: be recycled while its memo entries live.
+        self.arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}
         self._arc_refs: dict[int, TimingArc] = {}
         # Nets whose invalidation waits for invalidate_deferred().
         self._deferred: set[str] = set()
@@ -282,7 +292,11 @@ class DelayCalculator:
             self.invalidate(net_name)
 
     def cached_parasitics(self) -> dict[str, NetParasitics]:
-        """The cached parasitics by net name (a live view; do not edit)."""
+        """The cached parasitics by net name (a live view; do not edit).
+
+        Invalidation edits this dict in place, so the STA loops hold it
+        for a whole pass and call :meth:`net_parasitics` only on a miss.
+        """
         return self._cache
 
     def net_parasitics(self, net: Net) -> NetParasitics:
@@ -308,8 +322,10 @@ class DelayCalculator:
         Returns (1.0, 1.0) unless ``in_net`` -- the net on one of
         ``inst``'s inputs, None when that input is unconnected -- comes
         from an instance bound to a library with a different supply
-        voltage.  Callers pass the net because they have just looked it
-        up.
+        voltage.  This is the one statement of the rule: the STA loops
+        call it only when the driver's ``vdd_v`` differs from the cell's
+        (an equal supply always gives (1.0, 1.0), and skipping a ``* 1.0``
+        is exact).
         """
         if in_net is None or in_net.driver is None:
             return _NO_DERATE
@@ -323,35 +339,26 @@ class DelayCalculator:
         lib = self._libraries[cell.library_name]
         return _voltage_factors(lib.vdd_v, lib.vth_v, vg)
 
-    def arc_delay_slew(
-        self,
-        inst: Instance,
-        arc: TimingArc,
-        input_slew_ns: float,
-        load_ff: float,
-        in_net: Net | None,
+    def lookup_arc(
+        self, arc: TimingArc, input_slew_ns: float, load_ff: float
     ) -> tuple[float, float]:
-        """Arc delay and output slew with the input-boundary derate applied.
+        """Raw (pre-derate) arc delay and output slew, stored in
+        :attr:`arc_memo`: the STA loops' miss path.
 
-        ``in_net`` is the net on ``arc.from_pin`` (None when unconnected).
-        The raw (pre-derate) table lookups are memoized per arc -- one
-        bisect serves both tables, which share their axes -- and the
-        derate, which depends on the driving instance's rail, is applied
-        per call.
-        Memo hits are exact-key, so the result is bit-identical to the
-        unmemoized computation regardless of call order.
+        One bisect serves both tables, which share their axes.  Memo hits
+        are exact-key, so a hit is bit-identical to this computation
+        regardless of call order; the caller applies the input-boundary
+        derate.
         """
-        key = (id(arc), input_slew_ns, load_ff)
-        hit = self._arc_memo.get(key)
-        if hit is None:
-            if len(self._arc_memo) >= _ARC_MEMO_MAX:
-                self._arc_memo.clear()
-                self._arc_refs.clear()
-            hit = arc.delay.lookup_pair(arc.output_slew, input_slew_ns, load_ff)
-            self._arc_memo[key] = hit
-            self._arc_refs.setdefault(key[0], arc)
-        derate_d, derate_s = self.input_derates(inst, in_net)
-        return hit[0] * derate_d, hit[1] * derate_s
+        memo = self.arc_memo
+        if len(memo) >= _ARC_MEMO_MAX:
+            memo.clear()
+            self._arc_refs.clear()
+        arc_id = id(arc)
+        hit = arc.delay.lookup_pair(arc.output_slew, input_slew_ns, load_ff)
+        memo[(arc_id, input_slew_ns, load_ff)] = hit
+        self._arc_refs[arc_id] = arc
+        return hit
 
     def setup_time(self, cell: CellType, data_slew_ns: float) -> float:
         """Setup requirement of a sequential cell at the given data slew."""

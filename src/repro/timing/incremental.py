@@ -12,11 +12,11 @@ does.  Three reuse layers compound:
    changed; the session listens to those invalidations, seeds the
    drivers and sinks of the dirty nets, closes over their transitive
    fanout cone, re-levelizes only the cone (Kahn on the subgraph), and
-   re-evaluates exactly those instances through the same
-   ``StaEngine.eval_instance`` the full pass uses.  Instances outside
-   the cone keep their arrivals; because each cone instance is computed
-   once from finalized fanin values, the result is bit-identical to a
-   from-scratch propagation.
+   re-evaluates exactly those instances through the same forward loop
+   the full pass runs (``StaEngine.propagate`` over the ordered cone).
+   Instances outside the cone keep their arrivals; because each cone
+   instance is computed once from finalized fanin values, the result is
+   bit-identical to a from-scratch propagation.
 
 2. **Period-independent arrivals.**  Arrivals, slews, setup times and
    clock latencies do not depend on the clock period; only required
@@ -336,6 +336,7 @@ class TimingSession:
         nets = self.netlist.nets
         instances = self.netlist.instances
         seeds: set[str] = set()
+        relaunch = []
         for net_name in self._dirty_nets:
             net = nets.get(net_name)
             if net is None:
@@ -349,12 +350,13 @@ class TimingSession:
             else:
                 driver = instances[net.driver[0]]
                 if driver.cell.is_sequential:
-                    engine._launch_sequential(driver)
+                    relaunch.append(driver)
                 else:
                     seeds.add(driver.name)
             for sink_name, _pin in net.sinks:
                 if not instances[sink_name].cell.is_sequential:
                     seeds.add(sink_name)
+        engine.launch_sequential(relaunch)
 
         # Transitive fanout closure over the combinational core.
         cone: set[str] = set()
@@ -365,27 +367,27 @@ class TimingSession:
                 continue
             cone.add(name)
             inst = instances[name]
-            for pin, net_name in inst.connected_pins():
-                if inst.cell.pins[pin].direction != "output":
-                    continue
-                for sink_name, _pin in nets[net_name].sinks:
-                    if (sink_name not in cone
-                            and not instances[sink_name].cell.is_sequential):
-                        stack.append(sink_name)
+            out_net = inst._pin_nets.get(inst.cell.output_pin)
+            if out_net is None:
+                continue
+            for sink_name, _pin in nets[out_net].sinks:
+                if (sink_name not in cone
+                        and not instances[sink_name].cell.is_sequential):
+                    stack.append(sink_name)
         return cone
 
     def _apply_cone(self, cone: set[str]) -> None:
         """Re-evaluate the cone in topological order (Kahn on subgraph)."""
-        engine = self._engine
         nets = self.netlist.nets
         instances = self.netlist.instances
 
         indegree: dict[str, int] = {}
         for name in cone:
             inst = instances[name]
+            out_pin = inst.cell.output_pin
             count = 0
-            for pin, net_name in inst.connected_pins():
-                if inst.cell.pins[pin].direction == "output":
+            for pin, net_name in inst._pin_nets.items():
+                if pin == out_pin:
                     continue
                 drv = nets[net_name].driver
                 if drv is not None and drv[0] in cone:
@@ -393,24 +395,24 @@ class TimingSession:
             indegree[name] = count
 
         ready = deque(sorted(name for name, d in indegree.items() if d == 0))
-        done = 0
+        order = []
         while ready:
-            name = ready.popleft()
-            done += 1
-            inst = instances[name]
-            engine.eval_instance(inst)
-            for pin, net_name in inst.connected_pins():
-                if inst.cell.pins[pin].direction != "output":
-                    continue
-                for sink_name, _pin in nets[net_name].sinks:
-                    if sink_name in indegree:
-                        indegree[sink_name] -= 1
-                        if indegree[sink_name] == 0:
-                            ready.append(sink_name)
-        if done != len(cone):
+            inst = instances[ready.popleft()]
+            order.append(inst)
+            out_net = inst._pin_nets.get(inst.cell.output_pin)
+            if out_net is None:
+                continue
+            for sink_name, _pin in nets[out_net].sinks:
+                if sink_name in indegree:
+                    indegree[sink_name] -= 1
+                    if indegree[sink_name] == 0:
+                        ready.append(sink_name)
+        if len(order) != len(cone):
             raise TimingError(
-                f"combinational loop in dirty cone: ordered {done} of {len(cone)}"
+                f"combinational loop in dirty cone: ordered {len(order)} "
+                f"of {len(cone)}"
             )
+        self._engine.propagate(order)
 
         self._invalid_since_backward |= self._dirty_nets
         self._cone_since_backward |= cone
@@ -495,8 +497,9 @@ class TimingSession:
                 continue
             # The instance's delay may have changed: every input net that
             # feeds it gets a different pull candidate.
+            pin_nets = inst._pin_nets
             for pin in inst.cell.input_pins:
-                net_name = inst.net_of(pin)
+                net_name = pin_nets.get(pin)
                 if net_name is not None:
                     region_seeds.add(net_name)
 
@@ -521,61 +524,92 @@ class TimingSession:
             driver = instances[drv[0]]
             if driver.cell.is_sequential:
                 continue
+            pin_nets = driver._pin_nets
             for pin in driver.cell.input_pins:
-                in_net = driver.net_of(pin)
+                in_net = pin_nets.get(pin)
                 if in_net is not None and in_net not in region:
                     stack.append(in_net)
 
         self._ensure_topo_index()
-        ordered = sorted(
-            region,
-            key=lambda n: self._driver_topo_index(n),
-            reverse=True,
-        )
-        for net_name in ordered:
-            self._recompute_required(net_name, seeds)
+        topo_index = self._topo_index
 
+        def driver_level(net_name: str) -> int:
+            # Primary inputs and sequential drivers rank lowest, so their
+            # nets are recomputed last: nothing pulls through them.
+            drv = nets[net_name].driver
+            return -1 if drv is None else topo_index.get(drv[0], -1)
+
+        self._pull_required(
+            sorted(region, key=driver_level, reverse=True), seeds
+        )
         state.seeds = seeds
         self._invalid_since_backward.clear()
         self._cone_since_backward.clear()
         self.stats.backward_incremental += 1
 
-    def _recompute_required(self, net_name: str, seeds: dict[str, float]) -> None:
-        """Pull-based recompute of one net's required time.
+    def _pull_required(
+        self, ordered: list[str], seeds: dict[str, float]
+    ) -> None:
+        """Pull-based recompute of each net's required time, in order.
 
         Enumerates exactly the candidate set the full push-based pass
-        produces for this net: its endpoint seed (if any) and one
-        candidate per combinational consumer arc whose output required
-        is finite.
+        (:meth:`StaEngine.propagate_required`) produces for a net: its
+        endpoint seed (if any) and one candidate per combinational
+        consumer arc whose output required is finite, with the same
+        arithmetic; the net's parasitics are read once such an arc is
+        found.
         """
         engine = self._engine
+        calc = engine.calc
+        cache = calc.cached_parasitics()
+        memo = calc.arc_memo
         nets = self.netlist.nets
         instances = self.netlist.instances
         required = engine.required
-        net = nets[net_name]
-        value = seeds.get(net_name, _INF)
-        for sink_name, pin in net.sinks:
-            inst = instances[sink_name]
-            cell = inst.cell
-            if cell.is_sequential:
-                continue
-            out_net = inst.net_of(cell.output_pin)
-            if out_net is None:
-                continue
-            arc = cell.arc_to(cell.output_pin, pin)
-            if arc is None:
-                continue
-            req_out = required.get(out_net, _INF)
-            if req_out == _INF:
-                continue
-            load = engine.calc.output_load_ff(inst, cell.output_pin)
-            _, candidate = engine.required_through(inst, pin, arc, req_out, load)
-            if candidate < value:
-                value = candidate
-        if value == _INF:
-            required.pop(net_name, None)
-        else:
-            required[net_name] = value
+        arrival = engine.arrival
+        for net_name in ordered:
+            net = nets[net_name]
+            value = seeds.get(net_name, _INF)
+            para = None
+            drv = net.driver
+            vg = None if drv is None else instances[drv[0]].cell.vdd_v
+            if net_name in arrival:
+                slew_in = engine.slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
+            else:
+                slew_in = DEFAULT_INPUT_SLEW_NS
+            for sink_name, pin in net.sinks:
+                inst = instances[sink_name]
+                cell = inst.cell
+                if cell.is_sequential:
+                    continue
+                out_net = inst._pin_nets.get(cell.output_pin)
+                if out_net is None:
+                    continue
+                arc = cell.arc_to(cell.output_pin, pin)
+                if arc is None:
+                    continue
+                req_out = required.get(out_net, _INF)
+                if req_out == _INF:
+                    continue
+                load = (cache.get(out_net)
+                        or calc.net_parasitics(nets[out_net])).total_cap_ff
+                if para is None:
+                    para = cache.get(net_name) or calc.net_parasitics(net)
+                hit = (memo.get((id(arc), slew_in, load))
+                       or calc.lookup_arc(arc, slew_in, load))
+                delay = hit[0]
+                if vg is not None and vg != cell.vdd_v:
+                    delay *= calc.input_derates(inst, net)[0]
+                candidate = (
+                    req_out - delay
+                    - para.sink_delay_ns.get((sink_name, pin), 0.0)
+                )
+                if candidate < value:
+                    value = candidate
+            if value == _INF:
+                required.pop(net_name, None)
+            else:
+                required[net_name] = value
 
     # ------------------------------------------------------------------
     # topology index
@@ -588,12 +622,3 @@ class TimingSession:
                 for i, inst in enumerate(self.netlist.topological_order())
             }
             self._topo_version = version
-
-    def _driver_topo_index(self, net_name: str) -> int:
-        drv = self.netlist.nets[net_name].driver
-        if drv is None:
-            return -1
-        index = self._topo_index.get(drv[0])
-        # Sequential drivers sort with primary inputs: nothing pulls
-        # through them, so they can be recomputed in any late position.
-        return -1 if index is None else index

@@ -25,10 +25,10 @@ breakdowns as Table VIII (cells/delay/wirelength/MIVs per tier).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import TimingError
-from repro.liberty.cells import TimingArc
-from repro.netlist.core import Instance, Net, Netlist
+from repro.netlist.core import Instance, Netlist
 from repro.obs import emit_metric, span
 from repro.timing.delaycalc import DelayCalculator
 
@@ -149,9 +149,21 @@ class StaEngine:
 
     :func:`run_sta` builds one per call; the incremental
     :class:`~repro.timing.incremental.TimingSession` keeps one alive
-    across edits and re-evaluates only dirty cones through the exact
-    same per-instance methods, which is what makes the incremental
-    results bit-identical to a from-scratch run.
+    across edits and re-evaluates only dirty cones through the same
+    forward loop (:meth:`propagate` over the re-levelized cone), which is
+    what makes the incremental results bit-identical to a from-scratch
+    run.
+
+    Each walk -- launch, the forward and backward passes, the endpoint
+    base, the required seeds, the backtrace, and the session's
+    incremental pull -- is one flat loop.  Per arc it reads the pin's net
+    from ``Instance._pin_nets``, the net's parasitics from the
+    calculator's cache (:meth:`DelayCalculator.cached_parasitics`) and
+    the raw arc delay from its memo (:attr:`DelayCalculator.arc_memo`),
+    and calls the calculator only on a miss, or for the input-boundary
+    derate (:meth:`DelayCalculator.input_derates`) when the driver's
+    supply differs from the cell's.  Each loop applies the rule of
+    :meth:`input_arrival_slew` to an unconnected or unreached input.
     """
 
     def __init__(
@@ -178,97 +190,137 @@ class StaEngine:
             if net.driver is None and not net.is_clock:
                 self.arrival[net.name] = 0.0
                 self.slew[net.name] = DEFAULT_INPUT_SLEW_NS
-        for inst in self.netlist.sequential_instances():
-            self._launch_sequential(inst)
+        self.launch_sequential(self.netlist.sequential_instances())
 
-    def _launch_sequential(self, inst: Instance) -> None:
-        cell = inst.cell
-        net_name = inst.net_of(cell.output_pin)
-        if net_name is None:
-            return
-        arc = cell.launch_arc
-        latency = self.latencies.get(inst.name, 0.0)
-        load = self.calc.output_load_ff(inst, cell.output_pin)
-        if arc is None:
-            self.arrival[net_name] = latency
-            self.slew[net_name] = DEFAULT_INPUT_SLEW_NS
-            return
-        delay, out_slew = self.calc.arc_delay_slew(
-            inst, arc, DEFAULT_INPUT_SLEW_NS, load,
-            self._net_on(inst, cell.clock_pin),
-        )
-        self.arrival[net_name] = latency + delay
-        self.slew[net_name] = out_slew
-
-    def _net_on(self, inst: Instance, pin: str) -> Net | None:
-        net_name = inst.net_of(pin)
-        return None if net_name is None else self.netlist.nets[net_name]
+    def launch_sequential(self, insts: Iterable[Instance]) -> None:
+        """Arrival and slew at each sequential output: the instance's
+        clock latency plus its clock-to-q arc at the default input slew."""
+        calc = self.calc
+        cache = calc.cached_parasitics()
+        memo = calc.arc_memo
+        nets = self.netlist.nets
+        instances = self.netlist.instances
+        arrival = self.arrival
+        slew = self.slew
+        for inst in insts:
+            cell = inst.cell
+            pin_nets = inst._pin_nets
+            out_net = pin_nets.get(cell.output_pin)
+            if out_net is None:
+                continue
+            para = cache.get(out_net) or calc.net_parasitics(nets[out_net])
+            latency = self.latencies.get(inst.name, 0.0)
+            arc = cell.launch_arc
+            if arc is None:
+                arrival[out_net] = latency
+                slew[out_net] = DEFAULT_INPUT_SLEW_NS
+                continue
+            load = para.total_cap_ff
+            hit = (memo.get((id(arc), DEFAULT_INPUT_SLEW_NS, load))
+                   or calc.lookup_arc(arc, DEFAULT_INPUT_SLEW_NS, load))
+            delay, out_slew = hit
+            clock_net = pin_nets.get(cell.clock_pin)
+            if clock_net is not None:
+                drv = nets[clock_net].driver
+                if (drv is not None
+                        and instances[drv[0]].cell.vdd_v != cell.vdd_v):
+                    derate = calc.input_derates(inst, nets[clock_net])
+                    delay *= derate[0]
+                    out_slew *= derate[1]
+            arrival[out_net] = latency + delay
+            slew[out_net] = out_slew
 
     def input_arrival_slew(
-        self, inst: Instance, pin: str, net: Net | None
+        self, inst: Instance, pin: str
     ) -> tuple[float, float]:
         """Arrival and slew at one instance input pin.
 
-        ``net`` is the net on ``pin`` (None when unconnected); callers
-        pass it because they have just looked it up.  An unconnected or
-        unreached net is a constant: arrival 0 at the default slew.  The
-        parasitics of ``net`` are read only when it carries an arrival:
-        which nets a pass extracts must not change, because a cached net
-        can be stale (see the invalidation contract in
-        :mod:`repro.timing.incremental`).
+        The rule for an unconnected or unreached input: it is a constant,
+        arrival 0 at the default slew.  Otherwise the arrival is the
+        net's plus the pin's wire delay, read from the net's parasitics,
+        which are read only when the net carries an arrival.  The loops
+        of this class inline the same rule per arc; this method serves
+        the backtrace's capture pin.  Which nets a pass extracts must not
+        change, because a cached net can be stale (see the invalidation
+        contract in :mod:`repro.timing.incremental`).
         """
-        if net is None:
+        net_name = inst._pin_nets.get(pin)
+        if net_name is None:
             return 0.0, DEFAULT_INPUT_SLEW_NS
-        base = self.arrival.get(net.name)
+        base = self.arrival.get(net_name)
         if base is None:
             # Undriven/unreached net: treat as constant (never toggles).
             return 0.0, DEFAULT_INPUT_SLEW_NS
-        wire = self.calc.net_parasitics(net).sink_delay_ns.get((inst.name, pin), 0.0)
-        return base + wire, self.slew.get(net.name, DEFAULT_INPUT_SLEW_NS)
+        para = self.calc.net_parasitics(self.netlist.nets[net_name])
+        wire = para.sink_delay_ns.get((inst.name, pin), 0.0)
+        return base + wire, self.slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
 
-    def eval_instance(self, inst: Instance) -> None:
-        """(Re)compute one combinational instance's output arrival/slew.
+    def propagate(self, order: Iterable[Instance] | None = None) -> None:
+        """Output arrival, slew and worst input of each instance of
+        ``order``: the whole combinational core in topological order by
+        default, or the incremental session's re-levelized dirty cone.
 
-        Shared by the full forward pass and the incremental dirty-cone
-        update; on an unreached output any stale entries are deleted so a
-        re-evaluation converges to exactly the state a fresh propagation
-        would produce.
-
-        Each input net is looked up once per arc and feeds the arrival,
-        the wire delay and the derate.
+        The input with the largest arrival plus (derated) arc delay sets
+        the output, the first one on a tie.  On an unreached output (no
+        timing arc) any stale entries are deleted, so a re-evaluation
+        converges to exactly the state a fresh propagation would produce.
         """
-        cell = inst.cell
-        out_net = inst.net_of(cell.output_pin)
-        if out_net is None:
-            return
+        if order is None:
+            order = self.netlist.topological_order()
         calc = self.calc
+        cache = calc.cached_parasitics()
+        memo = calc.arc_memo
         nets = self.netlist.nets
+        instances = self.netlist.instances
         arrival = self.arrival
-        load = calc.output_load_ff(inst, cell.output_pin)
-        best_arr = -_INF
-        best_slew = DEFAULT_INPUT_SLEW_NS
-        best_pin = ""
-        for pin, arc in cell.input_arcs:
-            net_name = inst.net_of(pin)
-            net = None if net_name is None else nets[net_name]
-            arr_in, slew_in = self.input_arrival_slew(inst, pin, net)
-            delay, out_slew = calc.arc_delay_slew(inst, arc, slew_in, load, net)
-            if arr_in + delay > best_arr:
-                best_arr = arr_in + delay
-                best_slew = out_slew
-                best_pin = pin
-        if best_arr == -_INF:
-            arrival.pop(out_net, None)
-            self.slew.pop(out_net, None)
-            self.worst_input.pop(inst.name, None)
-            return
-        arrival[out_net] = best_arr
-        self.slew[out_net] = best_slew
-        self.worst_input[inst.name] = best_pin
-
-    def propagate(self) -> None:
-        for inst in self.netlist.topological_order():
-            self.eval_instance(inst)
+        slew = self.slew
+        worst_input = self.worst_input
+        for inst in order:
+            cell = inst.cell
+            pin_nets = inst._pin_nets
+            out_net = pin_nets.get(cell.output_pin)
+            if out_net is None:
+                continue
+            para = cache.get(out_net) or calc.net_parasitics(nets[out_net])
+            load = para.total_cap_ff
+            name = inst.name
+            vdd = cell.vdd_v
+            best_arr = -_INF
+            best_slew = DEFAULT_INPUT_SLEW_NS
+            best_pin = ""
+            for pin, arc in cell.input_arcs:
+                net_name = pin_nets.get(pin)
+                base = None if net_name is None else arrival.get(net_name)
+                if base is None:
+                    arr_in = 0.0
+                    slew_in = DEFAULT_INPUT_SLEW_NS
+                else:
+                    para = (cache.get(net_name)
+                            or calc.net_parasitics(nets[net_name]))
+                    arr_in = base + para.sink_delay_ns.get((name, pin), 0.0)
+                    slew_in = slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
+                hit = (memo.get((id(arc), slew_in, load))
+                       or calc.lookup_arc(arc, slew_in, load))
+                delay, out_slew = hit
+                if net_name is not None:
+                    drv = nets[net_name].driver
+                    if drv is not None and instances[drv[0]].cell.vdd_v != vdd:
+                        derate = calc.input_derates(inst, nets[net_name])
+                        delay *= derate[0]
+                        out_slew *= derate[1]
+                arr_out = arr_in + delay
+                if arr_out > best_arr:
+                    best_arr = arr_out
+                    best_slew = out_slew
+                    best_pin = pin
+            if best_arr == -_INF:
+                arrival.pop(out_net, None)
+                slew.pop(out_net, None)
+                worst_input.pop(name, None)
+                continue
+            arrival[out_net] = best_arr
+            slew[out_net] = best_slew
+            worst_input[name] = best_pin
 
     # -- capture ---------------------------------------------------------
     def endpoint_base(self) -> list[tuple[tuple[str, str], float, float, float]]:
@@ -278,17 +330,33 @@ class StaEngine:
         depend on the clock period; only the required time does.  The
         incremental session caches this list across period probes and
         re-derives the slack dict per candidate period in O(endpoints).
+        Only inputs whose net carries an arrival are endpoints.
         """
+        calc = self.calc
+        cache = calc.cached_parasitics()
+        nets = self.netlist.nets
+        arrival = self.arrival
+        slew = self.slew
         base: list[tuple[tuple[str, str], float, float, float]] = []
         for inst in self.netlist.sequential_instances():
-            latency = self.latencies.get(inst.name, 0.0)
-            for pin in inst.cell.input_pins:
-                net = self._net_on(inst, pin)
-                if net is None or net.name not in self.arrival:
+            name = inst.name
+            cell = inst.cell
+            pin_nets = inst._pin_nets
+            latency = self.latencies.get(name, 0.0)
+            for pin in cell.input_pins:
+                net_name = pin_nets.get(pin)
+                if net_name is None:
                     continue
-                arr, slew_in = self.input_arrival_slew(inst, pin, net)
-                setup = self.calc.setup_time(inst.cell, slew_in)
-                base.append(((inst.name, pin), arr, setup, latency))
+                net_arrival = arrival.get(net_name)
+                if net_arrival is None:
+                    continue
+                para = (cache.get(net_name)
+                        or calc.net_parasitics(nets[net_name]))
+                arr = net_arrival + para.sink_delay_ns.get((name, pin), 0.0)
+                setup = calc.setup_time(
+                    cell, slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
+                )
+                base.append(((name, pin), arr, setup, latency))
         return base
 
     @staticmethod
@@ -311,72 +379,84 @@ class StaEngine:
         self, endpoints: dict[tuple[str, str], float]
     ) -> dict[str, float]:
         """Required time each endpoint imposes at its net's driver output."""
+        calc = self.calc
+        cache = calc.cached_parasitics()
+        nets = self.netlist.nets
+        instances = self.netlist.instances
+        arrival = self.arrival
         seeds: dict[str, float] = {}
         for (inst_name, pin), slack in endpoints.items():
-            inst = self.netlist.instances[inst_name]
-            net = self._net_on(inst, pin)
-            if net is None:
+            net_name = instances[inst_name]._pin_nets.get(pin)
+            if net_name is None:
                 continue
-            wire = self.calc.net_parasitics(net).sink_delay_ns.get(
-                (inst_name, pin), 0.0
-            )
-            arr, _ = self.input_arrival_slew(inst, pin, net)
-            req_at_pin = arr + slack
-            req_at_driver = req_at_pin - wire
-            prev = seeds.get(net.name, _INF)
-            if req_at_driver < prev:
-                seeds[net.name] = req_at_driver
+            para = cache.get(net_name) or calc.net_parasitics(nets[net_name])
+            wire = para.sink_delay_ns.get((inst_name, pin), 0.0)
+            base = arrival.get(net_name)
+            arr = 0.0 if base is None else base + wire
+            req_at_driver = arr + slack - wire
+            if req_at_driver < seeds.get(net_name, _INF):
+                seeds[net_name] = req_at_driver
         return seeds
 
-    def required_through(
-        self, inst: Instance, pin: str, arc: TimingArc, req_out: float,
-        load: float,
-    ) -> tuple[str, float] | None:
-        """``(input net, required time)`` one arc imposes on its input net.
-
-        The net is looked up once for the slew, the arc delay and the wire
-        delay.  None when the pin is unconnected.
-        """
-        net_name = inst.net_of(pin)
-        if net_name is None:
-            return None
-        calc = self.calc
-        net = self.netlist.nets[net_name]
-        _, slew_in = self.input_arrival_slew(inst, pin, net)
-        delay, _ = calc.arc_delay_slew(inst, arc, slew_in, load, net)
-        wire = calc.net_parasitics(net).sink_delay_ns.get((inst.name, pin), 0.0)
-        return net_name, req_out - delay - wire
-
     def propagate_required(self, endpoints: dict[tuple[str, str], float]) -> None:
-        """Backward pass: required time at every net's driver output."""
-        # Seed required times at endpoint input pins, mapped back to nets.
+        """Backward pass: required time at every net's driver output.
+
+        Each timed input arc pushes ``required(output) - arc delay - wire
+        delay`` onto its input net, which keeps the minimum.  Every
+        connected input net's parasitics are read, reached or not.
+        """
         required = self.required
         for net_name, req_at_driver in self.seed_required_map(endpoints).items():
             prev = required.get(net_name, _INF)
             required[net_name] = min(prev, req_at_driver)
 
+        calc = self.calc
+        cache = calc.cached_parasitics()
+        memo = calc.arc_memo
+        nets = self.netlist.nets
+        instances = self.netlist.instances
+        arrival = self.arrival
+        slew = self.slew
         for inst in reversed(self.netlist.topological_order()):
             cell = inst.cell
-            out_net = inst.net_of(cell.output_pin)
+            pin_nets = inst._pin_nets
+            out_net = pin_nets.get(cell.output_pin)
             if out_net is None:
                 continue
             req_out = required.get(out_net, _INF)
             if req_out == _INF:
                 continue
-            load = self.calc.output_load_ff(inst, cell.output_pin)
+            para = cache.get(out_net) or calc.net_parasitics(nets[out_net])
+            load = para.total_cap_ff
+            name = inst.name
+            vdd = cell.vdd_v
             for pin, arc in cell.input_arcs:
-                pulled = self.required_through(inst, pin, arc, req_out, load)
-                if pulled is None:
+                net_name = pin_nets.get(pin)
+                if net_name is None:
                     continue
-                in_net, candidate = pulled
-                if candidate < required.get(in_net, _INF):
-                    required[in_net] = candidate
+                para = (cache.get(net_name)
+                        or calc.net_parasitics(nets[net_name]))
+                slew_in = (
+                    slew.get(net_name, DEFAULT_INPUT_SLEW_NS)
+                    if net_name in arrival else DEFAULT_INPUT_SLEW_NS
+                )
+                hit = (memo.get((id(arc), slew_in, load))
+                       or calc.lookup_arc(arc, slew_in, load))
+                delay = hit[0]
+                drv = nets[net_name].driver
+                if drv is not None and instances[drv[0]].cell.vdd_v != vdd:
+                    delay *= calc.input_derates(inst, nets[net_name])[0]
+                candidate = (
+                    req_out - delay - para.sink_delay_ns.get((name, pin), 0.0)
+                )
+                if candidate < required.get(net_name, _INF):
+                    required[net_name] = candidate
 
     def cell_slacks(self) -> dict[str, float]:
         """Worst slack of any path through each instance (criticality)."""
         slacks: dict[str, float] = {}
         for inst in self.netlist.instances.values():
-            out_net = inst.net_of(inst.cell.output_pin)
+            out_net = inst._pin_nets.get(inst.cell.output_pin)
             if out_net is None:
                 continue
             arr = self.arrival.get(out_net)
@@ -388,12 +468,17 @@ class StaEngine:
 
     # -- path extraction ---------------------------------------------------
     def backtrace(self, endpoint: tuple[str, str], slack: float) -> CriticalPath:
+        """Follow the worst inputs back from ``endpoint`` to a launch."""
         inst_name, pin = endpoint
-        capture = self.netlist.instances[inst_name]
-        _, slew_in = self.input_arrival_slew(
-            capture, pin, self._net_on(capture, pin)
-        )
-        setup = self.calc.setup_time(capture.cell, slew_in)
+        calc = self.calc
+        cache = calc.cached_parasitics()
+        memo = calc.arc_memo
+        nets = self.netlist.nets
+        instances = self.netlist.instances
+        arrival = self.arrival
+        capture = instances[inst_name]
+        _, slew_in = self.input_arrival_slew(capture, pin)
+        setup = calc.setup_time(capture.cell, slew_in)
         steps: list[PathStep] = []
 
         current_inst = capture
@@ -402,68 +487,72 @@ class StaEngine:
         guard = 0
         while guard < 100000:
             guard += 1
-            net_name = current_inst.net_of(current_pin)
+            net_name = current_inst._pin_nets.get(current_pin)
             if net_name is None:
                 break
-            net = self.netlist.nets[net_name]
-            para = self.calc.net_parasitics(net)
+            net = nets[net_name]
+            para = cache.get(net_name) or calc.net_parasitics(net)
             wire = para.sink_delay_ns.get((current_inst.name, current_pin), 0.0)
-            driver = self.netlist.driver_instance(net)
-            if driver is None:
+            if net.driver is None:
                 # reached a primary input
                 break
+            driver = instances[net.driver[0]]
+            cell = driver.cell
             # wirelength share: manhattan distance when placed, else share
-            if driver.is_placed and current_inst.is_placed:
-                dx, dy = driver.center(), current_inst.center()
-                seg_len = abs(dx[0] - dy[0]) + abs(dx[1] - dy[1])
+            if (driver.x_um is not None and driver.y_um is not None
+                    and current_inst.x_um is not None
+                    and current_inst.y_um is not None):
+                here = current_inst.cell
+                seg_len = abs(
+                    (driver.x_um + cell.width_um / 2.0)
+                    - (current_inst.x_um + here.width_um / 2.0)
+                ) + abs(
+                    (driver.y_um + cell.height_um / 2.0)
+                    - (current_inst.y_um + here.height_um / 2.0)
+                )
             else:
                 seg_len = para.length_um / max(1, net.fanout)
-            crosses = driver.tier != current_inst.tier
-            out_pin = driver.cell.output_pin
-            if driver.cell.is_sequential:
-                arc = driver.cell.launch_arc
-                load = self.calc.output_load_ff(driver, out_pin)
-                if arc is not None:
-                    delay, _ = self.calc.arc_delay_slew(
-                        driver, arc, DEFAULT_INPUT_SLEW_NS, load,
-                        self._net_on(driver, driver.cell.clock_pin),
-                    )
-                else:
-                    delay = 0.0
-                steps.append(
-                    PathStep(
-                        instance=driver.name,
-                        cell_name=driver.cell.name,
-                        tier=driver.tier,
-                        arc_delay_ns=delay,
-                        wire_delay_ns=wire,
-                        wirelength_um=seg_len,
-                        crosses_tier=crosses,
-                    )
+            # The driver's output net is this net: its load is this net's.
+            load = para.total_cap_ff
+            if cell.is_sequential:
+                arc = cell.launch_arc
+                in_net = driver._pin_nets.get(cell.clock_pin)
+                slew_at = DEFAULT_INPUT_SLEW_NS
+            else:
+                worst_pin = self.worst_input.get(driver.name)
+                if worst_pin is None:
+                    break
+                arc = cell.arc_to(cell.output_pin, worst_pin)
+                in_net = driver._pin_nets.get(worst_pin)
+                slew_at = (
+                    self.slew.get(in_net, DEFAULT_INPUT_SLEW_NS)
+                    if in_net is not None and in_net in arrival
+                    else DEFAULT_INPUT_SLEW_NS
                 )
-                launch_latency = self.latencies.get(driver.name, 0.0)
-                break
-            worst_pin = self.worst_input.get(driver.name)
-            if worst_pin is None:
-                break
-            arc = driver.cell.arc_to(out_pin, worst_pin)
-            load = self.calc.output_load_ff(driver, out_pin)
-            in_net = self._net_on(driver, worst_pin)
-            _, slew_at = self.input_arrival_slew(driver, worst_pin, in_net)
-            delay, _ = self.calc.arc_delay_slew(
-                driver, arc, slew_at, load, in_net
-            )
+            delay = 0.0
+            if arc is not None:
+                hit = (memo.get((id(arc), slew_at, load))
+                       or calc.lookup_arc(arc, slew_at, load))
+                delay = hit[0]
+                if in_net is not None:
+                    drv = nets[in_net].driver
+                    if (drv is not None
+                            and instances[drv[0]].cell.vdd_v != cell.vdd_v):
+                        delay *= calc.input_derates(driver, nets[in_net])[0]
             steps.append(
                 PathStep(
                     instance=driver.name,
-                    cell_name=driver.cell.name,
+                    cell_name=cell.name,
                     tier=driver.tier,
                     arc_delay_ns=delay,
                     wire_delay_ns=wire,
                     wirelength_um=seg_len,
-                    crosses_tier=crosses,
+                    crosses_tier=driver.tier != current_inst.tier,
                 )
             )
+            if cell.is_sequential:
+                launch_latency = self.latencies.get(driver.name, 0.0)
+                break
             current_inst = driver
             current_pin = worst_pin
         else:

@@ -1,5 +1,7 @@
 """Tests for cell archetypes (repro.liberty.cells)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import LibraryError
@@ -65,6 +67,12 @@ class TestCellType:
     def test_output_pin_found(self, lib):
         inv = lib.get(CellFunction.INV, 1)
         assert inv.output_pin == "Y"
+
+    def test_rejects_a_second_output_pin(self, lib):
+        inv = lib.get(CellFunction.INV, 1)
+        pins = {**inv.pins, "Z": PinSpec("Z", "output")}
+        with pytest.raises(LibraryError, match="more than one output"):
+            dataclasses.replace(inv, pins=pins)
 
     def test_input_pins_ordered(self, lib):
         nand = lib.get(CellFunction.NAND2, 1)

@@ -69,6 +69,24 @@ class _FakeDesign:
         return slow, fast
 
 
+def _logged_analysis(env):
+    """``env.analyze`` wrapped to log each analysis and each trace."""
+    log: list[str] = []
+
+    def analyze():
+        wns, tns, trace = env.analyze()
+        n = sum(entry.startswith("analyze") for entry in log) + 1
+        log.append(f"analyze {n}")
+
+        def traced():
+            log.append(f"trace {n}")
+            return trace()
+
+        return wns, tns, traced
+
+    return log, analyze
+
+
 class TestAlgorithmOne:
     def test_moves_slow_critical_cells_and_improves(self):
         env = _FakeDesign()
@@ -168,24 +186,13 @@ class TestAlgorithmOne:
         assert result.stop_reason == "no critical paths"
 
     def test_traces_only_the_states_it_keeps(self):
-        """Paths are traced for the initial state, for each accepted
-        batch (before ``settle``) and after each undo -- never for a
-        rejected batch's state."""
+        """Paths are traced for the initial state and for each accepted
+        batch (before ``settle``) -- never for a rejected batch's state,
+        and not again after an undo that restores an unsettled state."""
         env = _FakeDesign()
-        log: list[str] = []
+        log, analyze = _logged_analysis(env)
         real_move = env.move_to_fast
         moves = []
-
-        def analyze():
-            wns, tns, trace = env.analyze()
-            n = sum(entry.startswith("analyze") for entry in log) + 1
-            log.append(f"analyze {n}")
-
-            def traced():
-                log.append(f"trace {n}")
-                return trace()
-
-            return wns, tns, traced
 
         def move_flaky(cells):
             moves.append(cells)
@@ -200,11 +207,44 @@ class TestAlgorithmOne:
         )
         assert result.batches_rejected == 1
         assert result.batches_accepted >= 1
-        assert log[:8] == [
+        assert log[:6] == [
             "analyze 1", "trace 1",            # the initial state
-            "analyze 2",                       # rejected: never traced
-            "analyze 3", "trace 3",            # restored by the undo
-            "analyze 4", "trace 4", "settle",  # accepted, traced first
+            "analyze 2",                       # rejected: never traced,
+                                               # and the undo restores 1
+            "analyze 3", "trace 3", "settle",  # accepted, traced first
         ]
         traces = [entry for entry in log if entry.startswith("trace")]
-        assert len(traces) == 2 + result.batches_accepted
+        assert len(traces) == 1 + result.batches_accepted
+
+    def test_retraces_an_undo_past_a_settle(self):
+        """A batch rejected after a settled batch restores the settled
+        state, which the paths traced before that settle do not show, so
+        the undo re-analyses and re-traces it."""
+        env = _FakeDesign()
+        env.tier = {n: 1 for n in env.tier}
+        env.delay = {"a": 0.10, "b": 0.09, "c": 0.08, "d": 0.07}
+        log, analyze = _logged_analysis(env)
+        real_move = env.move_to_fast
+        moves = []
+
+        def move_flaky(cells):
+            moves.append(cells)
+            if len(moves) == 2:  # a no-op batch: rejected, then undone
+                return [(c, env.tier[c], env.delay[c]) for c in cells]
+            return real_move(cells)
+
+        result = repartition_eco(
+            analyze, move_flaky, env.undo, env.tier_areas, slow_tier=1,
+            config=RepartitionConfig(
+                max_iterations=3, unbalance_max=2.0, wns_target_ns=1.0
+            ),
+            settle=lambda: log.append("settle"),
+        )
+        assert (result.batches_accepted, result.batches_rejected) == (2, 1)
+        assert log == [
+            "analyze 1", "trace 1",            # the initial state
+            "analyze 2", "trace 2", "settle",  # accepted, traced first
+            "analyze 3",                       # rejected: never traced
+            "analyze 4", "trace 4",            # the settled state, restored
+            "analyze 5", "trace 5", "settle",  # accepted
+        ]

@@ -202,9 +202,10 @@ class CellType:
     vdd_v:
         Supply of the owning library, duplicated here for convenience.
 
-    The pin metadata below (``is_sequential`` .. ``launch_arc``) is
-    derived from ``function``, ``pins`` and ``arcs`` once, at
-    construction: the timing engine reads it on every arc evaluation.
+    The pin metadata below (``is_sequential`` .. ``setup_arc``) and the
+    worst arc are derived from ``function``, ``pins`` and ``arcs`` once,
+    at construction: the timing engine and the optimizer read them on
+    every arc evaluation and every sizing candidate.
     """
 
     name: str
@@ -239,6 +240,9 @@ class CellType:
     )
     #: The clock-to-output arc sequential cells launch through, or None.
     launch_arc: TimingArc | None = field(init=False, repr=False, compare=False)
+    #: The first setup arc, or None (then ``setup_ns`` is the setup time).
+    setup_arc: TimingArc | None = field(init=False, repr=False, compare=False)
+    _worst_arc: TimingArc | None = field(init=False, repr=False, compare=False)
     _arc_map: dict[tuple[str, str], TimingArc] = field(
         init=False, repr=False, compare=False
     )
@@ -286,6 +290,10 @@ class CellType:
             "launch_arc": (
                 arc_map.get((output_pin, clock_pin)) if clock_pin else None
             ),
+            "setup_arc": next(
+                (arc for arc in self.arcs if arc.kind == "setup"), None
+            ),
+            "_worst_arc": _worst_arc_of(self.arcs),
             "_arc_map": arc_map,
         }
         for name, value in derived.items():
@@ -304,16 +312,21 @@ class CellType:
 
     def worst_arc_to_output(self) -> TimingArc:
         """The arc with the largest mid-table delay, used for quick estimates."""
-        best: TimingArc | None = None
-        best_delay = -1.0
-        for arc in self.arcs:
-            if arc.kind == "setup":
-                continue
-            mid_slew = arc.delay.slew_axis[len(arc.delay.slew_axis) // 2]
-            mid_load = arc.delay.load_axis[len(arc.delay.load_axis) // 2]
-            d = arc.delay.lookup(mid_slew, mid_load)
-            if d > best_delay:
-                best, best_delay = arc, d
-        if best is None:
+        if self._worst_arc is None:
             raise LibraryError(f"{self.name} has no timing arcs")
-        return best
+        return self._worst_arc
+
+
+def _worst_arc_of(arcs: tuple[TimingArc, ...]) -> TimingArc | None:
+    """The first non-setup arc with the largest mid-table delay."""
+    best: TimingArc | None = None
+    best_delay = -1.0
+    for arc in arcs:
+        if arc.kind == "setup":
+            continue
+        mid_slew = arc.delay.slew_axis[len(arc.delay.slew_axis) // 2]
+        mid_load = arc.delay.load_axis[len(arc.delay.load_axis) // 2]
+        d = arc.delay.lookup(mid_slew, mid_load)
+        if d > best_delay:
+            best, best_delay = arc, d
+    return best

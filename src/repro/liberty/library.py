@@ -55,6 +55,17 @@ class StdCellLibrary:
     _by_function: dict[CellFunction, dict[int, CellType]] = field(
         default_factory=dict, repr=False
     )
+    #: Each function's drives, ascending: kept by :meth:`add_cell` and
+    #: rebuilt from ``_by_function`` on construction.
+    _drives: dict[CellFunction, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._drives = {
+            function: tuple(sorted(drives))
+            for function, drives in self._by_function.items()
+        }
 
     def add_cell(self, cell: CellType) -> None:
         """Register a cell type; name and (function, drive) must be unique."""
@@ -67,6 +78,7 @@ class StdCellLibrary:
             )
         self._cells[cell.name] = cell
         drives[cell.drive] = cell
+        self._drives[cell.function] = tuple(sorted(drives))
 
     @property
     def cell_height_um(self) -> float:
@@ -102,10 +114,10 @@ class StdCellLibrary:
 
     def drives_for(self, function: CellFunction) -> tuple[int, ...]:
         """Available drive strengths for a function, ascending."""
-        drives = self._by_function.get(function)
+        drives = self._drives.get(function)
         if not drives:
             raise LibraryError(f"{self.name} has no {function.value} cells")
-        return tuple(sorted(drives))
+        return drives
 
     def upsize(self, cell: CellType) -> CellType | None:
         """The next-stronger drive of the same function, or None at the top."""

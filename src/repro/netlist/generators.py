@@ -36,6 +36,7 @@ configuration matrix of the paper runs in minutes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,8 @@ class _Builder:
         self.lib = lib
         self.rng = rng
         self._counter = 0
+        # id(mix) -> (mix, its functions, its cumulative weights)
+        self._cdfs: dict[int, tuple] = {}
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -116,10 +119,21 @@ class _Builder:
     def _sample_function(
         self, mix: tuple[tuple[CellFunction, float], ...]
     ) -> CellFunction:
-        functions = [f for f, _ in mix]
-        weights = np.array([w for _, w in mix], dtype=float)
-        weights /= weights.sum()
-        return functions[int(self.rng.choice(len(functions), p=weights))]
+        """Draw one function from ``mix``, exactly as
+        ``rng.choice(len(mix), p=weights)`` would: one ``rng.random()``
+        looked up in the CDF that ``choice`` builds, kept per mix."""
+        table = self._cdfs.get(id(mix))
+        if table is None:
+            weights = np.array([w for _, w in mix], dtype=float)
+            weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            # the mix rides along so its id stays its own
+            table = self._cdfs[id(mix)] = (
+                mix, [f for f, _ in mix], cdf.tolist()
+            )
+        _mix, functions, cdf = table
+        return functions[bisect_right(cdf, self.rng.random())]
 
     def add_gate(
         self,

@@ -4,23 +4,31 @@ The pseudo-3-D stage leaves every cell placed on the shared footprint;
 tier assignment must then keep *local* area balanced so that both tiers
 stay uniformly filled (they share one outline).  Following Pin-3D's
 recipe, the placement is divided into a grid of bins and FM min-cut runs
-per bin, with cells outside the bin acting as fixed terminals on their
-current side.  A couple of sweeps propagate good assignments between
-neighbouring bins.
+per bin, with the cells outside the bin acting as fixed terminals on
+their current side.  A couple of sweeps propagate good assignments
+between neighbouring bins, and each bin's balance target leans against
+the global imbalance the bins before it left.
 
-Cells pinned by timing-based partitioning (Section III-A1) enter as fixed
-terminals, so the min-cut optimization happens around the timing
-constraints rather than fighting them.
+Cells pinned by timing-based partitioning (Section III-A1) and the
+memory-macro blockers stay fixed, so the min-cut optimization happens
+around the timing constraints rather than fighting them.
+
+Every instance gets an integer id once per call, and each bin becomes
+one :class:`~repro.partition.fm.FMGraph` over its own cells, built once:
+a sweep only gathers the bin's sides, counts its nets' out-of-bin owners
+per side as terminals, and scatters the refined sides back.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
+from operator import not_
 
 from repro.errors import PartitionError
 from repro.netlist.core import Netlist
 from repro.obs import span
-from repro.partition.fm import fm_bipartition
+from repro.partition.fm import FMGraph
 
 __all__ = ["bin_fm_partition"]
 
@@ -90,12 +98,13 @@ def _bin_fm_partition(
     area_side0 = dict(area_side0)
     area_side1 = dict(area_side1)
 
-    # Macros stay on the bottom tier unless the caller pinned them.
+    # Memory macros keep their current tier (the hetero flow starts them
+    # on the slow die) unless the caller pinned them.
     for macro in netlist.memory_macros():
         pinned.setdefault(macro.name, macro.tier)
 
     # All standard cells are binned; pinned ones participate in area
-    # balancing as fixed terminals (otherwise timing-based pinning would
+    # balancing as fixed cells (otherwise timing-based pinning would
     # silently over-subscribe the fast die).
     binned = [
         inst for inst in netlist.instances.values() if not inst.cell.is_macro
@@ -114,7 +123,7 @@ def _bin_fm_partition(
     # tier (memory-over-logic, the CPU's 3-D layout).  Each macro's
     # footprint is spread over the bins it covers as immovable pseudo
     # cells that count toward that side's balance.
-    blockers: list[tuple[tuple[int, int], object]] = []
+    blockers_in_bin: dict[tuple[int, int], list[str]] = defaultdict(list)
     bin_w = width_um / grid
     bin_h = height_um / grid
     for mi, macro in enumerate(netlist.memory_macros()):
@@ -143,20 +152,19 @@ def _bin_fm_partition(
                     pinned[name] = side
                     area_side0[name] = overlap / pieces
                     area_side1[name] = overlap / pieces
-                    blockers.append(((bx, by), name))
-    blocker_names = {name for _key, name in blockers}
+                    blockers_in_bin[bx, by].append(name)
 
     # Initial assignment: pinned cells keep their side; the rest alternate
     # in x-order so each bin starts area balanced.
     assignment: dict[str, int] = dict(pinned)
-    blocker_load: dict[tuple[int, int], list[float]] = defaultdict(
-        lambda: [0.0, 0.0]
-    )
-    for key, name in blockers:
-        blocker_load[key][assignment[name]] += area_side0[name]
     for key, members in sorted(bins.items()):
         members.sort(key=lambda i: (i.x_um, i.name))
-        a0, a1 = blocker_load[key]
+        a0 = a1 = 0.0
+        for name in blockers_in_bin[key]:
+            if assignment[name] == 0:
+                a0 += area_side0[name]
+            else:
+                a1 += area_side0[name]
         for inst in members:
             if inst.name in pinned:
                 side = pinned[inst.name]
@@ -168,8 +176,31 @@ def _bin_fm_partition(
             else:
                 a1 += area_side1[inst.name]
 
-    # Hyperedges touching each bin (computed once).
-    net_members: list[list[str]] = []
+    # From here on a cell is its position in ``assignment``: ``sides``
+    # holds the current tiers and the area vectors follow the same order,
+    # so the global balance sums run over today's sequence.  A name
+    # without an area adds 0.0, which leaves every sum unchanged.
+    names = list(assignment)
+    ids = {name: i for i, name in enumerate(names)}
+    sides = list(assignment.values())
+    areas0 = [area_side0.get(name, 0.0) for name in names]
+    areas1 = [area_side1.get(name, 0.0) for name in names]
+
+    # Each binned cell's bin and its slot there.
+    home: list[tuple[int, int] | None] = [None] * len(names)
+    slot = [0] * len(names)
+    for key, members in bins.items():
+        for i, inst in enumerate(members):
+            c = ids[inst.name]
+            home[c] = key
+            slot[c] = i
+
+    # A signal net with two distinct owners joins the FM of every bin of
+    # two or more cells it touches, if it has two cells there, or one and
+    # an owner elsewhere: the owners elsewhere are its terminals.
+    nets_in: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] = {
+        key: ([], []) for key, members in bins.items() if len(members) >= 2
+    }
     for net in netlist.nets.values():
         if net.is_clock:
             continue
@@ -177,95 +208,66 @@ def _bin_fm_partition(
         if net.driver is not None:
             owners.append(net.driver[0])
         owners.extend(s for s, _p in net.sinks)
-        unique = list(dict.fromkeys(owners))
-        if len(unique) >= 2:
-            net_members.append(unique)
+        unique = dict.fromkeys(owners)
+        if len(unique) < 2:
+            continue
+        owner_ids = [ids[c] for c in unique if c in ids]
+        for key in {home[c] for c in owner_ids}:
+            if key not in nets_in:
+                continue
+            here = [slot[c] for c in owner_ids if home[c] == key]
+            away = [c for c in owner_ids if home[c] != key]
+            if len(here) >= 2 or away:
+                pins, outside = nets_in[key]
+                pins.append(here)
+                outside.append(away)
 
-    nets_touching_bin: dict[tuple[int, int], list[int]] = defaultdict(list)
-    bin_of_cell: dict[str, tuple[int, int]] = {}
-    for key, members in bins.items():
-        for inst in members:
-            bin_of_cell[inst.name] = key
-    for ni, owners in enumerate(net_members):
-        seen = set()
-        for c in owners:
-            key = bin_of_cell.get(c)
-            if key is not None and key not in seen:
-                seen.add(key)
-                nets_touching_bin[key].append(ni)
+    # One FM problem per bin: its members in (x, name) order, then its
+    # macro blockers as fixed cells.
+    problems: dict[tuple[int, int], tuple] = {}
+    for key, (pins, outside) in nets_in.items():
+        local = [inst.name for inst in bins[key]] + blockers_in_bin[key]
+        area0 = [area_side0[name] for name in local]
+        graph = FMGraph(
+            pins, area0, [area_side1[name] for name in local],
+            [name in pinned for name in local], local,
+        )
+        problems[key] = (
+            graph, [ids[name] for name in local], outside, sum(area0) or 1.0
+        )
 
     bin_keys = sorted(bins)
     for sweep in range(SWEEPS):
         order = list(bin_keys)
         if sweep % 2 == 1:
             order.reverse()
-        blockers_in_bin: dict[tuple[int, int], list[str]] = defaultdict(list)
-        for bkey, name in blockers:
-            blockers_in_bin[bkey].append(name)
         for key in order:
-            members = bins[key]
-            if len(members) < 2:
+            problem = problems.get(key)
+            if problem is None:
                 continue
-            local_cells = [i.name for i in members] + blockers_in_bin[key]
-            local_set = set(local_cells)
-            # Pinned cells and macro blockers are immovable but count
-            # toward the bin balance.
-            fixed: set[str] = {c for c in local_cells if c in pinned}
-            # Out-of-bin terminals become fixed pseudo-cells.
-            local_nets: list[list[str]] = []
-            extra_cells: list[str] = []
-            for ni in nets_touching_bin[key]:
-                owners = net_members[ni]
-                net_local = []
-                for c in owners:
-                    if c in local_set:
-                        net_local.append(c)
-                    elif c in assignment:
-                        term = f"__term{ni}_{assignment[c]}"
-                        net_local.append(term)
-                        if term not in fixed:
-                            fixed.add(term)
-                            extra_cells.append(term)
-                if len(set(net_local)) >= 2:
-                    local_nets.append(net_local)
-            all_cells = local_cells + extra_cells
-            initial = {c: assignment[c] for c in local_cells}
-            a0 = dict(area_side0)
-            a1 = dict(area_side1)
-            for term in extra_cells:
-                initial[term] = int(term[-1])
-                a0[term] = 0.0
-                a1[term] = 0.0
+            graph, cells, outside, bin_total = problem
+            # Out-of-bin owners count as fixed terminals on their side.
+            fixed1 = [sum(map(sides.__getitem__, away)) for away in outside]
+            fixed0 = [len(away) - n1 for away, n1 in zip(outside, fixed1)]
             # Steer this bin's split to cancel the global imbalance that
             # earlier bins' tolerance drift accumulated.
-            g0 = sum(
-                area_side0[n] for n, s in assignment.items()
-                if s == 0 and n in area_side0
-            )
-            g1 = sum(
-                area_side1[n] for n, s in assignment.items()
-                if s == 1 and n in area_side1
-            )
-            bin_total = sum(a0[c] for c in local_cells) or 1.0
+            g0 = sum(compress(areas0, map(not_, sides)))
+            g1 = sum(compress(areas1, sides))
             target = 0.5 - (g0 - g1) / (2.0 * bin_total)
             target = min(0.65, max(0.35, target))
-            result = fm_bipartition(
-                all_cells,
-                local_nets,
-                a0,
-                a1,
-                initial=initial,
-                fixed=fixed,
-                balance_tolerance=balance_tolerance,
-                balance_target=target,
+            refined, _cut, _passes = graph.refine(
+                [sides[c] for c in cells], fixed0, fixed1,
+                balance_tolerance, target,
             )
-            for c in local_cells:
-                assignment[c] = result.assignment[c]
+            for c, side in zip(cells, refined):
+                sides[c] = side
 
+    assignment = dict(zip(names, sides))
     # Any instance not binned (e.g. unplaced fixed cells) defaults to 0.
     for inst in netlist.instances.values():
         assignment.setdefault(inst.name, 0)
     # Macro-blocker pseudo cells were bookkeeping only.
-    for name in blocker_names:
-        assignment.pop(name, None)
+    for blocked in blockers_in_bin.values():
+        for name in blocked:
+            assignment.pop(name, None)
     return assignment

@@ -239,6 +239,8 @@ class DelayCalculator:
         #: replaced.  The arcs are pinned in _arc_refs so an id can never
         #: be recycled while its memo entries live.
         self.arc_memo: dict[tuple[int, float, float], tuple[float, float]] = {}
+        #: Setup time of a setup arc by ``(id(arc), data slew)``.
+        self._setup_memo: dict[tuple[int, float], float] = {}
         self._arc_refs: dict[int, TimingArc] = {}
         # Nets whose invalidation waits for invalidate_deferred().
         self._deferred: set[str] = set()
@@ -353,6 +355,7 @@ class DelayCalculator:
         memo = self.arc_memo
         if len(memo) >= _ARC_MEMO_MAX:
             memo.clear()
+            self._setup_memo.clear()
             self._arc_refs.clear()
         arc_id = id(arc)
         hit = arc.delay.lookup_pair(arc.output_slew, input_slew_ns, load_ff)
@@ -361,8 +364,20 @@ class DelayCalculator:
         return hit
 
     def setup_time(self, cell: CellType, data_slew_ns: float) -> float:
-        """Setup requirement of a sequential cell at the given data slew."""
-        for arc in cell.arcs:
-            if arc.kind == "setup":
-                return arc.delay.lookup(data_slew_ns, 0.0)
-        return cell.setup_ns
+        """Setup requirement of a sequential cell at the given data slew.
+
+        Memoized by exact ``(id(arc), slew)`` key, like :attr:`arc_memo`,
+        so a hit is bit-identical to the lookup.
+        """
+        arc = cell.setup_arc
+        if arc is None:
+            return cell.setup_ns
+        key = (id(arc), data_slew_ns)
+        memo = self._setup_memo
+        setup = memo.get(key)
+        if setup is None:
+            if len(memo) >= _ARC_MEMO_MAX:
+                memo.clear()
+            setup = memo[key] = arc.delay.lookup(data_slew_ns, 0.0)
+            self._arc_refs[id(arc)] = arc
+        return setup

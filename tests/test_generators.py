@@ -4,14 +4,21 @@ Each design's published topology character is pinned down as a measurable
 statistic, so "LDPC is wire dominant" is a test, not an adjective.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetlistError
+from repro.flow.design import Design
+from repro.integrity.checkpoint import design_to_dict
 from repro.liberty.presets import make_twelve_track_library
+from repro.netlist import generators
 from repro.netlist.core import Netlist
 from repro.netlist.generators import (
     DESIGN_NAMES,
     NetlistSpec,
+    _Builder,
     generate_netlist,
 )
 from repro.netlist.stats import compute_stats, logic_depth_histogram
@@ -130,3 +137,59 @@ class TestDesignCharacter:
     def test_blocks_tagged(self, all_designs):
         blocks = {i.block for i in all_designs["cpu"].instances.values()}
         assert {"mul", "alu", "lsu"} <= blocks
+
+
+# ----------------------------------------------------------------------
+# the gate-function sampler against numpy's weighted choice
+# ----------------------------------------------------------------------
+def choice_sampler(self, mix):
+    """The sampler as it was: ``Generator.choice`` with ``p=`` per gate."""
+    functions = [f for f, _ in mix]
+    weights = np.array([w for _, w in mix], dtype=float)
+    weights /= weights.sum()
+    return functions[int(self.rng.choice(len(functions), p=weights))]
+
+
+MIXES = [
+    value for key, value in vars(generators).items() if key.endswith("_MIX")
+]
+
+
+class TestFunctionSampler:
+    @pytest.mark.parametrize("name", DESIGN_NAMES)
+    def test_designs_match_choice_sampler(self, name, lib, monkeypatch):
+        for scale in (0.08, 0.25, 0.5):
+            for seed in range(4):
+                live = generate_netlist(name, lib, scale=scale, seed=seed)
+                with monkeypatch.context() as mp:
+                    mp.setattr(_Builder, "_sample_function", choice_sampler)
+                    frozen = generate_netlist(name, lib, scale=scale, seed=seed)
+                assert as_dict(live, lib) == as_dict(frozen, lib)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        mix=st.sampled_from(MIXES),
+        draws=st.integers(min_value=1, max_value=400),
+    )
+    def test_draws_match_choice(self, seed, mix, draws):
+        lib = make_twelve_track_library()
+        live = _Builder(Netlist("live"), lib, np.random.default_rng(seed))
+        frozen = _Builder(Netlist("frozen"), lib, np.random.default_rng(seed))
+        functions = [f for f, _ in mix]
+        assert [
+            functions.index(live._sample_function(mix)) for _ in range(draws)
+        ] == [
+            functions.index(choice_sampler(frozen, mix)) for _ in range(draws)
+        ]
+        # the random stream is left in the same state
+        assert live.rng.random() == frozen.rng.random()
+
+    def test_module_mixes_found(self):
+        assert len(MIXES) >= 2
+
+
+def as_dict(netlist, lib):
+    return design_to_dict(
+        Design(netlist.name, "2D_12T", netlist, {0: lib}, target_period_ns=1.0)
+    )

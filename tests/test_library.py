@@ -1,10 +1,19 @@
 """Tests for the StdCellLibrary container (repro.liberty.library)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LibraryError
 from repro.liberty.cells import CellFunction
-from repro.liberty.presets import make_library_pair
+from repro.liberty.presets import (
+    make_library_pair,
+    make_nine_track_library,
+    make_track_variant,
+    make_twelve_track_library,
+)
+from repro.netlist.core import Netlist
+from repro.timing.delaycalc import DelayCalculator, FanoutWireModel
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +114,76 @@ class TestCrossLibrary:
 
     def test_slew_ranges_overlap(self, lib12, lib9):
         assert lib12.slew_ranges_overlap(lib9)
+
+
+# ----------------------------------------------------------------------
+# lookups derived once per cell type and per library
+# ----------------------------------------------------------------------
+def scanned_worst_arc(cell):
+    """``worst_arc_to_output`` as it was: a scan per call."""
+    best = None
+    best_delay = -1.0
+    for arc in cell.arcs:
+        if arc.kind == "setup":
+            continue
+        mid_slew = arc.delay.slew_axis[len(arc.delay.slew_axis) // 2]
+        mid_load = arc.delay.load_axis[len(arc.delay.load_axis) // 2]
+        d = arc.delay.lookup(mid_slew, mid_load)
+        if d > best_delay:
+            best, best_delay = arc, d
+    return best
+
+
+def preset_libraries():
+    libs = [make_twelve_track_library(), make_nine_track_library(),
+            *make_library_pair()]
+    libs += [make_track_variant(tracks) for tracks in range(7, 15)]
+    libs += [make_track_variant(9, vdd_v=vdd) for vdd in (0.55, 0.7, 0.9)]
+    return libs
+
+
+class TestDerivedLookups:
+    def test_worst_arc_equals_scan(self):
+        for lib in preset_libraries():
+            for cell in lib.cells:
+                expected = scanned_worst_arc(cell)
+                if expected is None:
+                    with pytest.raises(LibraryError):
+                        cell.worst_arc_to_output()
+                else:
+                    assert cell.worst_arc_to_output() is expected
+
+    def test_setup_arc_is_first_setup_arc(self):
+        for lib in preset_libraries():
+            for cell in lib.cells:
+                setups = [a for a in cell.arcs if a.kind == "setup"]
+                assert cell.setup_arc is (setups[0] if setups else None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(slews=st.lists(
+        st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=8
+    ))
+    def test_setup_time_equals_lookup(self, slews):
+        for lib in preset_libraries()[:6]:
+            calc = DelayCalculator(Netlist("empty"), FanoutWireModel(lib),
+                                   {lib.name: lib})
+            for cell in lib.cells:
+                for slew in slews + slews:  # the second round hits the memo
+                    expected = (
+                        cell.setup_arc.delay.lookup(slew, 0.0)
+                        if cell.setup_arc is not None else cell.setup_ns
+                    )
+                    assert calc.setup_time(cell, slew) == expected
+
+    def test_drive_tuples_are_sorted_drives(self):
+        for lib in preset_libraries():
+            for function, drives in lib._by_function.items():
+                assert lib.drives_for(function) == tuple(sorted(drives))
+
+    def test_replaced_library_keeps_its_drives(self, lib9):
+        import dataclasses
+
+        low = dataclasses.replace(lib9, vdd_v=0.55, _cells=lib9._cells,
+                                  _by_function=lib9._by_function)
+        for function in lib9._by_function:
+            assert low.drives_for(function) == lib9.drives_for(function)
